@@ -23,6 +23,7 @@ from .linegraph import (
     CapacityError,
     ConstructionParams,
     DegenerateConstructionError,
+    InvariantError,
     build_line_graph,
     build_universe,
     enumerate_transmission_cliques,

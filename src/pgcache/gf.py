@@ -157,6 +157,7 @@ class GF:
 
         self._add_table = None
         self._mul_table = None
+        self._log_exp_arrays = None
 
     # -- bootstrap arithmetic (table-free) ------------------------------
 
@@ -222,6 +223,17 @@ class GF:
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
+
+    def mul_array(self, a, b):
+        """Elementwise products of two broadcastable integer numpy arrays."""
+        import numpy as np
+        if self._log_exp_arrays is None:
+            self._log_exp_arrays = (np.array(self._log, dtype=np.int64),
+                                    np.array(self._exp, dtype=np.int64))
+        log, exp = self._log_exp_arrays
+        a = np.asarray(a)
+        b = np.asarray(b)
+        return np.where((a == 0) | (b == 0), 0, exp[log[a] + log[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:

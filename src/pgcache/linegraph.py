@@ -1,44 +1,51 @@
-"""Caching line graphs from subspace geometry.
+"""Caching line graphs on the points of the projective space PG(k-t, q).
 
-The construction takes parameters (k, m, t, q), fixes the span w of the
-first t-1 standard basis vectors of GF(q)^k, and builds
+The construction takes parameters (k, m, t, q) and fixes w, the span of
+the first t-1 standard basis vectors of GF(q)^k.  A user is a t-dim
+superspace of w; modulo w it is one direction, so the users are exactly
+the points of PG(k-t, q), the 1-dim subspaces of GF(q)^n with n = k-t+1.
+Everything else depends on the points alone:
 
-  * user spaces:     all t-dim superspaces of w (one user per space),
-  * sum spaces:      all (m+t)-dim superspaces of w,
-  * subfile sets:    (m+1)-sets of user spaces whose sum is a sum space.
+  * subfiles:  independent (m+1)-sets of points (sets summing to an
+               (m+t)-dim superspace of w, their "sum space");
+  * vertices:  (user, subfile) pairs whose point lies outside the
+               subfile's span, i.e. the user does not cache the subfile;
+               the vertices sharing a user form a user clique, those
+               sharing a subfile a subfile clique;
+  * cliques:   independent (m+2)-sets of points.  Dropping any one point
+               leaves a subfile, so each set gives the transmission
+               clique {(u, set minus u)}; these partition the vertices
+               and are the XOR delivery groups.
 
-A vertex (user, subfile) exists exactly when the user's space is NOT
-inside the subfile set's sum; vertices sharing a user form a user clique,
-vertices sharing a subfile form a subfile clique, and these two clique
-families each partition the vertex set.  Transmission cliques come from
-(m+2)-sets of user spaces whose sum has dimension m+t+1; they partition
-the vertices of the complement of the squared line graph and give the
-XOR delivery groups.
+So (k, m, t, q) and (k-t+1, m, 1, q) give the same combinatorics, and t
+only shows in the user matrices written into a scheme document, lifted
+as rows e_0..e_{t-2} followed by (0^{t-1}, direction).
 
-Everything is enumerated in the quotient space GF(q)^k / w: a user space
-is one normalized quotient vector (its "direction"), a sum of user
-spaces has full dimension exactly when the directions involved are
-linearly independent, so the subfile and transmission enumerations are
-depth-first searches over independent direction sets.
+A point is a normalized vector of GF(q)^n (first nonzero coordinate 1),
+held as one integer code in radix q with coordinate 0 most significant;
+ascending codes give the user order.  Independent point sets are
+enumerated level by level in numpy.  Every set carries a mask of the
+points in its span and, below the subfile level, the list of its span's
+vectors.  A point extends a set when it lies outside the span and after
+the set's last point, and np.nonzero over that candidate mask lists the
+next level already in lexicographic order.  The subfile level's span
+masks are the placement, and one more level gives the cliques.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
 from .gf import GF, factor_prime_power, field as make_field
 from .subspaces import (
     SubspaceBasis,
-    Vector,
-    enumerate_superspaces,
+    canonicalize,
     generating_set_counts,
     q_binomial,
-    reduce_vector,
     standard_prefix_subspace,
 )
 
@@ -51,6 +58,16 @@ class CapacityError(RuntimeError):
 
 class DegenerateConstructionError(ValueError):
     """Parameters produce an empty line graph (every subfile fully cached)."""
+
+
+class InvariantError(AssertionError):
+    """A construction step produced output that breaks one of its invariants."""
+
+
+def _require(ok, step: str, invariant: str) -> None:
+    """Explicit invariant check that still runs under ``python -O``."""
+    if not ok:
+        raise InvariantError(f"{step}: {invariant}")
 
 
 # ----------------------------------------------------------------------
@@ -117,144 +134,149 @@ class ConstructionParams:
 
 
 # ----------------------------------------------------------------------
-# Quotient-direction elimination, generic and GF(2)-packed
+# Points of PG(n-1, q) as radix-q codes
 # ----------------------------------------------------------------------
 
-class _TupleOps:
-    """Echelon bookkeeping on tuple vectors over any GF(q)."""
+class _Points:
+    """The points of GF(q)^n and the vector arithmetic on their codes.
 
-    def __init__(self, f: GF):
+    codes[i] is the code of point i; multiples[i, c] is the code of c
+    times point i (column 0 is the zero vector), and point_of maps every
+    nonzero vector code to the index of its point.
+    """
+
+    def __init__(self, f: GF, n: int):
         self.f = f
+        q = f.q
+        self.codes = np.concatenate(
+            [q ** j + np.arange(q ** j, dtype=np.int64) for j in range(n)])
+        weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        digits = self.codes[:, None] // weights % q                    # (K, n)
+        scalars = np.arange(q, dtype=np.int64)[None, :, None]
+        self.multiples = f.mul_array(scalars, digits[:, None, :]) @ weights  # (K, q)
+        self.point_of = np.full(q ** n, -1, dtype=np.int64)
+        self.point_of[self.multiples[:, 1:]] = np.arange(len(self.codes))[:, None]
+        self._digits = n * f.n  # base-p digits of a code
 
-    def reduce(self, v, rows):
-        # rows: list of (pivot_col, normalized_row)
-        f = self.f
-        for pc, row in rows:
-            c = v[pc]
-            if c != 0:
-                v = tuple(f.sub(x, f.mul(c, y)) for x, y in zip(v, row))
-        return v
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Vector sums of two broadcastable arrays of codes.
 
-    def is_zero(self, v) -> bool:
-        return not any(v)
-
-    def make_pivot(self, v):
-        pc = next(i for i, x in enumerate(v) if x != 0)
-        inv = self.f.inv(v[pc])
-        if inv != 1:
-            v = tuple(self.f.mul(inv, x) for x in v)
-        return pc, v
-
-
-class _BitOps:
-    """Same bookkeeping with bit-packed vectors for GF(2)."""
-
-    @staticmethod
-    def pack(v) -> int:
-        out = 0
-        for i, x in enumerate(v):
-            if x:
-                out |= 1 << i
+        Field addition is carry-free addition of base-p digits, so a code
+        sum is the digitwise sum mod p: an XOR when p = 2.
+        """
+        p = self.f.p
+        if p == 2:
+            return a ^ b
+        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+        weight = 1
+        for _ in range(self._digits):
+            out += (a // weight + b // weight) % p * weight
+            weight *= p
         return out
 
-    def reduce(self, v: int, rows) -> int:
-        for lead, row in rows:
-            if (v >> lead) & 1:
-                v ^= row
-        return v
 
-    def is_zero(self, v: int) -> bool:
-        return v == 0
-
-    def make_pivot(self, v: int):
-        return (v & -v).bit_length() - 1, v
-
-
-def _independent_subsets(directions, size, ops):
-    """All index subsets (ascending) whose directions are independent.
-
-    Each added vector must raise the rank by one, so a branch dies the
-    moment a candidate reduces to zero against the chosen rows.
-    """
-    n = len(directions)
-    out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def rec(start: int, rows) -> None:
-        depth = len(chosen)
-        if depth == size:
-            out.append(tuple(chosen))
-            return
-        # not enough candidates left to finish
-        for i in range(start, n - (size - depth) + 1):
-            red = ops.reduce(directions[i], rows)
-            if ops.is_zero(red):
-                continue
-            chosen.append(i)
-            rec(i + 1, rows + [ops.make_pivot(red)])
-            chosen.pop()
-
-    rec(0, [])
-    return out
+def _extensions(sets: np.ndarray, in_span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, point) pairs where the point extends sets[row] to a larger
+    independent set: outside its span and after its last point.  The
+    pairs come in lexicographic order of the extended sets."""
+    after_last = np.arange(in_span.shape[1]) > sets[:, -1:]
+    return np.nonzero(after_last & ~in_span)
 
 
 # ----------------------------------------------------------------------
-# Universe: spaces and subfile sets
+# Universe: points and subfile sets
 # ----------------------------------------------------------------------
 
 @dataclass
 class Universe:
-    """Enumerated spaces of one construction.
+    """The points and subfile sets of one construction.
 
-    subfile_sets holds each subfile as a sorted tuple of user indices;
-    subfile_span maps the subfile to the index of its sum space, and
-    members lists, per sum space, the users whose space lies inside it.
+    points holds the K point codes in user order.  subfile_array holds
+    the F subfiles as ascending rows of point indices, in lexicographic
+    order, and span_mask[x, u] is set when point u lies in the span of
+    subfile x.  The subspace views (user_spaces, sum_spaces, members,
+    subfile_span) are derived on first use; members lists, per sum
+    space, the users whose space lies inside it.
     """
 
     params: ConstructionParams
-    root: SubspaceBasis
-    user_spaces: list[SubspaceBasis]
-    sum_spaces: list[SubspaceBasis]
-    members: list[tuple[int, ...]]
-    subfile_sets: list[tuple[int, ...]]
-    subfile_span: list[int]
-    user_directions: list[Vector] = dc_field(repr=False, default_factory=list)
+    points: np.ndarray        # (K,) int64 codes
+    subfile_array: np.ndarray  # (F, m+1) int64
+    span_mask: np.ndarray     # (F, K) bool
 
     @property
     def num_users(self) -> int:
-        return len(self.user_spaces)
+        return len(self.points)
 
     @property
     def subpacketization(self) -> int:
-        return len(self.subfile_sets)
+        return len(self.subfile_array)
+
+    @cached_property
+    def subfile_sets(self) -> list[tuple[int, ...]]:
+        return list(map(tuple, self.subfile_array.tolist()))
+
+    @cached_property
+    def root(self) -> SubspaceBasis:
+        cp = self.params
+        return standard_prefix_subspace(cp.field, cp.k, cp.t - 1)
+
+    @cached_property
+    def user_matrices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Each user's RREF matrix: the root rows, then (0^{t-1}, direction)."""
+        cp = self.params
+        n = cp.k - cp.t + 1
+        digits = self.points[:, None] // cp.q ** np.arange(n - 1, -1, -1) % cp.q
+        pad = (0,) * (cp.t - 1)
+        return tuple(self.root.rows + (pad + tuple(row),) for row in digits.tolist())
+
+    @cached_property
+    def user_spaces(self) -> list[SubspaceBasis]:
+        f, k = self.params.field, self.params.k
+        return [SubspaceBasis(f, k, rows) for rows in self.user_matrices]
+
+    @cached_property
+    def _spans(self) -> tuple[list[SubspaceBasis], list[tuple[int, ...]], list[int]]:
+        """Sum spaces in canonical order, their members, and each subfile's
+        sum space; subfiles share a sum space exactly when their span
+        masks agree."""
+        cp = self.params
+        _, first, inverse = np.unique(np.packbits(self.span_mask, axis=1), axis=0,
+                                      return_index=True, return_inverse=True)
+        bases = [
+            canonicalize(cp.field, cp.k, [row for u in self.subfile_array[x].tolist()
+                                          for row in self.user_matrices[u]])
+            for x in first.tolist()
+        ]
+        order = sorted(range(len(bases)), key=lambda i: bases[i].key())
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        members = [tuple(np.nonzero(self.span_mask[first[i]])[0].tolist()) for i in order]
+        return [bases[i] for i in order], members, rank[inverse.reshape(-1)].tolist()
+
+    @property
+    def sum_spaces(self) -> list[SubspaceBasis]:
+        return self._spans[0]
+
+    @property
+    def members(self) -> list[tuple[int, ...]]:
+        return self._spans[1]
+
+    @property
+    def subfile_span(self) -> list[int]:
+        return self._spans[2]
 
     def subfile_sum_space(self, x: int) -> SubspaceBasis:
         return self.sum_spaces[self.subfile_span[x]]
 
 
-def _quotient_vector(f: GF, row: Vector, w_rows: tuple[Vector, ...], free_cols) -> Vector:
-    reduced = reduce_vector(f, row, w_rows)
-    return tuple(reduced[c] for c in free_cols)
-
-
-def _normalize(f: GF, v: Vector) -> Vector:
-    for x in v:
-        if x != 0:
-            if x == 1:
-                return v
-            inv = f.inv(x)
-            return tuple(f.mul(inv, y) for y in v)
-    return v
-
-
 def build_universe(params: ConstructionParams, max_vertices: int | None = DEFAULT_VERTEX_CAP) -> Universe:
-    """Enumerate users, sum spaces and subfile sets for the parameters.
+    """Enumerate the points and the subfile sets for the parameters.
 
     Refuses up front when the closed-form vertex count K*D exceeds
     max_vertices, reporting the predicted sizes.
     """
     cp = params
-    f = cp.field
     predicted_f = cp.subpacketization
     predicted_vertices = cp.vertex_count
     if max_vertices is not None and predicted_vertices > max_vertices:
@@ -263,79 +285,41 @@ def build_universe(params: ConstructionParams, max_vertices: int | None = DEFAUL
             f"(K={cp.num_users}, D={cp.user_clique_size}, F={predicted_f}) "
             f"exceed cap {max_vertices}"
         )
+    n = cp.k - cp.t + 1
+    # q^n <= K*D whenever the line graph is not empty, so this only bounds
+    # the work tables of a degenerate (m + t = k) instance.
+    if max_vertices is not None and cp.q ** n > max_vertices:
+        raise CapacityError(
+            f"predicted {cp.q ** n} vectors in GF({cp.q})^{n} exceed cap {max_vertices}"
+        )
 
-    w = standard_prefix_subspace(f, cp.k, cp.t - 1)
-    user_spaces = enumerate_superspaces(w, cp.t)
-    assert len(user_spaces) == cp.num_users
-    sum_spaces = enumerate_superspaces(w, cp.m + cp.t)
-    assert len(sum_spaces) == q_binomial(cp.k - cp.t + 1, cp.m + 1, cp.q)
+    pts = _Points(cp.field, n)
+    k_users = len(pts.codes)
+    _require(k_users == cp.num_users, "build_universe",
+             f"{k_users} points, closed form K = {cp.num_users}")
 
-    w_pivots = {next(i for i, x in enumerate(r) if x != 0) for r in w.rows}
-    free_cols = [j for j in range(cp.k) if j not in w_pivots]
+    # Level 1: single points, each spanning itself and its multiples.
+    sets = np.arange(k_users, dtype=np.int64)[:, None]
+    in_span = np.eye(k_users, dtype=bool)
+    vectors = pts.multiples
+    for level in range(1, cp.m + 1):
+        rows, new = _extensions(sets, in_span)
+        base = vectors[rows]                 # span vectors of the set being extended
+        sets = np.column_stack((sets[rows], new))
+        in_span = in_span[rows]
+        # The points gained are those of v + new over the old span's vectors v.
+        gained = pts.point_of[pts.add(base, pts.multiples[new, 1:2])]
+        in_span[np.arange(len(rows))[:, None], gained] = True
+        if level < cp.m:
+            vectors = pts.add(base[:, :, None], pts.multiples[new][:, None, :]
+                              ).reshape(len(rows), -1)
 
-    # Each user space is w plus one new direction in the quotient.
-    directions: list[Vector] = []
-    for v in user_spaces:
-        extra = [r for r in v.rows if next(i for i, x in enumerate(r) if x != 0) not in w_pivots]
-        assert len(extra) == 1
-        directions.append(_normalize(f, _quotient_vector(f, extra[0], w.rows, free_cols)))
-    direction_index = {d: i for i, d in enumerate(directions)}
-    assert len(direction_index) == len(directions)
-
-    # Members of each sum space: walk the nonzero quotient combinations of
-    # its basis, normalize, and look the direction up.
-    members: list[tuple[int, ...]] = []
-    expected_members = q_binomial(cp.m + 1, 1, cp.q)
-    for p in sum_spaces:
-        extra_rows = [
-            _quotient_vector(f, r, w.rows, free_cols)
-            for r in p.rows
-            if next(i for i, x in enumerate(r) if x != 0) not in w_pivots
-        ]
-        assert len(extra_rows) == cp.m + 1
-        found: set[int] = set()
-        for coeffs in product(f.elements(), repeat=cp.m + 1):
-            if not any(coeffs):
-                continue
-            acc = [0] * len(free_cols)
-            for c, row in zip(coeffs, extra_rows):
-                if c:
-                    acc = [f.add(a, f.mul(c, x)) for a, x in zip(acc, row)]
-            found.add(direction_index[_normalize(f, tuple(acc))])
-        assert len(found) == expected_members
-        members.append(tuple(sorted(found)))
-
-    # Subfile sets per sum space: (m+1)-subsets of its members with
-    # independent directions, i.e. sets actually summing to the space.
-    if cp.q == 2:
-        ops = _BitOps()
-        packed = [_BitOps.pack(d) for d in directions]
-    else:
-        ops = _TupleOps(f)
-        packed = directions
-    g = generating_set_counts(cp.q, cp.m, cp.t).subspace_sets
-    tagged: list[tuple[tuple[int, ...], int]] = []
-    for span_idx, member_ids in enumerate(members):
-        local = [packed[i] for i in member_ids]
-        subsets = _independent_subsets(local, cp.m + 1, ops)
-        assert len(subsets) == g, (span_idx, len(subsets), g)
-        for sub in subsets:
-            tagged.append((tuple(member_ids[i] for i in sub), span_idx))
-    tagged.sort(key=lambda pair: pair[0])
-    subfile_sets = [pair[0] for pair in tagged]
-    subfile_span = [pair[1] for pair in tagged]
-    assert len(subfile_sets) == predicted_f
-
-    return Universe(
-        params=cp,
-        root=w,
-        user_spaces=user_spaces,
-        sum_spaces=sum_spaces,
-        members=members,
-        subfile_sets=subfile_sets,
-        subfile_span=subfile_span,
-        user_directions=directions,
-    )
+    _require(len(sets) == predicted_f, "build_universe",
+             f"{len(sets)} independent (m+1)-sets, closed form F = {predicted_f}")
+    span_points = q_binomial(cp.m + 1, 1, cp.q)
+    _require((in_span.sum(axis=1) == span_points).all(), "build_universe",
+             f"every subfile spans {span_points} points")
+    return Universe(params=cp, points=pts.codes, subfile_array=sets, span_mask=in_span)
 
 
 # ----------------------------------------------------------------------
@@ -344,13 +328,13 @@ def build_universe(params: ConstructionParams, max_vertices: int | None = DEFAUL
 
 @dataclass
 class CachingLineGraph:
-    """Vertex set {(user, subfile): user space not inside the subfile sum}
-    together with its user-clique and subfile-clique partitions."""
+    """Vertex set {(user, subfile): user's point outside the subfile's span}
+    as an F x K mask, with its user-clique and subfile-clique partitions."""
 
     universe: Universe
-    user_cliques: list[np.ndarray]        # per user, sorted subfile indices
-    subfile_cliques: list[tuple[int, ...]]  # per subfile, sorted user indices
-    span_member_mask: list[int]           # per sum space, bitmask of members
+    vertex_mask: np.ndarray  # (F, K) bool; [x, u] set when (u, x) is a vertex
+    subfile_clique_size: int
+    user_clique_size: int
 
     @property
     def params(self) -> ConstructionParams:
@@ -364,74 +348,46 @@ class CachingLineGraph:
     def subpacketization(self) -> int:
         return self.universe.subpacketization
 
-    @cached_property
-    def subfile_clique_size(self) -> int:
-        return len(self.subfile_cliques[0])
-
-    @cached_property
-    def user_clique_size(self) -> int:
-        return len(self.user_cliques[0])
-
     @property
     def vertex_count(self) -> int:
         return self.num_users * self.user_clique_size
 
+    @cached_property
+    def user_cliques(self) -> list[np.ndarray]:
+        """Per user, the sorted subfile indices it does not cache."""
+        subs = np.nonzero(self.vertex_mask.T)[1]
+        return list(subs.reshape(self.num_users, self.user_clique_size))
+
+    @cached_property
+    def subfile_cliques(self) -> list[tuple[int, ...]]:
+        """Per subfile, the sorted user indices that do not cache it."""
+        users = np.nonzero(self.vertex_mask)[1]
+        return list(map(tuple, users.reshape(-1, self.subfile_clique_size).tolist()))
+
     def has_vertex(self, user: int, subfile: int) -> bool:
-        mask = self.span_member_mask[self.universe.subfile_span[subfile]]
-        return not (mask >> user) & 1
+        return bool(self.vertex_mask[subfile, user])
 
     def vertex_labels(self):
         """All (user, subfile) labels, grouped by subfile clique."""
-        for x, users in enumerate(self.subfile_cliques):
-            for v in users:
-                yield (v, x)
+        subs, users = np.nonzero(self.vertex_mask)
+        return zip(users.tolist(), subs.tolist())
 
 
 def build_line_graph(universe: Universe) -> CachingLineGraph:
     cp = universe.params
-    k_users = universe.num_users
-
-    member_masks = []
-    for member_ids in universe.members:
-        mask = 0
-        for v in member_ids:
-            mask |= 1 << v
-        member_masks.append(mask)
-
-    uncached_per_span = [
-        tuple(v for v in range(k_users) if not (mask >> v) & 1)
-        for mask in member_masks
-    ]
     clique_size = cp.subfile_clique_size
     if clique_size == 0:
         raise DegenerateConstructionError(
             "m + t = k leaves every subfile cached at every user: empty line graph"
         )
-    for unc in uncached_per_span:
-        assert len(unc) == clique_size
-
-    subfile_cliques = [uncached_per_span[s] for s in universe.subfile_span]
-
-    span_to_subfiles: list[list[int]] = [[] for _ in universe.sum_spaces]
-    for x, s in enumerate(universe.subfile_span):
-        span_to_subfiles[s].append(x)
-    user_lists: list[list[int]] = [[] for _ in range(k_users)]
-    for s, xs in enumerate(span_to_subfiles):
-        for v in uncached_per_span[s]:
-            user_lists[v].extend(xs)
+    vertex_mask = ~universe.span_mask
+    _require((vertex_mask.sum(axis=1) == clique_size).all(), "build_line_graph",
+             f"every subfile clique has c = {clique_size} users")
     expected_d = cp.user_clique_size
-    user_cliques = []
-    for v, xs in enumerate(user_lists):
-        assert len(xs) == expected_d, (v, len(xs), expected_d)
-        arr = np.array(sorted(xs), dtype=np.int64)
-        user_cliques.append(arr)
-
-    return CachingLineGraph(
-        universe=universe,
-        user_cliques=user_cliques,
-        subfile_cliques=subfile_cliques,
-        span_member_mask=member_masks,
-    )
+    _require((vertex_mask.sum(axis=0) == expected_d).all(), "build_line_graph",
+             f"every user clique has D = {expected_d} subfiles")
+    return CachingLineGraph(universe=universe, vertex_mask=vertex_mask,
+                            subfile_clique_size=clique_size, user_clique_size=expected_d)
 
 
 def is_compl_square_edge(graph: CachingLineGraph, v1: tuple[int, int], v2: tuple[int, int]) -> bool:
@@ -482,40 +438,37 @@ class TransmissionCover:
 
 
 def enumerate_transmission_cliques(graph: CachingLineGraph) -> TransmissionCover:
-    """All (m+2)-sets of users with independent directions, as cliques.
+    """All independent (m+2)-sets of points, as cliques.
 
-    Dropping one user from such a set leaves a subfile set, so each set Y
-    yields the clique {(u, Y minus u)}.  The cliques are pairwise disjoint
-    and cover the vertex set; both facts are asserted during the build.
+    Each set Y extends a subfile by one point outside its span, and
+    yields the clique {(u, Y minus u)}.  Each member's subfile is found by
+    binary search on the subfiles' radix-K keys; the cliques are checked
+    to be disjoint and to cover the vertex set.
     """
+    step = "enumerate_transmission_cliques"
     uni = graph.universe
-    cp = uni.params
-    f = cp.field
-    if cp.q == 2:
-        ops = _BitOps()
-        packed = [_BitOps.pack(d) for d in uni.user_directions]
-    else:
-        ops = _TupleOps(f)
-        packed = uni.user_directions
+    k_users, d = graph.num_users, uni.params.m + 2
+    subfiles = uni.subfile_array
+    rows, new = _extensions(subfiles, uni.span_mask)
+    users = np.column_stack((subfiles[rows], new))
+    _require(len(users) * d == graph.vertex_count, step,
+             f"{len(users)} cliques of {d} cover K*D = {graph.vertex_count} vertices")
 
-    groups = _independent_subsets(packed, cp.m + 2, ops)
-    d = cp.m + 2
-    expected = graph.vertex_count // d
-    assert len(groups) == expected, (len(groups), expected)
+    weights = k_users ** np.arange(d - 2, -1, -1, dtype=np.int64)
+    keys = subfiles @ weights
+    subs = np.empty_like(users)
+    for j in range(d):
+        rest = np.delete(users, j, axis=1) @ weights
+        found = np.minimum(np.searchsorted(keys, rest), len(keys) - 1)
+        _require((keys[found] == rest).all(), step,
+                 "every clique minus one member is a subfile")
+        subs[:, j] = found
 
-    subfile_index = {xs: i for i, xs in enumerate(uni.subfile_sets)}
-    users = np.empty((len(groups), d), dtype=np.int64)
-    subs = np.empty((len(groups), d), dtype=np.int64)
-    clique_of = np.full((graph.num_users, graph.subpacketization), -1, dtype=np.int64)
-    for row, group in enumerate(groups):
-        for j, u in enumerate(group):
-            rest = tuple(v for v in group if v != u)
-            x = subfile_index[rest]
-            users[row, j] = u
-            subs[row, j] = x
-            assert clique_of[u, x] == -1
-            clique_of[u, x] = row
-    assert int((clique_of >= 0).sum()) == graph.vertex_count
+    clique_of = np.full((k_users, graph.subpacketization), -1, dtype=np.int64)
+    clique_of[users, subs] = np.arange(len(users))[:, None]
+    _require(graph.vertex_mask[subs, users].all(), step, "every clique member is a vertex")
+    _require(np.count_nonzero(clique_of >= 0) == graph.vertex_count, step,
+             "the cliques are disjoint")
     return TransmissionCover(users=users, subfiles=subs, clique_of=clique_of)
 
 
@@ -546,55 +499,59 @@ class LineGraphReport:
 def verify_vertex_labels(labels, num_users: int, num_subfiles: int) -> LineGraphReport:
     """Check the caching-line-graph conditions on raw (user, subfile) labels.
 
-    Conditions: (i) user cliques partition the vertices with one common
-    size; (ii) a vertex has at most one neighbour inside any other user
-    clique; (iii) a vertex plus its neighbours outside its own user clique
-    form a clique; (iv) the number of subfile cliques matches.
+    labels is an (N, 2) array or any iterable of pairs.  Conditions:
+    (i) user cliques partition the vertices with one common size; (ii) a
+    vertex has at most one neighbour inside any other user clique; (iii) a
+    vertex plus its neighbours outside its own user clique form a clique;
+    (iv) the number of subfile cliques matches.
     """
-    labels = list(labels)
+    if not isinstance(labels, np.ndarray):
+        labels = list(labels)
+    pairs = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
+    users, subs = pairs[:, 0], pairs[:, 1]
     violations: list[str] = []
 
-    per_user: dict[int, int] = {}
-    per_subfile: dict[int, list[int]] = {}
-    seen: dict[tuple[int, int], int] = {}
-    for (u, x) in labels:
-        per_user[u] = per_user.get(u, 0) + 1
-        per_subfile.setdefault(x, []).append(u)
-        seen[(u, x)] = seen.get((u, x), 0) + 1
-
-    sizes = set(per_user.values())
-    user_partition_ok = len(per_user) == num_users and len(sizes) == 1
-    if len(per_user) != num_users:
+    user_ids, per_user = np.unique(users, return_counts=True)
+    sizes = np.unique(per_user).tolist()
+    user_partition_ok = len(user_ids) == num_users and len(sizes) == 1
+    if len(user_ids) != num_users:
         violations.append(
-            f"condition (i): {len(per_user)} user cliques, expected {num_users}"
+            f"condition (i): {len(user_ids)} user cliques, expected {num_users}"
         )
     if len(sizes) > 1:
-        violations.append(f"condition (i): unequal user clique sizes {sorted(sizes)}")
+        violations.append(f"condition (i): unequal user clique sizes {sizes}")
 
-    dupes = [lab for lab, cnt in seen.items() if cnt > 1]
-    cross_degree_ok = not dupes
-    for lab in dupes:
-        violations.append(
-            f"condition (ii): label {lab} occurs {seen[lab]} times, so some vertex "
-            f"has two neighbours in one other user clique"
-        )
-
-    # (iii): within one subfile clique all pairs must be adjacent, i.e.
-    # share the subfile but not the user.
-    subfile_clique_ok = True
-    for x, users in per_subfile.items():
-        if len(set(users)) != len(users):
-            subfile_clique_ok = False
+    # Sorted (subfile, user) keys give the subfile cliques as runs.  (ii)
+    # and (iii) fail on the same labels: a repeated (u, x) is a user
+    # counted twice in subfile clique x, so that clique is not a clique.
+    u_lo, x_lo = users.min(initial=0), subs.min(initial=0)
+    width = users.max(initial=0) - u_lo + 1
+    keys = (subs - x_lo) * width + (users - u_lo)
+    ordered = np.sort(keys)
+    sorted_subs = ordered // width
+    num_subfile_cliques = int(np.count_nonzero(np.diff(sorted_subs))) + bool(len(keys))
+    cross_degree_ok = subfile_clique_ok = bool((np.diff(ordered) != 0).all())
+    if not cross_degree_ok:
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        twice: dict[int, list[int]] = {}
+        for i, times in sorted(zip(first[counts > 1].tolist(), counts[counts > 1].tolist())):
+            lab = (int(users[i]), int(subs[i]))
+            twice.setdefault(lab[1], []).append(lab[0])
+            violations.append(
+                f"condition (ii): label {lab} occurs {times} times, so some vertex "
+                f"has two neighbours in one other user clique"
+            )
+        # (iii) lists subfile cliques in the order of their first label.
+        for x in sorted(twice, key=lambda x: np.flatnonzero(subs == x)[0]):
             violations.append(
                 f"condition (iii): subfile clique {x} holds user "
-                f"{sorted(u for u in set(users) if users.count(u) > 1)} twice; "
-                f"it is not a clique"
+                f"{sorted(twice[x])} twice; it is not a clique"
             )
 
-    subfile_count_ok = len(per_subfile) == num_subfiles
+    subfile_count_ok = num_subfile_cliques == num_subfiles
     if not subfile_count_ok:
         violations.append(
-            f"condition (iv): {len(per_subfile)} subfile cliques, expected {num_subfiles}"
+            f"condition (iv): {num_subfile_cliques} subfile cliques, expected {num_subfiles}"
         )
 
     return LineGraphReport(
@@ -607,6 +564,6 @@ def verify_vertex_labels(labels, num_users: int, num_subfiles: int) -> LineGraph
 
 
 def verify_line_graph(graph: CachingLineGraph) -> LineGraphReport:
-    return verify_vertex_labels(
-        graph.vertex_labels(), graph.num_users, graph.subpacketization
-    )
+    subs, users = np.nonzero(graph.vertex_mask)
+    return verify_vertex_labels(np.column_stack((users, subs)),
+                                graph.num_users, graph.subpacketization)

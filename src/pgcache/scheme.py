@@ -31,13 +31,13 @@ from .linegraph import (
     CachingLineGraph,
     ConstructionParams,
     DEFAULT_VERTEX_CAP,
+    InvariantError,
     TransmissionCover,
     build_line_graph,
     build_universe,
     enumerate_transmission_cliques,
     verify_line_graph,
 )
-from .subspaces import SubspaceBasis, q_binomial
 
 FORMAT_VERSION = "pgcache/1"
 DEFAULT_SUBFILE_LEN = 64
@@ -76,7 +76,8 @@ class SchemeParams:
     def transmissions(self) -> int:
         """R*F: packets sent for one demand round."""
         rf = self.rate * self.subpacketization
-        assert rf.denominator == 1
+        if rf.denominator != 1:
+            raise InvariantError(f"transmissions: R*F = {rf} is not an integer")
         return rf.numerator
 
 
@@ -96,7 +97,8 @@ def params_from(cp: ConstructionParams) -> SchemeParams:
     d = cp.m + 2
     big_f = cp.subpacketization
     big_d = cp.user_clique_size
-    assert users * big_d == big_f * c
+    if users * big_d != big_f * c:
+        raise InvariantError(f"params_from: K*D = {users * big_d} != F*c = {big_f * c}")
     cached = 1 - Fraction(c, users)
     rate = Fraction(c, d)
     params = SchemeParams(
@@ -108,8 +110,10 @@ def params_from(cp: ConstructionParams) -> SchemeParams:
         cached_fraction=cached,
         rate=rate,
     )
-    assert params.cached_fraction == 1 - Fraction(big_d, big_f)
-    assert params.gain == d
+    if params.cached_fraction != 1 - Fraction(big_d, big_f):
+        raise InvariantError(f"params_from: M/N = {params.cached_fraction} != 1 - D/F")
+    if params.gain != d:
+        raise InvariantError(f"params_from: gain {params.gain} != group size d = {d}")
     return params
 
 
@@ -162,14 +166,16 @@ class PlacementMap:
 
 
 def build_placement(graph: CachingLineGraph) -> PlacementMap:
-    """Placement bits straight off the line graph: 1 where a vertex exists."""
-    k, f = graph.num_users, graph.subpacketization
-    matrix = np.zeros((k, f), dtype=np.uint8)
-    for x, users in enumerate(graph.subfile_cliques):
-        matrix[list(users), x] = 1
-    placement = PlacementMap(matrix=matrix)
-    assert (placement.row_degrees() == graph.user_clique_size).all()
-    assert (placement.col_degrees() == graph.subfile_clique_size).all()
+    """Placement bits straight off the line graph: 1 where a vertex exists,
+    i.e. where the user's point lies outside the subfile's span."""
+    placement = PlacementMap(
+        matrix=np.ascontiguousarray(graph.vertex_mask.T, dtype=np.uint8))
+    if not (placement.row_degrees() == graph.user_clique_size).all():
+        raise InvariantError(
+            f"build_placement: every row has D = {graph.user_clique_size} ones")
+    if not (placement.col_degrees() == graph.subfile_clique_size).all():
+        raise InvariantError(
+            f"build_placement: every column has c = {graph.subfile_clique_size} ones")
     return placement
 
 
@@ -287,11 +293,16 @@ def encode(plan: DeliveryPlan, store: FileStore, demands) -> list[CodedPacket]:
 def _payload_matrix(packets: list[CodedPacket], num_cliques: int,
                     subfile_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Packets arranged by clique id, plus a mask of which ids arrived."""
+    ids = np.fromiter((p.clique_id for p in packets), dtype=np.int64, count=len(packets))
+    bad = (ids < 0) | (ids >= num_cliques)
+    if bad.any():
+        raise DecodeError(f"packet clique id {int(ids[bad][0])} is outside "
+                          f"[0, {num_cliques})")
     mat = np.zeros((num_cliques, subfile_len), dtype=np.uint8)
     seen = np.zeros(num_cliques, dtype=bool)
     for p in packets:
         mat[p.clique_id] = p.payload
-        seen[p.clique_id] = True
+    seen[ids] = True
     return mat, seen
 
 
@@ -366,19 +377,21 @@ def build_scheme(cp: ConstructionParams,
     if validate:
         report = verify_line_graph(graph)
         if not report.ok:
-            raise AssertionError(f"construction failed validation: {report.violations}")
+            raise InvariantError(f"verify_line_graph: construction failed validation: "
+                                 f"{report.violations}")
     placement = build_placement(graph)
     cover = enumerate_transmission_cliques(graph)
     params = params_from(cp)
-    assert params.missing_per_user == graph.user_clique_size
-    assert params.missing_per_subfile == graph.subfile_clique_size
+    if (params.missing_per_user, params.missing_per_subfile) != (
+            graph.user_clique_size, graph.subfile_clique_size):
+        raise InvariantError("build_scheme: closed-form D and c match the line graph")
     f = cp.field
     return SchemeInstance(
         construction=cp,
         params=params,
         field_spec=(f.p, f.n, f.modulus),
         root_rows=universe.root.rows,
-        user_matrices=tuple(v.rows for v in universe.user_spaces),
+        user_matrices=universe.user_matrices,
         subfile_sets=tuple(universe.subfile_sets),
         placement=placement,
         delivery=DeliveryPlan.from_cover(cover),
@@ -462,7 +475,8 @@ def run_trials(instance: SchemeInstance, trials: int, seed: int,
     packet_count = instance.delivery.num_cliques
     for demands in vectors:
         packets = run_round(instance, store, demands)
-        assert len(packets) == packet_count
+        if len(packets) != packet_count:
+            raise InvariantError(f"run_trials: {len(packets)} packets, expected {packet_count}")
         for user, ok in enumerate(decode_round(instance, store, demands, packets)):
             if not ok:
                 failures += 1
@@ -553,17 +567,7 @@ def deserialize(text: str) -> SchemeInstance:
         placement = PlacementMap.from_base64_rows(doc["placement"], params.subpacketization)
         if placement.num_users != params.users:
             raise SchemaError("placement row count does not match user count")
-        delivery_rows = doc["delivery"]
-        d = params.group_size
-        users = np.array([[pair[0] for pair in row] for row in delivery_rows], dtype=np.int64)
-        subs = np.array([[pair[1] for pair in row] for row in delivery_rows], dtype=np.int64)
-        if users.size and users.shape[1] != d:
-            raise SchemaError("delivery clique size does not match group size")
-        clique_of = np.full((params.users, params.subpacketization), -1, dtype=np.int64)
-        for i in range(users.shape[0]):
-            for j in range(users.shape[1]):
-                clique_of[users[i, j], subs[i, j]] = i
-        delivery = DeliveryPlan(users=users, subfiles=subs, clique_of=clique_of)
+        delivery = _delivery_plan(doc["delivery"], placement, params.group_size)
         return SchemeInstance(
             construction=cp,
             params=params,
@@ -578,8 +582,43 @@ def deserialize(text: str) -> SchemeInstance:
         )
     except SchemaError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
         raise SchemaError(f"malformed scheme document: {exc}") from exc
+
+
+def _delivery_plan(rows, placement: PlacementMap, group_size: int) -> DeliveryPlan:
+    """Delivery cliques of a document, each entry checked in one pass: a
+    [user, subfile] pair in range, a vertex of the placement, and not
+    already in an earlier clique."""
+    pairs = np.array(rows, dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, group_size, 2)
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise SchemaError("delivery entries must be [user, subfile] pairs")
+    if pairs.shape[1] != group_size:
+        raise SchemaError("delivery clique size does not match group size")
+    users, subs = np.ascontiguousarray(pairs[:, :, 0]), np.ascontiguousarray(pairs[:, :, 1])
+    k, f = placement.matrix.shape
+    outside = (users < 0) | (users >= k) | (subs < 0) | (subs >= f)
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        raise SchemaError(f"delivery clique {i} entry {j} {pairs[i, j].tolist()} "
+                          f"is outside {k} users x {f} subfiles")
+    not_vertex = placement.matrix[users, subs] != 1
+    if not_vertex.any():
+        i, j = np.argwhere(not_vertex)[0]
+        raise SchemaError(f"delivery clique {i} entry {j} {pairs[i, j].tolist()} "
+                          f"is cached, not a vertex")
+    clique_of = np.full((k, f), -1, dtype=np.int64)
+    clique_of[users, subs] = np.arange(len(pairs))[:, None]
+    if np.count_nonzero(clique_of >= 0) != users.size:
+        flat = (users * f + subs).reshape(-1)
+        _, first = np.unique(flat, return_index=True)
+        again = np.setdiff1d(np.arange(flat.size), first)[0]
+        i, j = divmod(int(again), group_size)
+        raise SchemaError(f"delivery clique {i} entry {j} {pairs[i, j].tolist()} "
+                          f"repeats an earlier entry")
+    return DeliveryPlan(users=users, subfiles=subs, clique_of=clique_of)
 
 
 TRACE_MAGIC = b"PGCT"

@@ -115,6 +115,21 @@ def subfile_sets_by_span(q: int, k: int, m: int, t: int):
     return users, spans
 
 
+def transmission_groups(q: int, k: int, m: int, t: int):
+    """Oracle for the delivery groups, by exhaustive enumeration.
+
+    Returns (user_spaces, groups): every (m+2)-set of user spaces, as a
+    frozenset of element sets, whose span has dimension m+t+1.
+    """
+    users = list(superspaces_of(q, k, prefix_space(q, k, t - 1), t))
+    groups = []
+    for combo in combinations(users, m + 2):
+        gens = set().union(*combo)
+        if space_dim(span_of(sorted(gens), k, q), q) == m + t + 1:
+            groups.append(frozenset(combo))
+    return users, groups
+
+
 def oracle_universe_counts(q: int, k: int, m: int, t: int):
     """K, c per span, per-user D, and per-span subfile counts, all brute force."""
     users, spans = subfile_sets_by_span(q, k, m, t)

@@ -111,6 +111,17 @@ def test_simulate_rejects_corrupt_document(tmp_path, capsys):
     assert "unsupported format" in err
 
 
+def test_simulate_rejects_zero_denominator(tmp_path, capsys):
+    doc = tmp_path / "fano.json"
+    run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2", "-o", str(doc))
+    data = json.loads(doc.read_text())
+    data["params"]["rate"] = [1, 0]
+    doc.write_text(json.dumps(data))
+    code, _, err = run(capsys, "simulate", str(doc))
+    assert code == 5
+    assert "error" in err
+
+
 # ----------------------------------------------------------------------
 # bounds / tables / sweep
 # ----------------------------------------------------------------------

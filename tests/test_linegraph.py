@@ -1,6 +1,10 @@
 """Line-graph construction: universes, cliques, covers, validators."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +224,56 @@ def test_degenerate_m0_instance_works_end_to_end():
     cover = enumerate_transmission_cliques(g)
     assert cover.group_size == 2
     assert cover.num_cliques * 2 == g.vertex_count
+
+
+# ----------------------------------------------------------------------
+# Point-set enumeration against brute force, and invariants under -O
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("kmtq", [(3, 1, 1, 2), (4, 1, 2, 2), (4, 2, 1, 2),
+                                  (3, 1, 1, 3), (4, 1, 2, 3)])
+def test_subfiles_and_cliques_match_bruteforce(kmtq):
+    k, m, t, q = kmtq
+    uni = build_universe(ConstructionParams(k, m, t, q))
+    cover = enumerate_transmission_cliques(build_line_graph(uni))
+    spaces = [bf.span_of(uni.user_spaces[u].rows, k, q) for u in range(uni.num_users)]
+
+    oracle_users, spans = bf.subfile_sets_by_span(q, k, m, t)
+    assert set(spaces) == set(oracle_users)
+    want_subfiles = {frozenset(oracle_users[i] for i in combo)
+                     for hits in spans.values() for combo in hits}
+    got_subfiles = [frozenset(spaces[u] for u in xs) for xs in uni.subfile_sets]
+    assert len(set(got_subfiles)) == len(got_subfiles)
+    assert set(got_subfiles) == want_subfiles
+
+    _, groups = bf.transmission_groups(q, k, m, t)
+    got_groups = set()
+    for i in range(cover.num_cliques):
+        members = cover.clique(i)
+        group = frozenset(spaces[u] for u, _ in members)
+        for u, x in members:   # each member's subfile is the group minus it
+            assert got_subfiles[x] == group - {spaces[u]}
+        got_groups.add(group)
+    assert cover.num_cliques == len(got_groups)
+    assert got_groups == set(groups)
+
+
+def test_invariants_are_checked_under_optimize():
+    script = (
+        "import sys\n"
+        "import pgcache.linegraph as lg\n"
+        "from pgcache import build_scheme\n"
+        "lg.ConstructionParams.subpacketization = property(lambda self: 20)\n"
+        "try:\n"
+        "    build_scheme(lg.ConstructionParams(3, 1, 1, 2))\n"
+        "except lg.InvariantError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("1 build_universe: 21 independent (m+1)-sets, "
+                                  "closed form F = 20"), proc.stdout

@@ -1,5 +1,8 @@
 """Scheme parameters, placement, XOR delivery, simulator, serialization."""
 
+import hashlib
+import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -292,3 +295,83 @@ def test_coded_packet_header(fano):
     packets = run_round(fano, store, [0] * 7)
     assert [p.clique_id for p in packets] == list(range(28))
     assert isinstance(packets[0], CodedPacket)
+
+
+# Document digests and lengths recorded from the subspace-enumeration
+# construction this package started from; any change to user order,
+# subfile order, placement or delivery order shows here.
+DOCUMENT_LADDER = [
+    ((3, 0, 1, 2), "303b432b0ee24e4a4bbef70172a17c9efc4ea69fab73c6df697946107c0ec32d", 741),
+    ((3, 0, 2, 2), "8a840ac345fafadbf2d5bc94aaf86a34a0d1b684034f39ee98d34dc904f37068", 436),
+    ((3, 1, 1, 2), "84f84f1d579fceea0c722f02595f2462d4be9408a0fe7537bda817a8776aca51", 1151),
+    ((4, 1, 2, 2), "2915569c62c423239da83effeaed296b6a34c12af8145931ad81992254ef5c76", 1244),
+    ((5, 1, 3, 2), "4ecf8cf4567ad983b4ef399c82571d47e0cf969fa87375676a8c1b0152fccbf2", 1370),
+    ((4, 2, 1, 2), "721888b3236b443db209bd5717b0af5cf461d62e60970378f8362d002faa3502", 34191),
+    ((5, 2, 2, 2), "72294bbeed7fbda869dea54d4c10ba4d6d858e6837d47dc713b2b38aa82c7e5b", 34412),
+    ((6, 2, 3, 2), "3b7eec5aaf0a02e533d40a21cb22551a348c2d3269311321d938a0a4e2d68058", 34698),
+    ((5, 3, 1, 2), "fb2e6a5e41b41b347898f54dcdf6be812fc568e2cb661fa04926a2c3406db097", 4903876),
+    ((2, 0, 1, 3), "396b0da73c952b0a7fc94c399a17e0b43326db213ba3b66ec3de493ed87d9158", 460),
+    ((3, 1, 1, 3), "f5d11b367b2ab2f25c658cc0776e775a2269d601f07eb9249f21055bdf14142b", 6639),
+    ((4, 1, 1, 3), "ab55779cb2aaae35a810290c8bbca1f49e5b167105e39ddf79279ad144545f7a", 272498),
+    ((4, 1, 2, 3), "886b18870a972c831eea318b955787b5436034e02c2ee44efdc63936106568a4", 6804),
+    ((5, 1, 3, 3), "e1eb9ec3368d977bd73d7cdf3e80fd913c50864507dc75f01c9400ea685b8993", 7026),
+    ((3, 0, 1, 4), "424015017ba4de7f425bb00f31b84b462efd89504e0ab980ca03aeb95f2f0c9c", 4140),
+    ((3, 1, 1, 4), "b78e2baf8068309e191477f9f3e71d12375a5a344b200a2a0eab7aa803e7d72e", 31939),
+    ((4, 1, 2, 4), "b582919dbfb8baeaa009db95361f8187b5295753fdc7ad355a9e826e48567c45", 32200),
+    ((2, 0, 1, 5), "9e5a89d9d349ae3a7a4e27124e868b4001e246b2bbc5c21e62439004176b6afe", 624),
+    ((3, 1, 1, 5), "0521bc9ae0696c1aeefd80b2635af1e02df4dd6f751c92d3b4dec3f71e0956e7", 112486),
+    ((4, 1, 2, 5), "6804126fb5625b5ca56e25614d25a827ce1144fed59bc096c7794183c4f34ccb", 112867),
+]
+
+
+@pytest.mark.parametrize("kmtq,digest,length", DOCUMENT_LADDER,
+                         ids=[",".join(map(str, row[0])) for row in DOCUMENT_LADDER])
+def test_documents_are_byte_identical(kmtq, digest, length):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # m = 0 rows
+        text = serialize(build_scheme(ConstructionParams(*kmtq)))
+    assert (hashlib.sha256(text.encode("ascii")).hexdigest(), len(text)) == (digest, length)
+
+
+def _bad_delivery(fano, case):
+    doc = json.loads(serialize(fano))
+    rows = doc["delivery"]
+    if case == "negative":
+        rows[0][0][0] = -1
+    elif case == "out-of-range":
+        rows[0][0][1] = 21
+    elif case == "not-a-vertex":
+        u, x = np.argwhere(fano.placement.matrix == 0)[0]
+        rows[0][0] = [int(u), int(x)]
+    elif case == "repeated":
+        rows[1][0] = list(rows[0][0])
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("case,why", [
+    ("negative", "outside"),
+    ("out-of-range", "outside"),
+    ("not-a-vertex", "not a vertex"),
+    ("repeated", "repeats an earlier"),
+])
+def test_deserialize_rejects_bad_delivery_entries(fano, case, why):
+    with pytest.raises(SchemaError, match=why):
+        deserialize(_bad_delivery(fano, case))
+
+
+def test_deserialize_rejects_zero_denominators(fano):
+    for key in ("cached_fraction", "rate"):
+        doc = json.loads(serialize(fano))
+        doc["params"][key] = [1, 0]
+        with pytest.raises(SchemaError):
+            deserialize(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bad_id", [-1, 28, 1000])
+def test_decode_rejects_clique_ids_out_of_range(fano, bad_id):
+    store = FileStore.random(7, 21, subfile_len=8, seed=4)
+    demands = [1, 2, 3, 4, 5, 6, 0]
+    packets = run_round(fano, store, demands)
+    packets[3] = CodedPacket(bad_id, packets[3].payload)
+    with pytest.raises(DecodeError, match="outside"):
+        decode_round(fano, store, demands, packets)
