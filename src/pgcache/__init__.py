@@ -36,15 +36,16 @@ from .scheme import (
     DecodeError,
     DeliveryPlan,
     FileStore,
+    Packets,
     PlacementMap,
     SchemaError,
     SchemeInstance,
     SchemeParams,
-    UserCache,
     build_placement,
     build_scheme,
     decode,
     decode_round,
+    delivery_violation,
     deserialize,
     encode,
     params_from,

@@ -42,6 +42,7 @@ import numpy as np
 
 from .gf import GF, factor_prime_power, field as make_field
 from .subspaces import (
+    InvariantError,
     SubspaceBasis,
     canonicalize,
     generating_set_counts,
@@ -58,10 +59,6 @@ class CapacityError(RuntimeError):
 
 class DegenerateConstructionError(ValueError):
     """Parameters produce an empty line graph (every subfile fully cached)."""
-
-
-class InvariantError(AssertionError):
-    """A construction step produced output that breaks one of its invariants."""
 
 
 def _require(ok, step: str, invariant: str) -> None:
@@ -414,16 +411,15 @@ def is_compl_square_edge(graph: CachingLineGraph, v1: tuple[int, int], v2: tuple
 # ----------------------------------------------------------------------
 
 @dataclass
-class TransmissionCover:
-    """Disjoint transmission cliques covering every vertex.
+class DeliveryPlan:
+    """Transmission cliques, one XOR packet each.
 
-    Row i of `users`/`subfiles` is one clique: d = m+2 vertex pairs,
-    ordered by user index.  clique_of[(user, subfile)] recovers the row.
+    Row i of `users`/`subfiles` is clique i: d = m+2 (user, subfile)
+    vertices, ordered by user index.
     """
 
     users: np.ndarray     # (num_cliques, d) int64
     subfiles: np.ndarray  # (num_cliques, d) int64
-    clique_of: np.ndarray  # (K, F) int64, -1 where no vertex
 
     @property
     def num_cliques(self) -> int:
@@ -437,39 +433,31 @@ class TransmissionCover:
         return list(zip(self.users[i].tolist(), self.subfiles[i].tolist()))
 
 
-def enumerate_transmission_cliques(graph: CachingLineGraph) -> TransmissionCover:
+def enumerate_transmission_cliques(graph: CachingLineGraph) -> DeliveryPlan:
     """All independent (m+2)-sets of points, as cliques.
 
     Each set Y extends a subfile by one point outside its span, and
     yields the clique {(u, Y minus u)}.  Each member's subfile is found by
-    binary search on the subfiles' radix-K keys; the cliques are checked
-    to be disjoint and to cover the vertex set.
+    binary search on the subfiles' radix-K keys.  That the cliques are
+    disjoint vertices covering the line graph is a property of the plan,
+    checked by `pgcache.scheme.delivery_violation`.
     """
-    step = "enumerate_transmission_cliques"
     uni = graph.universe
-    k_users, d = graph.num_users, uni.params.m + 2
+    d = uni.params.m + 2
     subfiles = uni.subfile_array
     rows, new = _extensions(subfiles, uni.span_mask)
     users = np.column_stack((subfiles[rows], new))
-    _require(len(users) * d == graph.vertex_count, step,
-             f"{len(users)} cliques of {d} cover K*D = {graph.vertex_count} vertices")
 
-    weights = k_users ** np.arange(d - 2, -1, -1, dtype=np.int64)
+    weights = graph.num_users ** np.arange(d - 2, -1, -1, dtype=np.int64)
     keys = subfiles @ weights
     subs = np.empty_like(users)
     for j in range(d):
         rest = np.delete(users, j, axis=1) @ weights
         found = np.minimum(np.searchsorted(keys, rest), len(keys) - 1)
-        _require((keys[found] == rest).all(), step,
+        _require((keys[found] == rest).all(), "enumerate_transmission_cliques",
                  "every clique minus one member is a subfile")
         subs[:, j] = found
-
-    clique_of = np.full((k_users, graph.subpacketization), -1, dtype=np.int64)
-    clique_of[users, subs] = np.arange(len(users))[:, None]
-    _require(graph.vertex_mask[subs, users].all(), step, "every clique member is a vertex")
-    _require(np.count_nonzero(clique_of >= 0) == graph.vertex_count, step,
-             "the cliques are disjoint")
-    return TransmissionCover(users=users, subfiles=subs, clique_of=clique_of)
+    return DeliveryPlan(users=users, subfiles=subs)
 
 
 # ----------------------------------------------------------------------

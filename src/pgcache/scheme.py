@@ -6,15 +6,27 @@ size d, cached fraction M/N, rate R), a K x F placement bit matrix whose
 1 entries mark subfiles NOT cached at a user, and a delivery plan: the
 transmission cliques, one XOR packet per clique.
 
+A clique's d members (u_j, x_j) can all decode its packet only if each
+caches the others' subfiles: placement[u_j, x_j'] == 0 for j != j'.  That
+is a property of the plan, not of a round, so `delivery_violation` checks
+it once, together with the cliques being disjoint vertices that cover the
+line graph, whenever a scheme is built or loaded.
+
 The in-memory simulator stores N files of F equal subfiles (numpy uint8
-payloads), encodes one packet per clique as the XOR of the members'
-demanded subfiles, and decodes at each user by cancelling the cached
-terms, which proves end-to-end decodability for arbitrary demand vectors.
+payloads) and encodes a round as one (C, L) array whose row i is the XOR
+of clique i's members' demanded subfiles.  Decoding XORs all d member
+subfiles back into every packet at once.  Member j recovers the packet
+XOR the other members' subfiles, which differs from its own subfile by
+exactly the residual, the packet XOR all d subfiles.  So a user decodes
+its file exactly when every clique that contains it leaves a zero
+residual; its cached subfiles are exact by construction.
 
 Scheme documents serialize to JSON (format tag "pgcache/1") with the
 field spec, the canonical user matrices, subfile sets, base64 row bitmaps
 for the placement, and the delivery cliques; serialization is
-deterministic and round-trips byte for byte.
+deterministic and round-trips byte for byte.  Loading rebuilds the
+construction, refuses any stored field that differs from the rebuilt one,
+and checks the stored delivery plan as above.
 """
 
 from __future__ import annotations
@@ -23,16 +35,17 @@ import base64
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
-from .gf import GF, field_new
 from .linegraph import (
     CachingLineGraph,
     ConstructionParams,
     DEFAULT_VERTEX_CAP,
+    DeliveryPlan,
     InvariantError,
-    TransmissionCover,
+    Universe,
     build_line_graph,
     build_universe,
     enumerate_transmission_cliques,
@@ -141,10 +154,6 @@ class PlacementMap:
     def col_degrees(self) -> np.ndarray:
         return self.matrix.sum(axis=0)
 
-    def cached_row(self, user: int) -> np.ndarray:
-        """Boolean mask of subfiles cached at the user."""
-        return self.matrix[user] == 0
-
     def row_bitmask(self, user: int) -> int:
         packed = np.packbits(self.matrix[user], bitorder="little").tobytes()
         return int.from_bytes(packed, "little")
@@ -152,17 +161,6 @@ class PlacementMap:
     def row_base64(self, user: int) -> str:
         packed = np.packbits(self.matrix[user], bitorder="little").tobytes()
         return base64.b64encode(packed).decode("ascii")
-
-    @classmethod
-    def from_base64_rows(cls, rows: list[str], num_subfiles: int) -> "PlacementMap":
-        mats = []
-        for text in rows:
-            raw = np.frombuffer(base64.b64decode(text), dtype=np.uint8)
-            bits = np.unpackbits(raw, bitorder="little")
-            if len(bits) < num_subfiles:
-                raise SchemaError("placement row shorter than subfile count")
-            mats.append(bits[:num_subfiles])
-        return cls(matrix=np.array(mats, dtype=np.uint8))
 
 
 def build_placement(graph: CachingLineGraph) -> PlacementMap:
@@ -180,31 +178,52 @@ def build_placement(graph: CachingLineGraph) -> PlacementMap:
 
 
 # ----------------------------------------------------------------------
-# Delivery plan and file store
+# Delivery plan check, file store and packets
 # ----------------------------------------------------------------------
 
-@dataclass
-class DeliveryPlan:
-    """Ordered transmission cliques; row i lists the d members of clique i."""
+def delivery_violation(plan: DeliveryPlan, placement: PlacementMap) -> str | None:
+    """Why the plan cannot deliver under the placement, or None if it can.
 
-    users: np.ndarray      # (num_cliques, d) int64
-    subfiles: np.ndarray   # (num_cliques, d) int64
-    clique_of: np.ndarray  # (K, F) int64, -1 where no vertex
+    Every entry must be a vertex (an uncached (user, subfile) pair) and in
+    exactly one clique, the cliques must cover every vertex, and each
+    member of a clique must cache the other members' subfiles.
+    """
+    users, subs = plan.users, plan.subfiles
+    mat = placement.matrix
+    k, f = mat.shape
 
-    @classmethod
-    def from_cover(cls, cover: TransmissionCover) -> "DeliveryPlan":
-        return cls(users=cover.users, subfiles=cover.subfiles, clique_of=cover.clique_of)
+    def first_entry(where: np.ndarray) -> str:
+        i, j = np.argwhere(where)[0]
+        return f"delivery clique {i} entry {j} {[int(users[i, j]), int(subs[i, j])]}"
 
-    @property
-    def num_cliques(self) -> int:
-        return self.users.shape[0]
-
-    @property
-    def group_size(self) -> int:
-        return self.users.shape[1]
-
-    def clique(self, i: int) -> list[tuple[int, int]]:
-        return list(zip(self.users[i].tolist(), self.subfiles[i].tolist()))
+    outside = (users < 0) | (users >= k) | (subs < 0) | (subs >= f)
+    if outside.any():
+        return f"{first_entry(outside)} is outside {k} users x {f} subfiles"
+    not_vertex = mat[users, subs] != 1
+    if not_vertex.any():
+        return f"{first_entry(not_vertex)} is cached, not a vertex"
+    covered = np.zeros((k, f), dtype=bool)
+    covered[users, subs] = True
+    if np.count_nonzero(covered) != users.size:
+        _, first = np.unique(users * f + subs, return_index=True)
+        again = np.ones(users.shape, dtype=bool)
+        again.reshape(-1)[first] = False
+        return f"{first_entry(again)} repeats an earlier entry"
+    if users.size != np.count_nonzero(mat):
+        u, x = np.argwhere((mat == 1) & ~covered)[0]
+        return f"vertex ({u}, {x}) is in no delivery clique"
+    flat, offsets = mat.reshape(-1), users * f
+    for j in range(plan.group_size):
+        # placement[u_j, x_j'] for the members j' of each clique: 1 at j' = j
+        # (a vertex), 0 elsewhere (u_j caches the side information).
+        side = np.take(flat, offsets[:, j:j + 1] + subs)
+        if np.count_nonzero(side) != len(side):
+            side[:, j] = 0
+            i, other = np.argwhere(side)[0]
+            return (f"delivery clique {i}: user {users[i, j]} does not cache subfile "
+                    f"{subs[i, other]} of entry {other}, so it lacks the side "
+                    f"information to decode entry {j}")
+    return None
 
 
 @dataclass
@@ -238,9 +257,6 @@ class FileStore:
     def subfile_len(self) -> int:
         return self.data.shape[2]
 
-    def file(self, i: int) -> np.ndarray:
-        return self.data[i]
-
 
 @dataclass(eq=False)
 class CodedPacket:
@@ -250,31 +266,22 @@ class CodedPacket:
     payload: np.ndarray  # uint8, shape (L,)
 
 
-class UserCache:
-    """Read-only view of the store restricted to one user's cached subfiles.
+@dataclass(eq=False)
+class Packets:
+    """One round's XOR transmissions: payloads[i] is the packet of clique ids[i]."""
 
-    Every fetch asserts the placement bit is 0, so any attempt to use
-    side information the user does not hold fails loudly.
-    """
+    ids: np.ndarray       # (C,) int64
+    payloads: np.ndarray  # (C, L) uint8
 
-    def __init__(self, store: FileStore, placement: PlacementMap, user: int):
-        self.store = store
-        self.user = user
-        self._cached = placement.cached_row(user)
+    def __len__(self) -> int:
+        return len(self.ids)
 
-    def fetch(self, file_indices, subfile_indices) -> np.ndarray:
-        file_indices = np.asarray(file_indices, dtype=np.int64)
-        subfile_indices = np.asarray(subfile_indices, dtype=np.int64)
-        if not self._cached[subfile_indices].all():
-            missing = subfile_indices[~self._cached[subfile_indices]]
-            raise DecodeError(
-                f"user {self.user} asked its cache for uncached subfiles {missing[:5].tolist()}"
-            )
-        return self.store.data[file_indices, subfile_indices]
+    def __getitem__(self, i: int) -> CodedPacket:
+        """Packet i; its payload is a view of row i, so writes reach the batch."""
+        return CodedPacket(int(self.ids[i]), self.payloads[i])
 
 
-def encode(plan: DeliveryPlan, store: FileStore, demands) -> list[CodedPacket]:
-    """One packet per clique: XOR over members (u, x) of subfile x of u's demand."""
+def _demand_vector(plan: DeliveryPlan, store: FileStore, demands) -> np.ndarray:
     demands = np.asarray(demands, dtype=np.int64)
     if demands.ndim != 1:
         raise ValueError("demands must be a flat sequence, one file per user")
@@ -282,72 +289,54 @@ def encode(plan: DeliveryPlan, store: FileStore, demands) -> list[CodedPacket]:
         raise ValueError("demand vector shorter than the user count")
     if demands.size and (demands.min() < 0 or demands.max() >= store.num_files):
         raise ValueError("demand indexes a file outside the store")
-    if plan.num_cliques == 0:
-        return []
-    payloads = store.data[demands[plan.users[:, 0]], plan.subfiles[:, 0]].copy()
-    for j in range(1, plan.group_size):
-        payloads ^= store.data[demands[plan.users[:, j]], plan.subfiles[:, j]]
-    return [CodedPacket(i, payloads[i]) for i in range(plan.num_cliques)]
+    return demands
 
 
-def _payload_matrix(packets: list[CodedPacket], num_cliques: int,
-                    subfile_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Packets arranged by clique id, plus a mask of which ids arrived."""
-    ids = np.fromiter((p.clique_id for p in packets), dtype=np.int64, count=len(packets))
-    bad = (ids < 0) | (ids >= num_cliques)
-    if bad.any():
-        raise DecodeError(f"packet clique id {int(ids[bad][0])} is outside "
-                          f"[0, {num_cliques})")
-    mat = np.zeros((num_cliques, subfile_len), dtype=np.uint8)
-    seen = np.zeros(num_cliques, dtype=bool)
-    for p in packets:
-        mat[p.clique_id] = p.payload
-    seen[ids] = True
-    return mat, seen
-
-
-def decode(plan: DeliveryPlan, placement: PlacementMap, user: int,
-           packets: list[CodedPacket], cache: UserCache, demands,
-           _payloads: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Reconstruct the user's demanded file; returns an (F, L) array.
-
-    Cached subfiles come straight from the cache view.  For each missing
-    subfile the packet of its clique is XORed with the other members'
-    subfiles, all of which the clique structure guarantees to be cached.
-    """
-    demands = np.asarray(demands, dtype=np.int64)
-    want = int(demands[user])
-    cached_mask = placement.cached_row(user)
-    out = np.zeros((placement.num_subfiles, cache.store.subfile_len), dtype=np.uint8)
-    if cached_mask.any():
-        cached_idx = np.nonzero(cached_mask)[0]
-        out[cached_idx] = cache.fetch(np.full(len(cached_idx), want), cached_idx)
-    missing_idx = np.nonzero(~cached_mask)[0]
-    if len(missing_idx) == 0:
-        return out
-
-    if _payloads is None:
-        _payloads = _payload_matrix(packets, plan.num_cliques, cache.store.subfile_len)
-    payloads, seen = _payloads
-    clique_ids = plan.clique_of[user, missing_idx]
-    if (clique_ids < 0).any():
-        raise DecodeError(f"user {user}: some missing subfile has no clique")
-    if not seen[clique_ids].all():
-        lost = clique_ids[~seen[clique_ids]]
-        raise DecodeError(f"user {user}: missing packet for clique {lost[:5].tolist()}")
-    acc = payloads[clique_ids].copy()
-
-    member_users = plan.users[clique_ids]      # (D, d)
-    member_subs = plan.subfiles[clique_ids]    # (D, d)
+def _xor_members(acc: np.ndarray, plan: DeliveryPlan, store: FileStore,
+                 demands: np.ndarray) -> None:
+    """XOR into acc[i] the demanded subfile of every member of clique i."""
     for j in range(plan.group_size):
-        others = member_users[:, j] != user
-        if not others.any():
-            continue
-        rows = np.nonzero(others)[0]
-        contrib = cache.fetch(demands[member_users[rows, j]], member_subs[rows, j])
-        acc[rows] ^= contrib
-    out[missing_idx] = acc
-    return out
+        acc ^= store.data[demands[plan.users[:, j]], plan.subfiles[:, j]]
+
+
+def encode(plan: DeliveryPlan, store: FileStore, demands) -> Packets:
+    """One packet per clique: XOR over members (u, x) of subfile x of u's demand."""
+    demands = _demand_vector(plan, store, demands)
+    payloads = np.zeros((plan.num_cliques, store.subfile_len), dtype=np.uint8)
+    _xor_members(payloads, plan, store, demands)
+    return Packets(ids=np.arange(plan.num_cliques, dtype=np.int64), payloads=payloads)
+
+
+def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> list[bool]:
+    """Decode every user at once; entry u is True when user u recovers its
+    demanded file exactly.
+
+    The plan must pass `delivery_violation`.  Then each clique's residual,
+    its packet XOR all d members' subfiles, is what every member's
+    recovered subfile differs by, so a user is exact when all its cliques
+    leave a zero residual.  Raises DecodeError when a packet names no
+    clique, a clique has no packet, or a payload has the wrong length.
+    """
+    demands = _demand_vector(plan, store, demands)
+    num, length = plan.num_cliques, store.subfile_len
+    ids = np.asarray(packets.ids, dtype=np.int64)
+    bad = (ids < 0) | (ids >= num)
+    if bad.any():
+        raise DecodeError(f"packet clique id {int(ids[bad][0])} is outside [0, {num})")
+    if packets.payloads.shape[1:] != (length,):
+        raise DecodeError(f"packet payloads have shape {packets.payloads.shape[1:]}, "
+                          f"subfiles are {length} bytes")
+    seen = np.zeros(num, dtype=bool)
+    seen[ids] = True
+    if not seen.all():
+        lost = np.flatnonzero(~seen)
+        raise DecodeError(f"no packet for clique {lost[:5].tolist()}")
+    residual = np.empty((num, length), dtype=np.uint8)
+    residual[ids] = packets.payloads
+    _xor_members(residual, plan, store, demands)
+    exact = np.ones(len(demands), dtype=bool)
+    exact[plan.users[residual.any(axis=1)]] = False
+    return exact.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -368,6 +357,21 @@ class SchemeInstance:
     delivery: DeliveryPlan
 
 
+def _scheme(cp: ConstructionParams, universe: Universe, placement: PlacementMap,
+            delivery: DeliveryPlan) -> SchemeInstance:
+    f = cp.field
+    return SchemeInstance(
+        construction=cp,
+        params=params_from(cp),
+        field_spec=(f.p, f.n, f.modulus),
+        root_rows=universe.root.rows,
+        user_matrices=universe.user_matrices,
+        subfile_sets=tuple(universe.subfile_sets),
+        placement=placement,
+        delivery=delivery,
+    )
+
+
 def build_scheme(cp: ConstructionParams,
                  max_vertices: int | None = DEFAULT_VERTEX_CAP,
                  validate: bool = True) -> SchemeInstance:
@@ -380,22 +384,15 @@ def build_scheme(cp: ConstructionParams,
             raise InvariantError(f"verify_line_graph: construction failed validation: "
                                  f"{report.violations}")
     placement = build_placement(graph)
-    cover = enumerate_transmission_cliques(graph)
-    params = params_from(cp)
+    instance = _scheme(cp, universe, placement, enumerate_transmission_cliques(graph))
+    params = instance.params
     if (params.missing_per_user, params.missing_per_subfile) != (
             graph.user_clique_size, graph.subfile_clique_size):
         raise InvariantError("build_scheme: closed-form D and c match the line graph")
-    f = cp.field
-    return SchemeInstance(
-        construction=cp,
-        params=params,
-        field_spec=(f.p, f.n, f.modulus),
-        root_rows=universe.root.rows,
-        user_matrices=universe.user_matrices,
-        subfile_sets=tuple(universe.subfile_sets),
-        placement=placement,
-        delivery=DeliveryPlan.from_cover(cover),
-    )
+    violation = delivery_violation(instance.delivery, placement)
+    if violation is not None:
+        raise InvariantError(f"build_scheme: {violation}")
+    return instance
 
 
 # ----------------------------------------------------------------------
@@ -435,25 +432,23 @@ class SimulationReport:
         return self.failures == 0
 
 
-def run_round(instance: SchemeInstance, store: FileStore, demands) -> list[CodedPacket]:
+def _check_round(instance: SchemeInstance, demands) -> None:
     if len(demands) != instance.params.users:
         raise ValueError(
             f"demand vector has {len(demands)} entries for {instance.params.users} users"
         )
+
+
+def run_round(instance: SchemeInstance, store: FileStore, demands) -> Packets:
+    _check_round(instance, demands)
     return encode(instance.delivery, store, demands)
 
 
 def decode_round(instance: SchemeInstance, store: FileStore, demands,
-                 packets: list[CodedPacket]) -> list[bool]:
-    """Decode every user and compare against the demanded file exactly."""
-    payloads = _payload_matrix(packets, instance.delivery.num_cliques, store.subfile_len)
-    results = []
-    for user in range(instance.params.users):
-        cache = UserCache(store, instance.placement, user)
-        got = decode(instance.delivery, instance.placement, user, packets, cache,
-                     demands, _payloads=payloads)
-        results.append(bool(np.array_equal(got, store.file(int(demands[user])))))
-    return results
+                 packets: Packets) -> list[bool]:
+    """Decode every user; entry u is True when user u recovers its file exactly."""
+    _check_round(instance, demands)
+    return decode(instance.delivery, store, demands, packets)
 
 
 def run_trials(instance: SchemeInstance, trials: int, seed: int,
@@ -495,7 +490,8 @@ def run_trials(instance: SchemeInstance, trials: int, seed: int,
 # Serialization: scheme documents and packet traces
 # ----------------------------------------------------------------------
 
-def _document(instance: SchemeInstance) -> dict:
+def _header(instance: SchemeInstance) -> dict:
+    """Every document field but the delivery cliques."""
     p, n, modulus = instance.field_spec
     cp = instance.construction
     pr = instance.params
@@ -518,6 +514,12 @@ def _document(instance: SchemeInstance) -> dict:
         "placement": [
             instance.placement.row_base64(u) for u in range(pr.users)
         ],
+    }
+
+
+def _document(instance: SchemeInstance) -> dict:
+    return {
+        **_header(instance),
         "delivery": [
             [[int(u), int(x)] for u, x in zip(urow, xrow)]
             for urow, xrow in zip(instance.delivery.users.tolist(),
@@ -532,7 +534,12 @@ def serialize(instance: SchemeInstance) -> str:
 
 
 def deserialize(text: str) -> SchemeInstance:
-    """Parse a scheme document; raises SchemaError on any malformation."""
+    """Parse a scheme document; raises SchemaError on any malformation.
+
+    The scheme is rebuilt from the stored construction.  Every other
+    stored field must equal the rebuilt one, and the stored delivery plan
+    must pass `delivery_violation`.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -550,106 +557,77 @@ def deserialize(text: str) -> SchemeInstance:
         raise SchemaError(f"document lacks keys {sorted(missing)}")
     try:
         cp = ConstructionParams(**doc["construction"])
-        fs = doc["field"]
-        f = field_new(fs["p"], fs["n"])
-        if list(f.modulus) != fs["modulus"]:
-            raise SchemaError("field modulus does not match the deterministic choice")
-        pd = doc["params"]
-        params = SchemeParams(
-            users=pd["users"],
-            subpacketization=pd["subpacketization"],
-            missing_per_user=pd["missing_per_user"],
-            missing_per_subfile=pd["missing_per_subfile"],
-            group_size=pd["group_size"],
-            cached_fraction=Fraction(*pd["cached_fraction"]),
-            rate=Fraction(*pd["rate"]),
-        )
-        placement = PlacementMap.from_base64_rows(doc["placement"], params.subpacketization)
-        if placement.num_users != params.users:
-            raise SchemaError("placement row count does not match user count")
-        delivery = _delivery_plan(doc["delivery"], placement, params.group_size)
-        return SchemeInstance(
-            construction=cp,
-            params=params,
-            field_spec=(f.p, f.n, f.modulus),
-            root_rows=tuple(tuple(row) for row in doc["root"]),
-            user_matrices=tuple(
-                tuple(tuple(row) for row in mat) for mat in doc["users"]
-            ),
-            subfile_sets=tuple(tuple(xs) for xs in doc["subfiles"]),
-            placement=placement,
-            delivery=delivery,
-        )
+        # Row counts first, so that a document cannot ask for a rebuild
+        # far larger than itself.
+        for key, rows in (("placement", cp.num_users), ("subfiles", cp.subpacketization)):
+            if len(doc[key]) != rows:
+                raise SchemaError(f"stored {key} has {len(doc[key])} rows, the "
+                                  f"construction {doc['construction']} has {rows}")
+        # Popped, so the parsed delivery lists are freed before the rebuild.
+        delivery = _delivery_plan(doc.pop("delivery"), cp.m + 2)
+        universe = build_universe(cp, max_vertices=None)
+        instance = _scheme(cp, universe, build_placement(build_line_graph(universe)),
+                           delivery)
     except SchemaError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError,
+            ZeroDivisionError) as exc:
         raise SchemaError(f"malformed scheme document: {exc}") from exc
+    for key, value in _header(instance).items():
+        if doc[key] != value:
+            raise SchemaError(f"stored {key} does not match the construction "
+                              f"{doc['construction']}")
+    violation = delivery_violation(instance.delivery, instance.placement)
+    if violation is not None:
+        raise SchemaError(violation)
+    return instance
 
 
-def _delivery_plan(rows, placement: PlacementMap, group_size: int) -> DeliveryPlan:
-    """Delivery cliques of a document, each entry checked in one pass: a
-    [user, subfile] pair in range, a vertex of the placement, and not
-    already in an earlier clique."""
-    pairs = np.array(rows, dtype=np.int64)
-    if pairs.size == 0:
-        pairs = pairs.reshape(0, group_size, 2)
-    if pairs.ndim != 3 or pairs.shape[2] != 2:
-        raise SchemaError("delivery entries must be [user, subfile] pairs")
-    if pairs.shape[1] != group_size:
+def _delivery_plan(rows, group_size: int) -> DeliveryPlan:
+    """The delivery cliques of a document, checked here for shape only."""
+    if set(map(len, rows)) - {group_size}:
         raise SchemaError("delivery clique size does not match group size")
-    users, subs = np.ascontiguousarray(pairs[:, :, 0]), np.ascontiguousarray(pairs[:, :, 1])
-    k, f = placement.matrix.shape
-    outside = (users < 0) | (users >= k) | (subs < 0) | (subs >= f)
-    if outside.any():
-        i, j = np.argwhere(outside)[0]
-        raise SchemaError(f"delivery clique {i} entry {j} {pairs[i, j].tolist()} "
-                          f"is outside {k} users x {f} subfiles")
-    not_vertex = placement.matrix[users, subs] != 1
-    if not_vertex.any():
-        i, j = np.argwhere(not_vertex)[0]
-        raise SchemaError(f"delivery clique {i} entry {j} {pairs[i, j].tolist()} "
-                          f"is cached, not a vertex")
-    clique_of = np.full((k, f), -1, dtype=np.int64)
-    clique_of[users, subs] = np.arange(len(pairs))[:, None]
-    if np.count_nonzero(clique_of >= 0) != users.size:
-        flat = (users * f + subs).reshape(-1)
-        _, first = np.unique(flat, return_index=True)
-        again = np.setdiff1d(np.arange(flat.size), first)[0]
-        i, j = divmod(int(again), group_size)
-        raise SchemaError(f"delivery clique {i} entry {j} {pairs[i, j].tolist()} "
-                          f"repeats an earlier entry")
-    return DeliveryPlan(users=users, subfiles=subs, clique_of=clique_of)
+    entries = list(chain.from_iterable(rows))
+    if set(map(len, entries)) - {2}:
+        raise SchemaError("delivery entries must be [user, subfile] pairs")
+    pairs = np.fromiter(chain.from_iterable(entries), dtype=np.int64,
+                        count=2 * len(entries)).reshape(len(rows), group_size, 2)
+    return DeliveryPlan(users=np.ascontiguousarray(pairs[:, :, 0]),
+                        subfiles=np.ascontiguousarray(pairs[:, :, 1]))
 
 
 TRACE_MAGIC = b"PGCT"
 
 
-def packet_trace_bytes(packets: list[CodedPacket]) -> bytes:
+def _trace_record(length: int) -> np.dtype:
+    """One packet of a trace: u32 clique id, u32 payload length, payload."""
+    return np.dtype([("id", "<u4"), ("len", "<u4"), ("payload", "u1", (length,))])
+
+
+def packet_trace_bytes(packets: Packets) -> bytes:
     """Binary packet dump: magic, u32 count, then (u32 id, u32 len, payload)."""
-    parts = [TRACE_MAGIC, len(packets).to_bytes(4, "little")]
-    for p in packets:
-        payload = p.payload.tobytes()
-        parts.append(int(p.clique_id).to_bytes(4, "little"))
-        parts.append(len(payload).to_bytes(4, "little"))
-        parts.append(payload)
-    return b"".join(parts)
+    count, length = packets.payloads.shape
+    records = np.empty(count, dtype=_trace_record(length))
+    records["id"] = packets.ids
+    records["len"] = length
+    records["payload"] = packets.payloads
+    return TRACE_MAGIC + count.to_bytes(4, "little") + records.tobytes()
 
 
-def parse_packet_trace(blob: bytes) -> list[CodedPacket]:
+def parse_packet_trace(blob: bytes) -> Packets:
+    """Packets of a trace; every payload must have the same length."""
     if blob[:4] != TRACE_MAGIC:
         raise SchemaError("not a packet trace (bad magic)")
     count = int.from_bytes(blob[4:8], "little")
-    packets = []
-    offset = 8
-    for _ in range(count):
-        if offset + 8 > len(blob):
-            raise SchemaError("truncated packet trace")
-        cid = int.from_bytes(blob[offset:offset + 4], "little")
-        length = int.from_bytes(blob[offset + 4:offset + 8], "little")
-        offset += 8
-        if offset + length > len(blob):
-            raise SchemaError("truncated packet payload")
-        payload = np.frombuffer(blob[offset:offset + length], dtype=np.uint8).copy()
-        offset += length
-        packets.append(CodedPacket(cid, payload))
-    return packets
+    length = int.from_bytes(blob[12:16], "little") if count else 0
+    record = _trace_record(length)
+    if len(blob) < 8 or len(blob) != 8 + count * record.itemsize:
+        raise SchemaError(f"packet trace of {len(blob)} bytes does not hold {count} "
+                          f"packets of {length} bytes: truncated, or unequal payload lengths")
+    records = np.frombuffer(blob, dtype=record, count=count, offset=8)
+    unequal = np.flatnonzero(records["len"] != length)
+    if unequal.size:
+        i = int(unequal[0])
+        raise SchemaError(f"packet {i} has {records['len'][i]} payload bytes, packet 0 "
+                          f"has {length}: payloads must have equal lengths")
+    return Packets(ids=records["id"].astype(np.int64), payloads=records["payload"].copy())

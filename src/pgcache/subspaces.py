@@ -23,6 +23,12 @@ from .gf import GF
 Vector = tuple[int, ...]
 
 
+class InvariantError(AssertionError):
+    """A step produced output that breaks one of its invariants.
+
+    Raised explicitly, so the checks still run under ``python -O``."""
+
+
 # ----------------------------------------------------------------------
 # Row reduction
 # ----------------------------------------------------------------------
@@ -192,11 +198,15 @@ def enumerate_superspaces(w: SubspaceBasis, dim: int) -> list[SubspaceBasis]:
                 row[col] = val
             lifted.append(tuple(row))
         sup = canonicalize(f, k, w.rows + tuple(lifted))
-        assert sup.dim == dim
+        if sup.dim != dim:
+            raise InvariantError(f"enumerate_superspaces: a lifted basis has dim "
+                                 f"{sup.dim}, expected {dim}")
         out.append(sup)
     out.sort(key=SubspaceBasis.key)
     expected = q_binomial(k - w.dim, dim - w.dim, f.q)
-    assert len(out) == expected, (len(out), expected)
+    if len(out) != expected:
+        raise InvariantError(f"enumerate_superspaces: {len(out)} superspaces, "
+                             f"closed form {expected}")
     return out
 
 
@@ -222,7 +232,9 @@ def q_binomial(a: int, b: int, q: int) -> int:
     for i in range(b):
         num *= q ** (a - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise InvariantError(f"q_binomial: [{a} choose {b}]_{q} = {num}/{den} "
+                             f"is not an integer")
     return num // den
 
 
@@ -261,10 +273,14 @@ def generating_set_counts(q: int, m: int, t: int) -> GeneratingSetCounts:
     den = (q - 1) ** (m + 1)
     for i in range(2, m + 2):
         den *= i
-    assert num % den == 0
+    if num % den:
+        raise InvariantError(f"generating_set_counts: {num}/{den} vector sets "
+                             f"is not an integer")
     g_prime = num // den
     shift = q ** ((t - 1) * (m + 1))
-    assert g_prime % shift == 0
+    if g_prime % shift:
+        raise InvariantError(f"generating_set_counts: {g_prime} vector sets are "
+                             f"not a multiple of q^((t-1)(m+1)) = {shift}")
     return GeneratingSetCounts(g_prime, g_prime // shift)
 
 

@@ -9,6 +9,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import bruteforce as bf
@@ -180,7 +181,8 @@ def test_criterion_4_mid_scale_construction():
         cover = enumerate_transmission_cliques(graph)
         assert cover.group_size == 5
         assert cover.num_cliques * 5 == graph.vertex_count == 416640
-        assert int((cover.clique_of >= 0).sum()) == graph.vertex_count
+        members = cover.users * graph.subpacketization + cover.subfiles
+        assert np.unique(members).size == graph.vertex_count
 
         inst = build_scheme(cp)
         store = FileStore.random(31, 26040, subfile_len=16, seed=7)

@@ -122,6 +122,17 @@ def test_simulate_rejects_zero_denominator(tmp_path, capsys):
     assert "error" in err
 
 
+def test_simulate_rejects_a_vertex_in_no_clique(tmp_path, capsys):
+    doc = tmp_path / "fano.json"
+    run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2", "-o", str(doc))
+    data = json.loads(doc.read_text())
+    del data["delivery"][-1]
+    doc.write_text(json.dumps(data))
+    code, _, err = run(capsys, "simulate", str(doc))
+    assert code == 5
+    assert "in no delivery clique" in err
+
+
 # ----------------------------------------------------------------------
 # bounds / tables / sweep
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bruteforce as bf
@@ -191,7 +192,8 @@ def test_fano_transmission_cover():
     assert cover.num_cliques == 28
     assert cover.group_size == 3
     # partition: every vertex in exactly one clique
-    assert int((cover.clique_of >= 0).sum()) == g.vertex_count
+    keys = cover.users * g.subpacketization + cover.subfiles
+    assert np.unique(keys).size == keys.size == g.vertex_count
     seen = set()
     for i in range(cover.num_cliques):
         members = cover.clique(i)
@@ -268,6 +270,11 @@ def test_invariants_are_checked_under_optimize():
         "    build_scheme(lg.ConstructionParams(3, 1, 1, 2))\n"
         "except lg.InvariantError as exc:\n"
         "    print(sys.flags.optimize, exc)\n"
+        "from pgcache.subspaces import q_binomial\n"
+        "try:\n"
+        "    q_binomial(2, 1, 2.5)\n"
+        "except lg.InvariantError as exc:\n"
+        "    print(exc)\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -277,3 +284,5 @@ def test_invariants_are_checked_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("1 build_universe: 21 independent (m+1)-sets, "
                                   "closed form F = 20"), proc.stdout
+    assert "q_binomial: [2 choose 1]_2.5 = 5.25/1.5 is not an integer" in proc.stdout, \
+        proc.stdout

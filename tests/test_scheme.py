@@ -1,5 +1,6 @@
 """Scheme parameters, placement, XOR delivery, simulator, serialization."""
 
+import base64
 import hashlib
 import json
 import warnings
@@ -8,19 +9,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pgcache.linegraph import ConstructionParams, build_line_graph, build_universe
+from pgcache import scheme as scheme_module
+from pgcache.linegraph import (
+    ConstructionParams,
+    InvariantError,
+    build_line_graph,
+    build_universe,
+)
 from pgcache.scheme import (
     CodedPacket,
     DecodeError,
     DeliveryPlan,
     FileStore,
+    Packets,
     PlacementMap,
     SchemaError,
-    UserCache,
     build_placement,
     build_scheme,
     decode,
     decode_round,
+    delivery_violation,
     demand_stream,
     deserialize,
     encode,
@@ -103,9 +111,11 @@ def test_placement_total_ones():
 
 def test_placement_bitmask_roundtrip(fano):
     pl = fano.placement
-    again = PlacementMap.from_base64_rows(
-        [pl.row_base64(u) for u in range(pl.num_users)], pl.num_subfiles)
-    assert (again.matrix == pl.matrix).all()
+    for u in range(pl.num_users):
+        raw = np.frombuffer(base64.b64decode(pl.row_base64(u)), dtype=np.uint8)
+        bits = np.unpackbits(raw, bitorder="little")
+        assert (bits[:pl.num_subfiles] == pl.matrix[u]).all()
+        assert not bits[pl.num_subfiles:].any()
     assert pl.row_bitmask(0).bit_count() == 12
 
 
@@ -116,10 +126,7 @@ def test_placement_bitmask_roundtrip(fano):
 def test_single_clique_toy_xor():
     users = np.array([[0, 1]])
     subs = np.array([[1, 0]])
-    clique_of = np.full((2, 2), -1, dtype=np.int64)
-    clique_of[0, 1] = 0
-    clique_of[1, 0] = 0
-    plan = DeliveryPlan(users=users, subfiles=subs, clique_of=clique_of)
+    plan = DeliveryPlan(users=users, subfiles=subs)
     store = FileStore.random(2, 2, subfile_len=8, seed=5)
     packets = encode(plan, store, [1, 0])
     want = store.data[1, 1] ^ store.data[0, 0]
@@ -164,22 +171,17 @@ def test_decode_detects_corruption(fano):
     packets = run_round(fano, store, demands)
     packets[5].payload[0] ^= 0xFF
     results = decode_round(fano, store, demands, packets)
-    assert not all(results)
+    # exactly the members of clique 5 get a wrong subfile
+    assert [u for u, ok in enumerate(results) if not ok] == sorted(fano.delivery.users[5])
 
 
 def test_decode_missing_packet_errors(fano):
     store = FileStore.random(7, 21, subfile_len=16, seed=3)
     demands = [0] * 7
-    packets = run_round(fano, store, demands)[:-1]
-    victim = int(fano.delivery.users[-1, 0])
-    with pytest.raises(DecodeError):
-        decode(fano.delivery, fano.placement, victim, packets,
-               UserCache(store, fano.placement, victim), demands)
-    # users untouched by the dropped clique still decode
-    spared = [u for u in range(7) if u not in fano.delivery.users[-1]]
-    got = decode(fano.delivery, fano.placement, spared[0], packets,
-                 UserCache(store, fano.placement, spared[0]), demands)
-    assert np.array_equal(got, store.file(0))
+    packets = run_round(fano, store, demands)
+    short = Packets(packets.ids[:-1], packets.payloads[:-1])
+    with pytest.raises(DecodeError, match=r"clique \[27\]"):
+        decode(fano.delivery, store, demands, short)
 
 
 def test_decode_with_nothing_missing_returns_cache():
@@ -188,19 +190,21 @@ def test_decode_with_nothing_missing_returns_cache():
     plan = DeliveryPlan(
         users=np.zeros((0, 2), dtype=np.int64),
         subfiles=np.zeros((0, 2), dtype=np.int64),
-        clique_of=np.full((2, 3), -1, dtype=np.int64),
     )
+    assert delivery_violation(plan, placement) is None
     store = FileStore.random(2, 3, subfile_len=4, seed=1)
-    got = decode(plan, placement, 0, [], UserCache(store, placement, 0), [1, 0])
-    assert np.array_equal(got, store.file(1))
+    packets = encode(plan, store, [1, 0])
+    assert len(packets) == 0
+    assert decode(plan, store, [1, 0], packets) == [True, True]
 
 
-def test_cache_view_refuses_uncached_reads(fano):
-    store = FileStore.random(7, 21, subfile_len=4, seed=0)
-    cache = UserCache(store, fano.placement, 0)
-    missing = int(np.nonzero(fano.placement.matrix[0])[0][0])
-    with pytest.raises(DecodeError):
-        cache.fetch([0], [missing])
+def test_decode_rejects_payloads_of_another_length(fano):
+    store = FileStore.random(7, 21, subfile_len=8, seed=4)
+    demands = [1, 2, 3, 4, 5, 6, 0]
+    packets = run_round(fano, store, demands)
+    short = Packets(packets.ids, packets.payloads[:, :4])
+    with pytest.raises(DecodeError, match="subfiles are 8 bytes"):
+        decode_round(fano, store, demands, short)
 
 
 def test_rate_identity_across_instances():
@@ -209,8 +213,11 @@ def test_rate_identity_across_instances():
         assert Fraction(inst.delivery.num_cliques, inst.params.subpacketization) \
             == inst.params.rate
         # every uncached pair is covered exactly once
-        covered = inst.delivery.clique_of >= 0
+        plan = inst.delivery
+        covered = np.zeros(inst.placement.matrix.shape, dtype=bool)
+        covered[plan.users, plan.subfiles] = True
         assert (covered == (inst.placement.matrix == 1)).all()
+        assert plan.users.size == np.count_nonzero(covered)
 
 
 def test_decodability_at_sixty_three_users():
@@ -288,6 +295,34 @@ def test_packet_trace_roundtrip(fano):
         parse_packet_trace(blob[:-3])
     with pytest.raises(SchemaError):
         parse_packet_trace(b"nope" + blob[4:])
+    unequal = (b"PGCT" + (2).to_bytes(4, "little")
+               + (0).to_bytes(4, "little") + (4).to_bytes(4, "little") + bytes(4)
+               + (1).to_bytes(4, "little") + (8).to_bytes(4, "little") + bytes(8))
+    with pytest.raises(SchemaError, match="equal"):
+        parse_packet_trace(unequal)
+    equal_size = (b"PGCT" + (2).to_bytes(4, "little")
+                  + (0).to_bytes(4, "little") + (6).to_bytes(4, "little") + bytes(6)
+                  + (1).to_bytes(4, "little") + (2).to_bytes(4, "little") + bytes(6))
+    with pytest.raises(SchemaError, match="packet 1 has 2 payload bytes"):
+        parse_packet_trace(equal_size)
+
+
+# Round 0 of seed 0, recorded before packets became one batch.
+TRACE_DIGESTS = [
+    ((3, 1, 1, 2), 16, "5773f238e2680569b8151e249cd27c475344999677a70950e998a2696cebd27e"),
+    ((4, 1, 1, 3), 8, "c049198a0fe139f3d30c0c7fa23da0316d79617283af298d9d6198411b0e1d07"),
+]
+
+
+@pytest.mark.parametrize("kmtq,subfile_len,digest", TRACE_DIGESTS,
+                         ids=[",".join(map(str, row[0])) for row in TRACE_DIGESTS])
+def test_round_zero_trace_is_byte_identical(kmtq, subfile_len, digest):
+    inst = build_scheme(ConstructionParams(*kmtq))
+    k, f = inst.params.users, inst.params.subpacketization
+    store = FileStore.random(k, f, subfile_len, seed=0)
+    demands = next(demand_stream(0, k, k))
+    blob = packet_trace_bytes(run_round(inst, store, demands))
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_coded_packet_header(fano):
@@ -345,6 +380,19 @@ def _bad_delivery(fano, case):
         rows[0][0] = [int(u), int(x)]
     elif case == "repeated":
         rows[1][0] = list(rows[0][0])
+    elif case == "dropped":
+        del rows[-1]
+    elif case == "side-information":
+        # Swap user u's subfiles between clique 0 and a later clique i.
+        # Every entry stays a vertex and the cover stays exact, but some
+        # other member of clique 0 does not cache u's subfile from clique i.
+        u, x = rows[0][0]
+        for row in rows[1:]:
+            entry = next((e for e in row if e[0] == u), None)
+            if entry and any(fano.placement.matrix[v, entry[1]] for v, _ in rows[0][1:]):
+                rows[0][0][1], entry[1] = entry[1], x
+                break
+        assert rows[0][0][1] != x
     return json.dumps(doc)
 
 
@@ -353,10 +401,55 @@ def _bad_delivery(fano, case):
     ("out-of-range", "outside"),
     ("not-a-vertex", "not a vertex"),
     ("repeated", "repeats an earlier"),
+    ("dropped", "in no delivery clique"),
+    ("side-information", "lacks the side information"),
 ])
 def test_deserialize_rejects_bad_delivery_entries(fano, case, why):
     with pytest.raises(SchemaError, match=why):
         deserialize(_bad_delivery(fano, case))
+
+
+def _altered(fano, key):
+    doc = json.loads(serialize(fano))
+    if key == "field":
+        doc["field"]["modulus"] = [1, 1, 1, 1]
+    elif key == "params":
+        doc["params"]["rate"] = [5, 3]
+    elif key == "root":
+        doc["root"] = [[1, 0, 0]]
+    elif key == "users":
+        doc["users"].reverse()
+    elif key == "subfiles":
+        doc["subfiles"][0] = [0, 0]
+    elif key == "placement":
+        doc["placement"].reverse()
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("key", ["field", "params", "root", "users", "subfiles",
+                                 "placement"])
+def test_deserialize_rejects_fields_unlike_the_construction(fano, key):
+    with pytest.raises(SchemaError, match=f"stored {key} does not match"):
+        deserialize(_altered(fano, key))
+
+
+def test_deserialize_refuses_a_rebuild_larger_than_the_document(fano):
+    doc = json.loads(serialize(fano))
+    doc["construction"] = {"k": 40, "m": 1, "t": 1, "q": 2}
+    with pytest.raises(SchemaError, match="stored placement has 7 rows"):
+        deserialize(json.dumps(doc))
+
+
+def test_build_scheme_checks_the_delivery_plan(monkeypatch):
+    real = scheme_module.enumerate_transmission_cliques
+
+    def drop_last_clique(graph):
+        plan = real(graph)
+        return DeliveryPlan(users=plan.users[:-1], subfiles=plan.subfiles[:-1])
+
+    monkeypatch.setattr(scheme_module, "enumerate_transmission_cliques", drop_last_clique)
+    with pytest.raises(InvariantError, match=r"build_scheme: vertex \(\d+, \d+\) is in no"):
+        build_scheme(FANO)
 
 
 def test_deserialize_rejects_zero_denominators(fano):
@@ -372,6 +465,6 @@ def test_decode_rejects_clique_ids_out_of_range(fano, bad_id):
     store = FileStore.random(7, 21, subfile_len=8, seed=4)
     demands = [1, 2, 3, 4, 5, 6, 0]
     packets = run_round(fano, store, demands)
-    packets[3] = CodedPacket(bad_id, packets[3].payload)
+    packets.ids[3] = bad_id
     with pytest.raises(DecodeError, match="outside"):
         decode_round(fano, store, demands, packets)
