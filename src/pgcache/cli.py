@@ -21,11 +21,9 @@ from .scheme import (
     DecodeError,
     SchemaError,
     build_scheme,
-    demand_stream,
     deserialize,
     packet_trace_bytes,
     params_from,
-    run_round,
     run_trials,
     serialize,
 )
@@ -108,6 +106,7 @@ def cmd_simulate(args) -> int:
         num_files=args.files,
         subfile_len=args.subfile_len,
         extra_demands=extra,
+        keep_round0=bool(args.trace),
     )
     ok = report.trials * report.users - report.failures
     print(f"trials          = {report.trials}")
@@ -116,15 +115,9 @@ def cmd_simulate(args) -> int:
     print(f"measured R*F    = {fraction_text(report.measured_rf * instance.params.subpacketization)}")
     print(f"measured R      = {fraction_text(report.measured_rf)}")
     if args.trace:
-        from .scheme import FileStore
-        n = args.files if args.files else instance.params.users
-        store = FileStore.random(n, instance.params.subpacketization,
-                                 args.subfile_len, seed=args.seed)
-        demands = next(demand_stream(args.seed, instance.params.users, n))
-        packets = run_round(instance, store, demands)
         with open(args.trace, "wb") as fh:
-            fh.write(packet_trace_bytes(packets))
-        print(f"trace           = {args.trace} ({len(packets)} packets)")
+            fh.write(packet_trace_bytes(report.round0))
+        print(f"trace           = {args.trace} ({len(report.round0)} packets)")
     if not report.ok:
         print(f"DECODE FAILURES = {report.failures}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -35,7 +35,7 @@ from .bounds import (
 )
 from .linegraph import ConstructionParams
 from .scheme import params_from
-from .subspaces import q_binomial
+from .subspaces import InvariantError, q_binomial
 
 
 # ----------------------------------------------------------------------
@@ -82,7 +82,11 @@ class ComparisonRow:
     rate: Fraction
 
     def __post_init__(self) -> None:
-        assert self.users * self.uncached_fraction == self.gain * self.rate
+        served = self.users * self.uncached_fraction
+        if served != self.gain * self.rate:
+            raise InvariantError(
+                f"ComparisonRow {self.label}: K(1 - M/N) = {served} != gain * R = "
+                f"{self.gain} * {self.rate}")
 
 
 def pda_scheme_params(m2: int, q2: int) -> ComparisonRow:
@@ -96,7 +100,9 @@ def pda_scheme_params(m2: int, q2: int) -> ComparisonRow:
     users = q2 * (m2 + 1)
     uncached = Fraction(q2 - 1, q2)
     gain_exact = users * uncached / (q2 - 1)
-    assert gain_exact == m2 + 1
+    if gain_exact != m2 + 1:
+        raise InvariantError(
+            f"pda_scheme_params: gain K(1 - M/N)/(q' - 1) = {gain_exact} != m' + 1 = {m2 + 1}")
     return ComparisonRow(
         label=f"pda(m'={m2}, q'={q2})",
         users=users,
@@ -132,7 +138,8 @@ def subspace_scheme_row(cp: ConstructionParams) -> ComparisonRow:
     """This construction's comparison row, via the closed-form parameters."""
     params = params_from(cp)
     gain = params.gain
-    assert gain.denominator == 1
+    if gain.denominator != 1:
+        raise InvariantError(f"subspace_scheme_row: gain {gain} of {cp} is not an integer")
     return ComparisonRow(
         label=f"subspace(k={cp.k}, m={cp.m}, t={cp.t}, q={cp.q})",
         users=params.users,

@@ -24,17 +24,21 @@ residual; its cached subfiles are exact by construction.
 Scheme documents serialize to JSON (format tag "pgcache/1") with the
 field spec, the canonical user matrices, subfile sets, base64 row bitmaps
 for the placement, and the delivery cliques; serialization is
-deterministic and round-trips byte for byte.  Loading rebuilds the
-construction, refuses any stored field that differs from the rebuilt one,
-and checks the stored delivery plan as above.
+deterministic and round-trips byte for byte.  The two large integer
+fields, subfiles and delivery, are rendered as ASCII straight from their
+numpy arrays.  Loading rebuilds the construction, refuses any stored
+field that differs from the rebuilt one, and checks the stored delivery
+plan as above.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -352,9 +356,13 @@ class SchemeInstance:
     field_spec: tuple[int, int, tuple[int, ...]]  # (p, n, modulus coefficients)
     root_rows: tuple[tuple[int, ...], ...]
     user_matrices: tuple[tuple[tuple[int, ...], ...], ...]
-    subfile_sets: tuple[tuple[int, ...], ...]
+    subfile_array: np.ndarray  # (F, m+1) int64, ascending user indexes per row
     placement: PlacementMap
     delivery: DeliveryPlan
+
+    @cached_property
+    def subfile_sets(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.subfile_array.tolist()))
 
 
 def _scheme(cp: ConstructionParams, universe: Universe, placement: PlacementMap,
@@ -366,7 +374,7 @@ def _scheme(cp: ConstructionParams, universe: Universe, placement: PlacementMap,
         field_spec=(f.p, f.n, f.modulus),
         root_rows=universe.root.rows,
         user_matrices=universe.user_matrices,
-        subfile_sets=tuple(universe.subfile_sets),
+        subfile_array=universe.subfile_array,
         placement=placement,
         delivery=delivery,
     )
@@ -426,6 +434,7 @@ class SimulationReport:
     measured_rf: Fraction
     failures: int
     per_user_failures: list[int]
+    round0: Packets | None = None  # kept on request; see run_trials
 
     @property
     def ok(self) -> bool:
@@ -454,15 +463,22 @@ def decode_round(instance: SchemeInstance, store: FileStore, demands,
 def run_trials(instance: SchemeInstance, trials: int, seed: int,
                num_files: int | None = None,
                subfile_len: int = DEFAULT_SUBFILE_LEN,
-               extra_demands: list[list[int]] | None = None) -> SimulationReport:
-    """Seeded random demand rounds (plus any explicit extra rounds)."""
+               extra_demands: list[list[int]] | None = None,
+               keep_round0: bool = False) -> SimulationReport:
+    """Seeded random demand rounds (plus any explicit extra rounds).
+
+    With keep_round0 the report keeps the packets of round 0, the first
+    demand vector of the seed's stream, as `simulate --trace` writes
+    them; with no random rounds that round is encoded for this alone.
+    """
     k = instance.params.users
     n = num_files if num_files is not None else k
     store = FileStore.random(n, instance.params.subpacketization, subfile_len, seed=seed)
-    vectors = []
     stream = demand_stream(seed, k, n)
-    for _ in range(trials):
-        vectors.append(next(stream))
+    vectors = [next(stream) for _ in range(trials)]
+    round0 = None
+    if keep_round0 and not trials:
+        round0 = run_round(instance, store, next(stream))
     if extra_demands:
         vectors.extend(extra_demands)
     per_user = [0] * k
@@ -472,6 +488,8 @@ def run_trials(instance: SchemeInstance, trials: int, seed: int,
         packets = run_round(instance, store, demands)
         if len(packets) != packet_count:
             raise InvariantError(f"run_trials: {len(packets)} packets, expected {packet_count}")
+        if keep_round0 and round0 is None:
+            round0 = packets
         for user, ok in enumerate(decode_round(instance, store, demands, packets)):
             if not ok:
                 failures += 1
@@ -483,6 +501,7 @@ def run_trials(instance: SchemeInstance, trials: int, seed: int,
         measured_rf=Fraction(packet_count, instance.params.subpacketization),
         failures=failures,
         per_user_failures=per_user,
+        round0=round0,
     )
 
 
@@ -491,7 +510,7 @@ def run_trials(instance: SchemeInstance, trials: int, seed: int,
 # ----------------------------------------------------------------------
 
 def _header(instance: SchemeInstance) -> dict:
-    """Every document field but the delivery cliques."""
+    """Every document field but the two integer arrays, subfiles and delivery."""
     p, n, modulus = instance.field_spec
     cp = instance.construction
     pr = instance.params
@@ -510,27 +529,84 @@ def _header(instance: SchemeInstance) -> dict:
         },
         "root": [list(row) for row in instance.root_rows],
         "users": [[list(row) for row in mat] for mat in instance.user_matrices],
-        "subfiles": [list(xs) for xs in instance.subfile_sets],
         "placement": [
             instance.placement.row_base64(u) for u in range(pr.users)
         ],
     }
 
 
-def _document(instance: SchemeInstance) -> dict:
-    return {
-        **_header(instance),
-        "delivery": [
-            [[int(u), int(x)] for u, x in zip(urow, xrow)]
-            for urow, xrow in zip(instance.delivery.users.tolist(),
-                                  instance.delivery.subfiles.tolist())
-        ],
-    }
+# Leading-axis rows that _json_ints renders at a time, so that its work
+# arrays take O(rows in a block) memory, not O(rows in the array).
+_RENDER_ROWS = 4096
+
+
+def _json_ints(a: np.ndarray) -> str:
+    """json.dumps(a.tolist(), separators=(",", ":")) for a non-negative
+    integer array of rank >= 1, rendered without building the lists.
+
+    Every leading-axis row is laid out as fixed-width ASCII: its template
+    of "[", "," and "]" bytes, with `width` digit bytes for each entry,
+    right-aligned, and a trailing "," that the last row ends with "]"
+    instead.  A keep mask drops the digit bytes in front of each entry's
+    leading digit, and one boolean index compresses a block of rows.
+    """
+    if a.ndim < 1 or a.dtype.kind not in "iu":
+        raise InvariantError(f"_json_ints: renders integer arrays of rank >= 1, "
+                             f"got {a.dtype} of shape {a.shape}")
+    if a.size and a.min() < 0:
+        raise InvariantError(f"_json_ints: entries are non-negative, found {a.min()}")
+    rows, inner = len(a), a.shape[1:]
+    if rows == 0:
+        return "[]"
+    top = int(a.max()) if a.size else 0
+    width = len(str(top))
+    template = np.frombuffer(json.dumps(np.zeros(inner, dtype=np.int64).tolist(),
+                                        separators=(",", ":")).encode() + b",",
+                             dtype=np.uint8)
+    is_entry = template == ord("0")
+    span = np.where(is_entry, width, 1)
+    at = np.cumsum(span) - span          # first byte of each template byte's text
+    row_len = int(span.sum())
+    punct_at, punct = at[~is_entry], template[~is_entry]
+    digit_at = (at[is_entry, None] + np.arange(width)).reshape(-1)
+    flat = a.reshape(rows, math.prod(inner))
+    dtype = np.uint32 if top < 2 ** 32 else np.uint64
+    chunks = ["["]
+    for lo in range(0, rows, _RENDER_ROWS):
+        v = flat[lo:lo + _RENDER_ROWS].astype(dtype)
+        text = np.empty((len(v), row_len), dtype=np.uint8)
+        keep = np.empty(text.shape, dtype=bool)
+        text[:, punct_at] = punct
+        keep[:, punct_at] = True
+        digits = np.empty(v.shape + (width,), dtype=np.uint8)
+        lead = np.ones(digits.shape, dtype=bool)  # digit j is kept if v >= 10^(width-1-j)
+        for j in range(width - 1, -1, -1):
+            tens = v // 10
+            digits[:, :, j] = v - tens * 10 + ord("0")
+            if j:
+                lead[:, :, j - 1] = tens != 0
+            v = tens
+        text[:, digit_at] = digits.reshape(len(text), -1)
+        keep[:, digit_at] = lead.reshape(len(text), -1)
+        if lo + len(text) == rows:
+            text[-1, -1] = ord("]")
+        chunks.append(text[keep].tobytes().decode("ascii"))
+    return "".join(chunks)
 
 
 def serialize(instance: SchemeInstance) -> str:
-    """Deterministic JSON rendering of the scheme (format "pgcache/1")."""
-    return json.dumps(_document(instance), sort_keys=True, separators=(",", ":"))
+    """Deterministic JSON rendering of the scheme (format "pgcache/1"):
+    json.dumps of the document with sorted keys and no spaces."""
+    plan = instance.delivery
+    fields = {key: json.dumps(value, sort_keys=True, separators=(",", ":"))
+              for key, value in _header(instance).items()}
+    fields["subfiles"] = _json_ints(instance.subfile_array)
+    fields["delivery"] = _json_ints(np.stack((plan.users, plan.subfiles), axis=-1))
+    parts = []
+    for key in sorted(fields):
+        parts += (",", json.dumps(key), ":", fields[key])
+    parts[0] = "{"
+    return "".join(parts + ["}"])
 
 
 def deserialize(text: str) -> SchemeInstance:
@@ -556,7 +632,7 @@ def deserialize(text: str) -> SchemeInstance:
     if missing:
         raise SchemaError(f"document lacks keys {sorted(missing)}")
     try:
-        cp = ConstructionParams(**doc["construction"])
+        cp = _stored_construction(doc)
         # Row counts first, so that a document cannot ask for a rebuild
         # far larger than itself.
         for key, rows in (("placement", cp.num_users), ("subfiles", cp.subpacketization)):
@@ -568,6 +644,7 @@ def deserialize(text: str) -> SchemeInstance:
         universe = build_universe(cp, max_vertices=None)
         instance = _scheme(cp, universe, build_placement(build_line_graph(universe)),
                            delivery)
+        same_subfiles = np.array_equal(np.asarray(doc["subfiles"]), universe.subfile_array)
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError, IndexError, OverflowError,
@@ -577,10 +654,35 @@ def deserialize(text: str) -> SchemeInstance:
         if doc[key] != value:
             raise SchemaError(f"stored {key} does not match the construction "
                               f"{doc['construction']}")
+    if not same_subfiles:
+        raise SchemaError(f"stored subfiles does not match the construction "
+                          f"{doc['construction']}")
     violation = delivery_violation(instance.delivery, instance.placement)
     if violation is not None:
         raise SchemaError(violation)
     return instance
+
+
+def _stored_construction(doc: dict) -> ConstructionParams:
+    """The stored construction, once its values are known to be integers
+    that the document's own row counts bound.
+
+    A valid document has t - 1 root rows and K placement rows, with
+    K = [k-t+1 choose 1]_q > q and K >= 2^(k-t).  Checking these bounds
+    first keeps the closed forms and the rebuild as cheap as the document.
+    """
+    stored = doc["construction"]
+    if not isinstance(stored, dict) or any(type(v) is not int for v in stored.values()):
+        raise SchemaError(f"stored construction {stored} must map k, m, t, q to integers")
+    users, root = len(doc["placement"]), len(doc["root"])
+    k, t, q = stored["k"], stored["t"], stored["q"]
+    if q >= users or k - t >= users.bit_length():
+        raise SchemaError(f"stored placement has {users} rows, too few for the "
+                          f"construction {stored}")
+    if t - 1 > root:
+        raise SchemaError(f"stored root has {root} rows, too few for the "
+                          f"construction {stored}")
+    return ConstructionParams(**stored)
 
 
 def _delivery_plan(rows, group_size: int) -> DeliveryPlan:

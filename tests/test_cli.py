@@ -1,5 +1,6 @@
 """Command-line behaviour: flags, exit codes, files, reproducibility."""
 
+import hashlib
 import json
 
 import pytest
@@ -77,6 +78,30 @@ def test_simulate_trace_is_reproducible(tmp_path, capsys):
     assert code1 == code2 == 0
     assert t1.read_bytes() == t2.read_bytes()
     assert t1.read_bytes()[:4] == b"PGCT"
+
+
+# sha256 of the traces the CLI wrote when it rebuilt the store and
+# re-encoded round 0 after the trials; reusing run_trials' round 0 must
+# not change a byte, with or without random rounds.
+@pytest.mark.parametrize("flags,digest", [
+    (["--trials", "2", "--seed", "4"],
+     "510223dcbf7c04c439e12157aaea7ba0805a0d5d1435398e98719c207ed75878"),
+    (["--trials", "0", "--seed", "4"],
+     "510223dcbf7c04c439e12157aaea7ba0805a0d5d1435398e98719c207ed75878"),
+    (["--trials", "0", "--seed", "5", "--fixed-demands"],
+     "e83879f8efe64529a40a3f2084de53c23cd0135957ae640a138af4c2aa1a43bc"),
+    (["--trials", "3", "--seed", "6", "--fixed-demands", "--files", "3",
+      "--subfile-len", "5"],
+     "ffd42f5431d9ae396e05fd18e142bad4084f70c479e468eeb794c48a9cb6066c"),
+])
+def test_simulate_trace_bytes_are_unchanged(tmp_path, capsys, flags, digest):
+    doc = tmp_path / "fano.json"
+    trace = tmp_path / "round0.trace"
+    run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2", "-o", str(doc))
+    code, out, _ = run(capsys, "simulate", str(doc), *flags, "--trace", str(trace))
+    assert code == 0
+    assert "(28 packets)" in out
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
 
 
 def test_construct_respects_cap(tmp_path, capsys):

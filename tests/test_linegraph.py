@@ -275,6 +275,12 @@ def test_invariants_are_checked_under_optimize():
         "    q_binomial(2, 1, 2.5)\n"
         "except lg.InvariantError as exc:\n"
         "    print(exc)\n"
+        "from fractions import Fraction\n"
+        "from pgcache.compare import ComparisonRow\n"
+        "try:\n"
+        "    ComparisonRow('bad', 2, Fraction(1, 2), 1, 5, Fraction(1))\n"
+        "except lg.InvariantError as exc:\n"
+        "    print(exc)\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -286,3 +292,4 @@ def test_invariants_are_checked_under_optimize():
                                   "closed form F = 20"), proc.stdout
     assert "q_binomial: [2 choose 1]_2.5 = 5.25/1.5 is not an integer" in proc.stdout, \
         proc.stdout
+    assert "ComparisonRow bad: K(1 - M/N) = 1 != gain * R = 5 * 1" in proc.stdout, proc.stdout

@@ -5,9 +5,12 @@ import hashlib
 import json
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pgcache import scheme as scheme_module
 from pgcache.linegraph import (
@@ -259,6 +262,7 @@ def test_serialize_roundtrip_byte_identical(fano):
     assert serialize(again) == text
     assert again.params == fano.params
     assert again.subfile_sets == fano.subfile_sets
+    assert isinstance(again.subfile_sets, tuple) and isinstance(again.subfile_sets[0], tuple)
     assert (again.placement.matrix == fano.placement.matrix).all()
     assert (again.delivery.users == fano.delivery.users).all()
 
@@ -368,6 +372,93 @@ def test_documents_are_byte_identical(kmtq, digest, length):
     assert (hashlib.sha256(text.encode("ascii")).hexdigest(), len(text)) == (digest, length)
 
 
+def test_near_cap_document_is_byte_identical():
+    """(4,2,1,4) has about 6.1M vertices, near the default cap; its
+    delivery plan spans hundreds of render blocks.  Recorded from the
+    nested-list writer."""
+    text = serialize(build_scheme(ConstructionParams(4, 2, 1, 4)))
+    assert (hashlib.sha256(text.encode("ascii")).hexdigest(), len(text)) == (
+        "7881a389613809cbf1ea29348a7be6ada5920b7495ac6835844f0c9f4b20f2e9", 71003330)
+
+
+# Zero and both sides of every digit-width boundary up to 10^12.
+_WIDTH_EDGES = [0] + [v for w in range(1, 13) for v in (10 ** w - 1, 10 ** w)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                                max_side=16),
+                    elements=st.one_of(st.sampled_from(_WIDTH_EDGES),
+                                       st.integers(0, 10 ** 12))),
+       block=st.sampled_from([1, 7, scheme_module._RENDER_ROWS]),
+       data=st.data())
+@example(a=np.array(_WIDTH_EDGES), block=7, data=None)
+@example(a=np.zeros((15, 1), dtype=np.int64), block=7, data=None)      # m = 0 subfiles
+@example(a=np.arange(60).reshape(15, 2, 2), block=7, data=None)        # m = 0 delivery
+@example(a=np.arange(60).reshape(15, 2, 2), block=1, data=None)
+def test_json_ints_matches_json_dumps(a, block, data):
+    with mock.patch.object(scheme_module, "_RENDER_ROWS", block):
+        assert scheme_module._json_ints(a) == json.dumps(a.tolist(), separators=(",", ":"))
+        if a.size and data is not None:
+            bad = a.copy()
+            bad.flat[data.draw(st.integers(0, a.size - 1))] = -data.draw(
+                st.integers(1, 10 ** 12))
+            with pytest.raises(InvariantError, match="non-negative"):
+                scheme_module._json_ints(bad)
+
+
+@pytest.mark.parametrize("a", [np.array([1.0, 2.0]), np.array([True]), np.array(5)],
+                         ids=["float", "bool", "rank-0"])
+def test_json_ints_refuses_what_it_cannot_render(a):
+    with pytest.raises(InvariantError, match="integer arrays of rank >= 1"):
+        scheme_module._json_ints(a)
+
+
+def _corrupt(text: str, data) -> str:
+    """The document text after one random kind of damage."""
+    kind = data.draw(st.sampled_from(["edit", "truncate", "entry", "clique"]))
+    if kind == "truncate":
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    if kind == "edit":
+        chars = list(text)
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(chars) - 1))
+            char = data.draw(st.one_of(st.sampled_from('0123456789[]{},:"-.e'),
+                                       st.characters(codec="ascii")))
+            how = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+            if how == "replace":
+                chars[at] = char
+            elif how == "insert":
+                chars.insert(at, char)
+            else:
+                del chars[at]
+        return "".join(chars)
+    doc = json.loads(text)
+    rows = doc["delivery"]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    duplicate = data.draw(st.booleans())
+    if kind == "clique":
+        target, at = rows, i
+    else:
+        target, at = rows[i], data.draw(st.integers(0, len(rows[i]) - 1))
+    if duplicate:
+        target.insert(data.draw(st.integers(0, len(target))), json.loads(json.dumps(target[at])))
+    else:
+        del target[at]
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupted_documents_are_refused_or_valid(fano, data):
+    corrupted = _corrupt(serialize(fano), data)
+    try:
+        loaded = deserialize(corrupted)
+    except SchemaError:
+        return
+    assert delivery_violation(loaded.delivery, loaded.placement) is None
+
+
 def _bad_delivery(fano, case):
     doc = json.loads(serialize(fano))
     rows = doc["delivery"]
@@ -437,6 +528,21 @@ def test_deserialize_refuses_a_rebuild_larger_than_the_document(fano):
     doc = json.loads(serialize(fano))
     doc["construction"] = {"k": 40, "m": 1, "t": 1, "q": 2}
     with pytest.raises(SchemaError, match="stored placement has 7 rows"):
+        deserialize(json.dumps(doc))
+
+
+@pytest.mark.parametrize("change,why", [
+    ({"t": 1.5}, "integers"),
+    ({"m": True}, "integers"),
+    ({"q": "2"}, "integers"),
+    ({"k": 10 ** 30}, "placement has 7 rows, too few"),      # 2^(10^30) users
+    ({"q": 2 ** 61 - 1}, "placement has 7 rows, too few"),   # a prime, slow to factor
+    ({"k": 10 ** 6 + 2, "t": 10 ** 6}, "root has 0 rows, too few"),
+])
+def test_deserialize_refuses_constructions_the_document_cannot_hold(fano, change, why):
+    doc = json.loads(serialize(fano))
+    doc["construction"].update(change)
+    with pytest.raises(SchemaError, match=why):
         deserialize(json.dumps(doc))
 
 
