@@ -90,7 +90,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    with open(args.scheme, "r", encoding="ascii") as fh:
+    with open(args.scheme, "rb") as fh:
         instance = deserialize(fh.read())
     extra = None
     if args.fixed_demands:

@@ -11,9 +11,10 @@ irreducible with the smallest base-p integer encoding, so GF(4) always
 uses x^2 + x + 1 and serialized data built on a field is reproducible
 across runs.
 
-Multiplication and inversion run on precomputed log/antilog tables; a
-generator of the multiplicative group is found once by exhaustive order
-search when the field is built.  Fields up to 2^16 elements are allowed.
+Multiplication and inversion run on precomputed log/antilog tables.  The
+generator behind them is the least element whose powers by (q-1)/r, for
+the prime factors r of q-1, are all not 1; it is found once when the
+field is built.  Fields up to 2^16 elements are allowed.
 """
 
 from __future__ import annotations
@@ -61,6 +62,21 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     if rest != 1:
         raise ValueError(f"{q} is not a prime power")
     return p, n
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -172,16 +188,25 @@ class GF:
             out = out * self.p + c
         return out
 
+    def _raw_pow(self, a: int, e: int) -> int:
+        """a^e by square-and-multiply on _raw_mul."""
+        out = 1
+        while e:
+            if e & 1:
+                out = self._raw_mul(out, a)
+            e >>= 1
+            if e:
+                a = self._raw_mul(a, a)
+        return out
+
     def _find_generator(self) -> int:
+        """The least g >= 2 of order q - 1 (1 for GF(2)): g^((q-1)/r) != 1
+        for every prime factor r of q - 1."""
         if self.q == 2:
             return 1
+        exponents = [(self.q - 1) // r for r in _prime_factors(self.q - 1)]
         for g in range(2, self.q):
-            val = g
-            order = 1
-            while val != 1:
-                val = self._raw_mul(val, g)
-                order += 1
-            if order == self.q - 1:
+            if all(self._raw_pow(g, e) != 1 for e in exponents):
                 return g
         raise RuntimeError("no generator found")  # unreachable for a true field
 

@@ -26,9 +26,10 @@ field spec, the canonical user matrices, subfile sets, base64 row bitmaps
 for the placement, and the delivery cliques; serialization is
 deterministic and round-trips byte for byte.  The two large integer
 fields, subfiles and delivery, are rendered as ASCII straight from their
-numpy arrays.  Loading rebuilds the construction, refuses any stored
-field that differs from the rebuilt one, and checks the stored delivery
-plan as above.
+numpy arrays, and loading reads them back from the text with numpy;
+only the rest goes through json.loads.  Loading rebuilds the
+construction, refuses any stored field that differs from the rebuilt
+one, and checks the stored delivery plan as above.
 """
 
 from __future__ import annotations
@@ -36,10 +37,12 @@ from __future__ import annotations
 import base64
 import json
 import math
+import re
+import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -540,9 +543,9 @@ def _header(instance: SchemeInstance) -> dict:
 _RENDER_ROWS = 4096
 
 
-def _json_ints(a: np.ndarray) -> str:
+def _json_int_blocks(a: np.ndarray) -> Iterator[bytes]:
     """json.dumps(a.tolist(), separators=(",", ":")) for a non-negative
-    integer array of rank >= 1, rendered without building the lists.
+    integer array of rank >= 1, as ASCII pieces, without building the lists.
 
     Every leading-axis row is laid out as fixed-width ASCII: its template
     of "[", "," and "]" bytes, with `width` digit bytes for each entry,
@@ -557,7 +560,8 @@ def _json_ints(a: np.ndarray) -> str:
         raise InvariantError(f"_json_ints: entries are non-negative, found {a.min()}")
     rows, inner = len(a), a.shape[1:]
     if rows == 0:
-        return "[]"
+        yield b"[]"
+        return
     top = int(a.max()) if a.size else 0
     width = len(str(top))
     template = np.frombuffer(json.dumps(np.zeros(inner, dtype=np.int64).tolist(),
@@ -571,7 +575,7 @@ def _json_ints(a: np.ndarray) -> str:
     digit_at = (at[is_entry, None] + np.arange(width)).reshape(-1)
     flat = a.reshape(rows, math.prod(inner))
     dtype = np.uint32 if top < 2 ** 32 else np.uint64
-    chunks = ["["]
+    yield b"["
     for lo in range(0, rows, _RENDER_ROWS):
         v = flat[lo:lo + _RENDER_ROWS].astype(dtype)
         text = np.empty((len(v), row_len), dtype=np.uint8)
@@ -590,8 +594,70 @@ def _json_ints(a: np.ndarray) -> str:
         keep[:, digit_at] = lead.reshape(len(text), -1)
         if lo + len(text) == rows:
             text[-1, -1] = ord("]")
-        chunks.append(text[keep].tobytes().decode("ascii"))
-    return "".join(chunks)
+        yield text[keep].tobytes()
+
+
+def _json_ints(a: np.ndarray) -> str:
+    """json.dumps(a.tolist(), separators=(",", ":")) for a non-negative
+    integer array of rank >= 1; see _json_int_blocks."""
+    return "".join(block.decode("ascii") for block in _json_int_blocks(a))
+
+
+_JSON_SPACE = b" \t\n\r"
+_APART = bytes.maketrans(b"[],", b"   ")  # for np.fromstring: brackets and commas to spaces
+_SPACED_SIGN = re.compile(rb"-[ \t\n\r]")
+
+
+def _parse_ints(text: bytes, inner: tuple[int, ...]) -> np.ndarray | None:
+    """The int64 array with rows of shape `inner` that _json_ints renders
+    as `text`, once JSON whitespace between tokens is removed; None if
+    `text` is anything else.  Negative entries are read too, written as
+    "-" right before the digits of the magnitude, as json.dumps does.
+
+    np.fromstring reads the entries with "[", "]" and "," turned into
+    spaces, and the count of "[" gives the rows.  The text is accepted
+    only if, without its whitespace, it is byte for byte the rendering of
+    the array read: a float, an exponent, a literal, a string, a leading
+    zero or a ragged row renders differently, and whitespace inside a
+    number reads as one entry too many.
+    """
+    spaced = text.translate(_APART)
+    if not spaced or spaced.isspace():
+        values = np.empty(0, dtype=np.int64)  # np.fromstring reads "  " as [0]
+    else:
+        try:
+            with warnings.catch_warnings():
+                # numpy < 2 warns and stops at text it cannot read; later
+                # versions raise ValueError.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                values = np.fromstring(spaced, dtype=np.int64, sep=" ")
+        except ValueError:
+            return None
+    if inner:
+        per_row = sum(math.prod(inner[:i]) for i in range(len(inner)))  # "[" per row
+        rows, extra = divmod(text.count(b"[") - 1, per_row)
+    else:
+        rows, extra = values.size, 0
+    if extra or rows < 0 or values.size != rows * math.prod(inner):
+        return None
+    a = values.reshape((rows,) + inner)
+    canonical = text
+    if any(space in text for space in _JSON_SPACE):  # memchr scans, faster than translate
+        canonical = text.translate(None, _JSON_SPACE)
+    magnitude = a
+    negative = np.count_nonzero(a < 0)
+    if negative:
+        # One "-" per negative entry, right before its digits; so no "-0".
+        if canonical.count(b"-") != negative or _SPACED_SIGN.search(text):
+            return None
+        canonical = canonical.replace(b"-", b"")
+        magnitude = np.abs(a).astype(np.uint64)  # |-2^63| wraps to 2^63 in uint64
+    at = 0
+    for block in _json_int_blocks(magnitude):
+        if not canonical.startswith(block, at):
+            return None
+        at += len(block)
+    return a if at == len(canonical) else None
 
 
 def serialize(instance: SchemeInstance) -> str:
@@ -609,17 +675,83 @@ def serialize(instance: SchemeInstance) -> str:
     return "".join(parts + ["}"])
 
 
-def deserialize(text: str) -> SchemeInstance:
+# The two integer arrays that deserialize reads with numpy (_parse_ints):
+# their values are cut out of the text before json.loads parses the rest.
+_ARRAY_FIELDS = ("delivery", "subfiles")
+_ARRAY_START = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*\[")
+_ARRAY_END = re.compile(rb'[ \t\n\r]*(,[ \t\n\r]*"|})')  # the next key, or the end
+
+
+def _cut_arrays(data: bytes) -> tuple[bytes, dict[str, bytes], list[tuple[int, int, str]]]:
+    """The document with the array value of each key of _ARRAY_FIELDS cut
+    out and replaced by NaN; those values, by key in text order; and the
+    cuts as (start, stop, key), in text order.
+
+    A value runs from its "[" to the last "]" before the next '"' or "}",
+    neither of which an integer array holds, and must be followed by the
+    next key or the end of the object; else json.loads parses it as it
+    stands, and deserialize refuses it.  NaN is no JSON value, so
+    json.loads hands each one to its parse_constant hook, which lets
+    deserialize tell that the stand-ins, and nothing else, sit at those
+    keys.
+    """
+    spans = []
+    for key in _ARRAY_FIELDS:
+        name = json.dumps(key).encode()
+        at = data.find(name)
+        match = _ARRAY_START.match(data, at + len(name)) if at >= 0 else None
+        if match:
+            start = match.end() - 1
+            ends = [i for i in (data.find(b'"', start), data.find(b"}", start)) if i >= 0]
+            stop = data.rfind(b"]", start, min(ends, default=len(data))) + 1
+            if stop and _ARRAY_END.match(data, stop):
+                spans.append((start, stop, key))
+    spans.sort()
+    pieces, arrays, end = [], {}, 0
+    for start, stop, key in spans:
+        pieces.append(data[end:start])
+        arrays[key] = data[start:stop]
+        end = stop
+    pieces.append(data[end:])
+    return b"NaN".join(pieces), arrays, spans
+
+
+def _offset_in_document(at: int, cuts: list[tuple[int, int, str]]) -> int:
+    """The offset in the document of offset `at` of the text with the cuts
+    replaced by NaN."""
+    for start, stop, _ in cuts:
+        if at <= start:
+            break
+        at += stop - start - len("NaN")
+    return at
+
+
+def deserialize(text: str | bytes) -> SchemeInstance:
     """Parse a scheme document; raises SchemaError on any malformation.
 
-    The scheme is rebuilt from the stored construction.  Every other
-    stored field must equal the rebuilt one, and the stored delivery plan
-    must pass `delivery_violation`.
+    The document must be ASCII.  Its subfiles and delivery are read
+    straight from the text (_parse_ints) and must be written as JSON
+    integers; json.loads parses the rest.  The scheme is rebuilt from
+    the stored construction.  Every other stored field must equal the
+    rebuilt one, and the stored delivery plan must pass
+    `delivery_violation`.
     """
+    if not text.isascii():
+        raise SchemaError("document is not ASCII")
+    header, arrays, cuts = _cut_arrays(text.encode("ascii") if isinstance(text, str) else text)
+    stand_ins = []
+
+    def stand_in(constant: str) -> object:
+        stand_ins.append(object())
+        return stand_ins[-1]
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(header, parse_constant=stand_in)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
+        raise SchemaError(f"not valid JSON: {exc.msg} at char "
+                          f"{_offset_in_document(exc.pos, cuts)}") from exc
+    except RecursionError as exc:
+        raise SchemaError("document is nested too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
     if doc.get("format") != FORMAT_VERSION:
@@ -631,20 +763,30 @@ def deserialize(text: str) -> SchemeInstance:
     missing = required - doc.keys()
     if missing:
         raise SchemaError(f"document lacks keys {sorted(missing)}")
+    if len(stand_ins) != len(arrays):
+        raise SchemaError("not valid JSON: NaN and Infinity are no JSON values")
+    cut = dict(zip(arrays, stand_ins))
+    for key in _ARRAY_FIELDS:
+        if key not in cut or doc[key] is not cut[key]:
+            raise SchemaError(f"stored {key} is not an array of JSON integers")
     try:
         cp = _stored_construction(doc)
+        subfiles = _stored_ints(arrays.pop("subfiles"), "subfiles", (cp.m + 1,))
         # Row counts first, so that a document cannot ask for a rebuild
         # far larger than itself.
-        for key, rows in (("placement", cp.num_users), ("subfiles", cp.subpacketization)):
-            if len(doc[key]) != rows:
-                raise SchemaError(f"stored {key} has {len(doc[key])} rows, the "
+        for key, stored, rows in (("placement", len(doc["placement"]), cp.num_users),
+                                  ("subfiles", len(subfiles), cp.subpacketization)):
+            if stored != rows:
+                raise SchemaError(f"stored {key} has {stored} rows, the "
                                   f"construction {doc['construction']} has {rows}")
-        # Popped, so the parsed delivery lists are freed before the rebuild.
-        delivery = _delivery_plan(doc.pop("delivery"), cp.m + 2)
+        pairs = _stored_ints(arrays.pop("delivery"), "delivery", (cp.m + 2, 2))
+        delivery = DeliveryPlan(users=np.ascontiguousarray(pairs[:, :, 0]),
+                                subfiles=np.ascontiguousarray(pairs[:, :, 1]))
+        del pairs
         universe = build_universe(cp, max_vertices=None)
         instance = _scheme(cp, universe, build_placement(build_line_graph(universe)),
                            delivery)
-        same_subfiles = np.array_equal(np.asarray(doc["subfiles"]), universe.subfile_array)
+        same_subfiles = np.array_equal(subfiles, universe.subfile_array)
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError, IndexError, OverflowError,
@@ -661,6 +803,14 @@ def deserialize(text: str) -> SchemeInstance:
     if violation is not None:
         raise SchemaError(violation)
     return instance
+
+
+def _stored_ints(value: bytes, key: str, inner: tuple[int, ...]) -> np.ndarray:
+    a = _parse_ints(value, inner)
+    if a is None:
+        raise SchemaError(f"stored {key} is not an array of rows of shape {inner} "
+                          f"written as JSON integers")
+    return a
 
 
 def _stored_construction(doc: dict) -> ConstructionParams:
@@ -683,19 +833,6 @@ def _stored_construction(doc: dict) -> ConstructionParams:
         raise SchemaError(f"stored root has {root} rows, too few for the "
                           f"construction {stored}")
     return ConstructionParams(**stored)
-
-
-def _delivery_plan(rows, group_size: int) -> DeliveryPlan:
-    """The delivery cliques of a document, checked here for shape only."""
-    if set(map(len, rows)) - {group_size}:
-        raise SchemaError("delivery clique size does not match group size")
-    entries = list(chain.from_iterable(rows))
-    if set(map(len, entries)) - {2}:
-        raise SchemaError("delivery entries must be [user, subfile] pairs")
-    pairs = np.fromiter(chain.from_iterable(entries), dtype=np.int64,
-                        count=2 * len(entries)).reshape(len(rows), group_size, 2)
-    return DeliveryPlan(users=np.ascontiguousarray(pairs[:, :, 0]),
-                        subfiles=np.ascontiguousarray(pairs[:, :, 1]))
 
 
 TRACE_MAGIC = b"PGCT"

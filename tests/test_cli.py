@@ -158,6 +158,23 @@ def test_simulate_rejects_a_vertex_in_no_clique(tmp_path, capsys):
     assert "in no delivery clique" in err
 
 
+def test_simulate_rejects_a_document_nested_too_deeply(tmp_path, capsys):
+    doc = tmp_path / "deep.json"
+    doc.write_text('{"format":"pgcache/1","root":' + "[" * 100000 + "]" * 100000 + "}")
+    code, _, err = run(capsys, "simulate", str(doc))
+    assert code == 5
+    assert "nested too deeply" in err
+
+
+def test_simulate_rejects_a_document_that_is_not_ascii(tmp_path, capsys):
+    doc = tmp_path / "fano.json"
+    run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2", "-o", str(doc))
+    doc.write_bytes(doc.read_bytes().replace(b"pgcache/1", "pgcache/1é".encode()))
+    code, _, err = run(capsys, "simulate", str(doc))
+    assert code == 5
+    assert "not ASCII" in err
+
+
 # ----------------------------------------------------------------------
 # bounds / tables / sweep
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Field arithmetic: exhaustive law checks for every order up to 64."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,35 @@ def test_rejects_bad_parameters():
         field(12)                 # not a prime power
     with pytest.raises(ZeroDivisionError):
         field(7).inv(0)
+
+
+# sha256 of repr(field(q)._exp), recorded when the generator was found by
+# walking each candidate's whole orbit: the generator and the log/antilog
+# tables must not change with the search.
+EXP_TABLE_DIGESTS = {
+    4: "421b667a818da865284c26b817fd582d2e4cbb871e149496fc672b2bcd1de5a9",
+    8: "5d9e4c5177d942bab8b49608896fd604a8527fb2455a5e9a4c2191a64307623e",
+    9: "9f246e97ae2a8206026e381bcf8a3ff1c0366c6a9196a839abc0ea5b87e9055d",
+    16: "ffb31c0f8432a5804db35279f94c7c1b3ae56e8bac1fa84290aa2ae426ac92e0",
+    25: "99252198fcca5e29d11c7980985f44e7b4699da31bcb1c02c32ad2af812fed11",
+    27: "a9a8f3457847dcf14ff9f2d7f784f3eab9b54b189d5bd7140012a3324fd4e73e",
+    32: "e62a9b1fc876839824fcfb60516357bfb26beae610807d874c26aa291743d957",
+    49: "d89f7e6621ba0fb776cbd979500c44412a8dfc9ee71a0a97622c6c4d3e559e9c",
+    64: "67c0017ff8f453253f3398a293eb3ac24ce23b77e7636220046ba54203106625",
+    81: "200d41ae1a08f1a12600fa11afb3d1f636181d42f1c34735442da97d52773255",
+    125: "c2f6e2ba3f667be9f6ab6fa81157adfdd262b378afe2b41d8e95650b6c393869",
+    128: "2608811f66df3a9b06813fbb253b5dc5394024af5bdbe4838d6bdb2d0990555f",
+    256: "4f57328f226aac2279b20bd04a69c29c3d81b440a48c3894ec7eedfacdf1cdee",
+}
+
+
+@pytest.mark.parametrize("q", sorted(EXP_TABLE_DIGESTS))
+def test_exp_tables_are_unchanged(q):
+    f = field(q)
+    assert hashlib.sha256(repr(f._exp).encode()).hexdigest() == EXP_TABLE_DIGESTS[q]
+    generator = f._exp[1]
+    assert f.element_order(generator) == q - 1
+    assert all(f.element_order(g) < q - 1 for g in range(2, generator))
 
 
 def test_larger_field_under_custom_limit():

@@ -370,6 +370,10 @@ def test_documents_are_byte_identical(kmtq, digest, length):
         warnings.simplefilter("ignore")  # m = 0 rows
         text = serialize(build_scheme(ConstructionParams(*kmtq)))
     assert (hashlib.sha256(text.encode("ascii")).hexdigest(), len(text)) == (digest, length)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert serialize(deserialize(text)) == text
+        assert serialize(deserialize(text.encode("ascii"))) == text
 
 
 def test_near_cap_document_is_byte_identical():
@@ -385,20 +389,30 @@ def test_near_cap_document_is_byte_identical():
 _WIDTH_EDGES = [0] + [v for w in range(1, 13) for v in (10 ** w - 1, 10 ** w)]
 
 
+_INT_ARRAYS = hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                                     max_side=16),
+                         elements=st.one_of(st.sampled_from(_WIDTH_EDGES),
+                                            st.integers(0, 10 ** 12)))
+
+
 @settings(max_examples=200, deadline=None)
-@given(a=hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
-                                                max_side=16),
-                    elements=st.one_of(st.sampled_from(_WIDTH_EDGES),
-                                       st.integers(0, 10 ** 12))),
-       block=st.sampled_from([1, 7, scheme_module._RENDER_ROWS]),
+@given(a=_INT_ARRAYS, block=st.sampled_from([1, 7, scheme_module._RENDER_ROWS]),
        data=st.data())
 @example(a=np.array(_WIDTH_EDGES), block=7, data=None)
 @example(a=np.zeros((15, 1), dtype=np.int64), block=7, data=None)      # m = 0 subfiles
 @example(a=np.arange(60).reshape(15, 2, 2), block=7, data=None)        # m = 0 delivery
 @example(a=np.arange(60).reshape(15, 2, 2), block=1, data=None)
+@example(a=np.zeros((0, 3, 2), dtype=np.int64), block=7, data=None)
+@example(a=np.zeros((4, 0, 2), dtype=np.int64), block=1, data=None)
 def test_json_ints_matches_json_dumps(a, block, data):
+    """_json_ints writes what json.dumps writes, and _parse_ints reads
+    that text back as the same array."""
     with mock.patch.object(scheme_module, "_RENDER_ROWS", block):
-        assert scheme_module._json_ints(a) == json.dumps(a.tolist(), separators=(",", ":"))
+        text = scheme_module._json_ints(a)
+        assert text == json.dumps(a.tolist(), separators=(",", ":"))
+        parsed = scheme_module._parse_ints(text.encode(), a.shape[1:])
+        assert parsed is not None and parsed.dtype == np.int64
+        assert parsed.shape == a.shape and (parsed == a).all()
         if a.size and data is not None:
             bad = a.copy()
             bad.flat[data.draw(st.integers(0, a.size - 1))] = -data.draw(
@@ -412,6 +426,38 @@ def test_json_ints_matches_json_dumps(a, block, data):
 def test_json_ints_refuses_what_it_cannot_render(a):
     with pytest.raises(InvariantError, match="integer arrays of rank >= 1"):
         scheme_module._json_ints(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_INT_ARRAYS, negate=st.data(),
+       layout=st.sampled_from([{}, {"indent": 1}, {"indent": "\t"},
+                               {"separators": (" ,", " :\n ")}]))
+def test_parse_ints_reads_json_dumps(a, negate, layout):
+    """Signed entries and any JSON whitespace between tokens read back."""
+    if a.size:
+        a.flat[negate.draw(st.integers(0, a.size - 1))] *= -1
+    parsed = scheme_module._parse_ints(json.dumps(a.tolist(), **layout).encode(),
+                                       a.shape[1:])
+    assert parsed is not None and parsed.shape == a.shape and (parsed == a).all()
+
+
+@pytest.mark.parametrize("text", [
+    b"[1,2,3.0]", b"[1,2,3e0]", b"[1,2,true]", b'[1,2,"3"]', b"[1,2,03]", b"[1,2 3]",
+    b"[1,2,+3]", b"[1,2,-0]", b"[-1,2,-0]", b"[1,2,- 3]", b"[1,2,--3]", b"[1,2,3,]", b"[1,,2,3]",
+    b"[1,2,3", b"1,2,3]", b"[1,2,3]]", b"[[1,2,3]]", b"[1,2,3\x0b]", b"[1,2,NaN]",
+    b"[1,2,99999999999999999999]", b"[1,2,-99999999999999999999]", b"", b"[ ]x",
+], ids=repr)
+def test_parse_ints_refuses_other_text(text):
+    assert scheme_module._parse_ints(text, ()) is None
+
+
+@pytest.mark.parametrize("text,inner", [
+    (b"[[1,2],[3]]", (2,)), (b"[[1,2],[3,4,5]]", (2,)), (b"[[1,2,3],[4]]", (2,)),
+    (b"[[[1,2],[3,4]],[[5,6]]]", (2, 2)), (b"[[1,2],[3,4]]", (2, 2)),
+    (b"[1,2,3,4]", (2,)), (b"[[],[]]", (1,)),
+])
+def test_parse_ints_refuses_ragged_rows(text, inner):
+    assert scheme_module._parse_ints(text, inner) is None
 
 
 def _corrupt(text: str, data) -> str:
@@ -498,6 +544,96 @@ def _bad_delivery(fano, case):
 def test_deserialize_rejects_bad_delivery_entries(fano, case, why):
     with pytest.raises(SchemaError, match=why):
         deserialize(_bad_delivery(fano, case))
+
+
+# Each token is not a JSON integer, yet a parser that casts or strips
+# whitespace reads it as the integer beside it; the document is written
+# with the token in place of an entry of that value where there is one.
+_NOT_JSON_INTEGERS = [("7.0", 7), ("1e1", 10), ("true", 1), ('"12"', 12), ("07", 7),
+                      ("1 2", 12)]
+
+
+def _entry_written_as(fano, key, token, value):
+    doc = json.loads(serialize(fano))
+    entries = np.asarray(doc[key])
+    hits = np.argwhere(entries == value)
+    at = hits[0] if len(hits) else (0,) * entries.ndim
+    row = doc[key]
+    for i in at[:-1]:
+        row = row[i]
+    row[at[-1]] = "@"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).replace('"@"', token)
+
+
+@pytest.mark.parametrize("key", ["delivery", "subfiles"])
+@pytest.mark.parametrize("token,value", _NOT_JSON_INTEGERS,
+                         ids=[token for token, _ in _NOT_JSON_INTEGERS])
+def test_deserialize_rejects_entries_that_are_not_json_integers(fano, key, token, value):
+    with pytest.raises(SchemaError, match=f"stored {key} is not an array"):
+        deserialize(_entry_written_as(fano, key, token, value))
+
+
+@pytest.mark.parametrize("key", ["delivery", "subfiles"])
+def test_deserialize_rejects_ragged_rows(fano, key):
+    doc = json.loads(serialize(fano))
+    doc[key][0].pop()
+    with pytest.raises(SchemaError, match=f"stored {key} is not an array"):
+        deserialize(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text,why", [
+    ("{\"format\":\"pgcache/1\",\"root\":" + "[" * 100000 + "]" * 100000 + "}",
+     "nested too deeply"),
+    ("{\"format\":\"pgcache/1\u00e9\"}", "not ASCII"),
+    (b"{\"format\":\"pgcache/1\xff\"}", "not ASCII"),
+])
+def test_deserialize_rejects_unparsable_text(text, why):
+    with pytest.raises(SchemaError, match=why):
+        deserialize(text)
+
+
+@pytest.mark.parametrize("key", ["construction", "field", "users"])
+def test_deserialize_reports_json_errors_where_they_stand(fano, key):
+    """Before, between and after the two fields read with numpy."""
+    bad = serialize(fano).replace(f'"{key}":', f'"{key}":x', 1)
+    with pytest.raises(SchemaError, match=f"at char {bad.index(':x') + 1}$"):
+        deserialize(bad)
+
+
+def test_deserialize_rejects_json_constants(fano):
+    text = serialize(fano)
+    with pytest.raises(SchemaError, match="NaN and Infinity"):
+        deserialize(text.replace('"format"', '"extra":NaN,"format"'))
+    with pytest.raises(SchemaError, match="stored delivery is not an array"):
+        deserialize(text.replace('"delivery"', '"\\"delivery":[],"delivery"'))
+
+
+def test_deserialize_parses_only_the_header_as_json(fano):
+    text = serialize(fano)
+    with mock.patch.object(scheme_module.json, "loads", wraps=json.loads) as loads:
+        deserialize(text)
+    assert loads.call_count == 1
+    (header,), _ = loads.call_args
+    assert b'"delivery":NaN' in header and b'"subfiles":NaN' in header
+
+
+@pytest.fixture(scope="module")
+def documents():
+    return {kmtq: serialize(build_scheme(ConstructionParams(*kmtq)))
+            for kmtq in [(3, 1, 1, 2), (4, 1, 1, 3)]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(kmtq=st.sampled_from([(3, 1, 1, 2), (4, 1, 1, 3)]), data=st.data(),
+       indent=st.sampled_from([None, 0, 1, "\t"]),
+       separators=st.sampled_from([None, (",", ":"), (", ", ": "), (" ,\n", "\r:\t")]))
+def test_rendered_documents_load_back_to_the_canonical_text(documents, kmtq, data,
+                                                             indent, separators):
+    text = documents[kmtq]
+    doc = json.loads(text)
+    doc = {key: doc[key] for key in data.draw(st.permutations(sorted(doc)))}
+    again = json.dumps(doc, indent=indent, separators=separators)
+    assert serialize(deserialize(again)) == text
 
 
 def _altered(fano, key):
