@@ -88,15 +88,9 @@ def bound_biregular(st: SystemTriple) -> int:
     the sum of the first K(1-M/N) terms.  Rejects non-bi-regular triples
     rather than rounding them.
     """
-    r = st.uncached_users  # raises when not bi-regular
-    if r < 1:
+    if st.uncached_users < 1:  # raises when not bi-regular
         raise ValueError("K(1-M/N) must be at least 1")
-    term = st.missing_per_user
-    total = term
-    for j in range(1, r):
-        term = _ceil_div(term * (r - j), st.users - j)
-        total += term
-    return total
+    return sum(biregular_bound_terms(st))
 
 
 def biregular_bound_terms(st: SystemTriple) -> list[int]:

@@ -25,11 +25,12 @@ A point is a normalized vector of GF(q)^n (first nonzero coordinate 1),
 held as one integer code in radix q with coordinate 0 most significant;
 ascending codes give the user order.  Independent point sets are
 enumerated level by level in numpy.  Every set carries a mask of the
-points in its span and, below the subfile level, the list of its span's
-vectors.  A point extends a set when it lies outside the span and after
-the set's last point, and np.nonzero over that candidate mask lists the
-next level already in lexicographic order.  The subfile level's span
-masks are the placement, and one more level gives the cliques.
+points outside its span and, below the subfile level, the list of its
+span's vectors.  A point extends a set when it lies outside the span and
+after the set's last point, and np.nonzero over that candidate mask
+lists the next level already in lexicographic order.  The subfile
+level's mask is the one read-only (F, K) table that the universe, the
+line graph and the placement share; one more level gives the cliques.
 """
 
 from __future__ import annotations
@@ -172,12 +173,12 @@ class _Points:
         return out
 
 
-def _extensions(sets: np.ndarray, in_span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _extensions(sets: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row, point) pairs where the point extends sets[row] to a larger
     independent set: outside its span and after its last point.  The
     pairs come in lexicographic order of the extended sets."""
-    after_last = np.arange(in_span.shape[1]) > sets[:, -1:]
-    return np.nonzero(after_last & ~in_span)
+    after_last = np.arange(outside.shape[1]) > sets[:, -1:]
+    return np.nonzero(after_last & outside)
 
 
 # ----------------------------------------------------------------------
@@ -190,16 +191,17 @@ class Universe:
 
     points holds the K point codes in user order.  subfile_array holds
     the F subfiles as ascending rows of point indices, in lexicographic
-    order, and span_mask[x, u] is set when point u lies in the span of
-    subfile x.  The subspace views (user_spaces, sum_spaces, members,
-    subfile_span) are derived on first use; members lists, per sum
-    space, the users whose space lies inside it.
+    order, and outside_mask[x, u] is set when point u lies outside the
+    span of subfile x; it is read-only, and also the line graph's vertex
+    mask and the placement.  The subspace views (user_spaces, sum_spaces,
+    members, subfile_span) are derived on first use; members lists, per
+    sum space, the users whose space lies inside it.
     """
 
     params: ConstructionParams
-    points: np.ndarray        # (K,) int64 codes
+    points: np.ndarray         # (K,) int64 codes
     subfile_array: np.ndarray  # (F, m+1) int64
-    span_mask: np.ndarray     # (F, K) bool
+    outside_mask: np.ndarray   # (F, K) bool, read-only
 
     @property
     def num_users(self) -> int:
@@ -235,10 +237,10 @@ class Universe:
     @cached_property
     def _spans(self) -> tuple[list[SubspaceBasis], list[tuple[int, ...]], list[int]]:
         """Sum spaces in canonical order, their members, and each subfile's
-        sum space; subfiles share a sum space exactly when their span
-        masks agree."""
+        sum space; subfiles share a sum space exactly when their masks
+        agree."""
         cp = self.params
-        _, first, inverse = np.unique(np.packbits(self.span_mask, axis=1), axis=0,
+        _, first, inverse = np.unique(np.packbits(self.outside_mask, axis=1), axis=0,
                                       return_index=True, return_inverse=True)
         bases = [
             canonicalize(cp.field, cp.k, [row for u in self.subfile_array[x].tolist()
@@ -248,7 +250,7 @@ class Universe:
         order = sorted(range(len(bases)), key=lambda i: bases[i].key())
         rank = np.empty(len(order), dtype=np.int64)
         rank[order] = np.arange(len(order))
-        members = [tuple(np.nonzero(self.span_mask[first[i]])[0].tolist()) for i in order]
+        members = [tuple(np.nonzero(~self.outside_mask[first[i]])[0].tolist()) for i in order]
         return [bases[i] for i in order], members, rank[inverse.reshape(-1)].tolist()
 
     @property
@@ -297,26 +299,24 @@ def build_universe(params: ConstructionParams, max_vertices: int | None = DEFAUL
 
     # Level 1: single points, each spanning itself and its multiples.
     sets = np.arange(k_users, dtype=np.int64)[:, None]
-    in_span = np.eye(k_users, dtype=bool)
+    outside = ~np.eye(k_users, dtype=bool)
     vectors = pts.multiples
     for level in range(1, cp.m + 1):
-        rows, new = _extensions(sets, in_span)
+        rows, new = _extensions(sets, outside)
         base = vectors[rows]                 # span vectors of the set being extended
         sets = np.column_stack((sets[rows], new))
-        in_span = in_span[rows]
+        outside = outside[rows]
         # The points gained are those of v + new over the old span's vectors v.
         gained = pts.point_of[pts.add(base, pts.multiples[new, 1:2])]
-        in_span[np.arange(len(rows))[:, None], gained] = True
+        outside[np.arange(len(rows))[:, None], gained] = False
         if level < cp.m:
             vectors = pts.add(base[:, :, None], pts.multiples[new][:, None, :]
                               ).reshape(len(rows), -1)
 
     _require(len(sets) == predicted_f, "build_universe",
              f"{len(sets)} independent (m+1)-sets, closed form F = {predicted_f}")
-    span_points = q_binomial(cp.m + 1, 1, cp.q)
-    _require((in_span.sum(axis=1) == span_points).all(), "build_universe",
-             f"every subfile spans {span_points} points")
-    return Universe(params=cp, points=pts.codes, subfile_array=sets, span_mask=in_span)
+    outside.flags.writeable = False
+    return Universe(params=cp, points=pts.codes, subfile_array=sets, outside_mask=outside)
 
 
 # ----------------------------------------------------------------------
@@ -326,7 +326,8 @@ def build_universe(params: ConstructionParams, max_vertices: int | None = DEFAUL
 @dataclass
 class CachingLineGraph:
     """Vertex set {(user, subfile): user's point outside the subfile's span}
-    as an F x K mask, with its user-clique and subfile-clique partitions."""
+    as an F x K mask, with its user-clique and subfile-clique partitions.
+    Built from a universe, vertex_mask is the universe's outside_mask."""
 
     universe: Universe
     vertex_mask: np.ndarray  # (F, K) bool; [x, u] set when (u, x) is a vertex
@@ -377,7 +378,7 @@ def build_line_graph(universe: Universe) -> CachingLineGraph:
         raise DegenerateConstructionError(
             "m + t = k leaves every subfile cached at every user: empty line graph"
         )
-    vertex_mask = ~universe.span_mask
+    vertex_mask = universe.outside_mask
     _require((vertex_mask.sum(axis=1) == clique_size).all(), "build_line_graph",
              f"every subfile clique has c = {clique_size} users")
     expected_d = cp.user_clique_size
@@ -445,7 +446,7 @@ def enumerate_transmission_cliques(graph: CachingLineGraph) -> DeliveryPlan:
     uni = graph.universe
     d = uni.params.m + 2
     subfiles = uni.subfile_array
-    rows, new = _extensions(subfiles, uni.span_mask)
+    rows, new = _extensions(subfiles, graph.vertex_mask)
     users = np.column_stack((subfiles[rows], new))
 
     weights = graph.num_users ** np.arange(d - 2, -1, -1, dtype=np.int64)
@@ -484,6 +485,33 @@ class LineGraphReport:
         )
 
 
+def _report(per_user: np.ndarray, num_subfile_cliques: int, num_users: int,
+            num_subfiles: int, repeats: list[str]) -> LineGraphReport:
+    """The report from the sizes of the non-empty user cliques, the count of
+    non-empty subfile cliques, and the (ii)/(iii) messages of repeats."""
+    violations: list[str] = []
+    sizes = np.unique(per_user).tolist()
+    if len(per_user) != num_users:
+        violations.append(
+            f"condition (i): {len(per_user)} user cliques, expected {num_users}"
+        )
+    if len(sizes) > 1:
+        violations.append(f"condition (i): unequal user clique sizes {sizes}")
+    violations += repeats
+    subfile_count_ok = num_subfile_cliques == num_subfiles
+    if not subfile_count_ok:
+        violations.append(
+            f"condition (iv): {num_subfile_cliques} subfile cliques, expected {num_subfiles}"
+        )
+    return LineGraphReport(
+        user_partition_ok=len(per_user) == num_users and len(sizes) == 1,
+        cross_degree_ok=not repeats,
+        subfile_clique_ok=not repeats,
+        subfile_count_ok=subfile_count_ok,
+        violations=violations,
+    )
+
+
 def verify_vertex_labels(labels, num_users: int, num_subfiles: int) -> LineGraphReport:
     """Check the caching-line-graph conditions on raw (user, subfile) labels.
 
@@ -497,17 +525,7 @@ def verify_vertex_labels(labels, num_users: int, num_subfiles: int) -> LineGraph
         labels = list(labels)
     pairs = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
     users, subs = pairs[:, 0], pairs[:, 1]
-    violations: list[str] = []
-
-    user_ids, per_user = np.unique(users, return_counts=True)
-    sizes = np.unique(per_user).tolist()
-    user_partition_ok = len(user_ids) == num_users and len(sizes) == 1
-    if len(user_ids) != num_users:
-        violations.append(
-            f"condition (i): {len(user_ids)} user cliques, expected {num_users}"
-        )
-    if len(sizes) > 1:
-        violations.append(f"condition (i): unequal user clique sizes {sizes}")
+    _, per_user = np.unique(users, return_counts=True)
 
     # Sorted (subfile, user) keys give the subfile cliques as runs.  (ii)
     # and (iii) fail on the same labels: a repeated (u, x) is a user
@@ -516,42 +534,32 @@ def verify_vertex_labels(labels, num_users: int, num_subfiles: int) -> LineGraph
     width = users.max(initial=0) - u_lo + 1
     keys = (subs - x_lo) * width + (users - u_lo)
     ordered = np.sort(keys)
-    sorted_subs = ordered // width
-    num_subfile_cliques = int(np.count_nonzero(np.diff(sorted_subs))) + bool(len(keys))
-    cross_degree_ok = subfile_clique_ok = bool((np.diff(ordered) != 0).all())
-    if not cross_degree_ok:
+    num_subfile_cliques = int(np.count_nonzero(np.diff(ordered // width))) + bool(len(keys))
+    repeats: list[str] = []
+    if not (np.diff(ordered) != 0).all():
         _, first, counts = np.unique(keys, return_index=True, return_counts=True)
         twice: dict[int, list[int]] = {}
         for i, times in sorted(zip(first[counts > 1].tolist(), counts[counts > 1].tolist())):
             lab = (int(users[i]), int(subs[i]))
             twice.setdefault(lab[1], []).append(lab[0])
-            violations.append(
+            repeats.append(
                 f"condition (ii): label {lab} occurs {times} times, so some vertex "
                 f"has two neighbours in one other user clique"
             )
         # (iii) lists subfile cliques in the order of their first label.
         for x in sorted(twice, key=lambda x: np.flatnonzero(subs == x)[0]):
-            violations.append(
+            repeats.append(
                 f"condition (iii): subfile clique {x} holds user "
                 f"{sorted(twice[x])} twice; it is not a clique"
             )
-
-    subfile_count_ok = num_subfile_cliques == num_subfiles
-    if not subfile_count_ok:
-        violations.append(
-            f"condition (iv): {num_subfile_cliques} subfile cliques, expected {num_subfiles}"
-        )
-
-    return LineGraphReport(
-        user_partition_ok=user_partition_ok,
-        cross_degree_ok=cross_degree_ok,
-        subfile_clique_ok=subfile_clique_ok,
-        subfile_count_ok=subfile_count_ok,
-        violations=violations,
-    )
+    return _report(per_user, num_subfile_cliques, num_users, num_subfiles, repeats)
 
 
 def verify_line_graph(graph: CachingLineGraph) -> LineGraphReport:
-    subs, users = np.nonzero(graph.vertex_mask)
-    return verify_vertex_labels(np.column_stack((users, subs)),
-                                graph.num_users, graph.subpacketization)
+    """`verify_vertex_labels` from the mask's row and column counts; a mask
+    holds no label twice, so (ii) and (iii) hold by construction."""
+    mask = graph.vertex_mask
+    per_user = np.count_nonzero(mask, axis=0)
+    num_subfile_cliques = int(np.count_nonzero(mask.any(axis=1)))
+    return _report(per_user[per_user > 0], num_subfile_cliques,
+                   graph.num_users, graph.subpacketization, [])

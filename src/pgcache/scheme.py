@@ -4,7 +4,8 @@ A scheme instance consists of exact parameters (users K, subpacketization
 F, per-user missing count D, per-subfile missing count c, delivery group
 size d, cached fraction M/N, rate R), a K x F placement bit matrix whose
 1 entries mark subfiles NOT cached at a user, and a delivery plan: the
-transmission cliques, one XOR packet per clique.
+transmission cliques, one XOR packet per clique.  The placement is a
+read-only view of the line graph's vertex mask, the universe's one table.
 
 A clique's d members (u_j, x_j) can all decode its packet only if each
 caches the others' subfiles: placement[u_j, x_j'] == 0 for j != j'.  That
@@ -143,9 +144,10 @@ def params_from(cp: ConstructionParams) -> SchemeParams:
 
 @dataclass
 class PlacementMap:
-    """K x F bit matrix; entry (k, f) = 1 means user k does NOT cache f."""
+    """K x F bit matrix; entry (k, f) = 1 means user k does NOT cache f.
+    From build_placement it is the transpose of the read-only vertex mask."""
 
-    matrix: np.ndarray  # uint8, shape (K, F)
+    matrix: np.ndarray  # bool (uint8 also works), shape (K, F)
 
     @property
     def num_users(self) -> int:
@@ -155,33 +157,21 @@ class PlacementMap:
     def num_subfiles(self) -> int:
         return self.matrix.shape[1]
 
-    def row_degrees(self) -> np.ndarray:
-        return self.matrix.sum(axis=1)
-
-    def col_degrees(self) -> np.ndarray:
-        return self.matrix.sum(axis=0)
-
-    def row_bitmask(self, user: int) -> int:
-        packed = np.packbits(self.matrix[user], bitorder="little").tobytes()
-        return int.from_bytes(packed, "little")
+    @cached_property
+    def _packed_rows(self) -> np.ndarray:
+        """Every row as little-endian bytes, packed in one pass; a row-major
+        copy packs faster than the column-major matrix."""
+        return np.packbits(np.ascontiguousarray(self.matrix), axis=1, bitorder="little")
 
     def row_base64(self, user: int) -> str:
-        packed = np.packbits(self.matrix[user], bitorder="little").tobytes()
-        return base64.b64encode(packed).decode("ascii")
+        return base64.b64encode(self._packed_rows[user]).decode("ascii")
 
 
 def build_placement(graph: CachingLineGraph) -> PlacementMap:
     """Placement bits straight off the line graph: 1 where a vertex exists,
-    i.e. where the user's point lies outside the subfile's span."""
-    placement = PlacementMap(
-        matrix=np.ascontiguousarray(graph.vertex_mask.T, dtype=np.uint8))
-    if not (placement.row_degrees() == graph.user_clique_size).all():
-        raise InvariantError(
-            f"build_placement: every row has D = {graph.user_clique_size} ones")
-    if not (placement.col_degrees() == graph.subfile_clique_size).all():
-        raise InvariantError(
-            f"build_placement: every column has c = {graph.subfile_clique_size} ones")
-    return placement
+    i.e. where the user's point lies outside the subfile's span: a view of
+    the vertex mask, whose counts build_line_graph checked."""
+    return PlacementMap(matrix=graph.vertex_mask.T)
 
 
 # ----------------------------------------------------------------------
@@ -198,6 +188,9 @@ def delivery_violation(plan: DeliveryPlan, placement: PlacementMap) -> str | Non
     users, subs = plan.users, plan.subfiles
     mat = placement.matrix
     k, f = mat.shape
+    # The mask in the order it is stored: flat[x * k + u] = mat[u, x], a
+    # view when mat is the transpose of a line graph's vertex mask.
+    flat = np.ravel(mat, order="F")
 
     def first_entry(where: np.ndarray) -> str:
         i, j = np.argwhere(where)[0]
@@ -206,24 +199,26 @@ def delivery_violation(plan: DeliveryPlan, placement: PlacementMap) -> str | Non
     outside = (users < 0) | (users >= k) | (subs < 0) | (subs >= f)
     if outside.any():
         return f"{first_entry(outside)} is outside {k} users x {f} subfiles"
-    not_vertex = mat[users, subs] != 1
+    offsets = subs * k
+    entries = offsets + users
+    not_vertex = flat[entries] != 1
     if not_vertex.any():
         return f"{first_entry(not_vertex)} is cached, not a vertex"
-    covered = np.zeros((k, f), dtype=bool)
-    covered[users, subs] = True
+    covered = np.zeros(f * k, dtype=bool)
+    covered[entries] = True
     if np.count_nonzero(covered) != users.size:
-        _, first = np.unique(users * f + subs, return_index=True)
+        _, first = np.unique(entries, return_index=True)
         again = np.ones(users.shape, dtype=bool)
         again.reshape(-1)[first] = False
         return f"{first_entry(again)} repeats an earlier entry"
-    if users.size != np.count_nonzero(mat):
-        u, x = np.argwhere((mat == 1) & ~covered)[0]
+    del entries
+    if users.size != np.count_nonzero(flat):
+        u, x = np.argwhere((mat == 1) & ~covered.reshape(f, k).T)[0]
         return f"vertex ({u}, {x}) is in no delivery clique"
-    flat, offsets = mat.reshape(-1), users * f
     for j in range(plan.group_size):
         # placement[u_j, x_j'] for the members j' of each clique: 1 at j' = j
         # (a vertex), 0 elsewhere (u_j caches the side information).
-        side = np.take(flat, offsets[:, j:j + 1] + subs)
+        side = np.take(flat, offsets + users[:, j:j + 1])
         if np.count_nonzero(side) != len(side):
             side[:, j] = 0
             i, other = np.argwhere(side)[0]
@@ -384,22 +379,16 @@ def _scheme(cp: ConstructionParams, universe: Universe, placement: PlacementMap,
 
 
 def build_scheme(cp: ConstructionParams,
-                 max_vertices: int | None = DEFAULT_VERTEX_CAP,
-                 validate: bool = True) -> SchemeInstance:
+                 max_vertices: int | None = DEFAULT_VERTEX_CAP) -> SchemeInstance:
     """Construct the full scheme for the parameters."""
     universe = build_universe(cp, max_vertices=max_vertices)
     graph = build_line_graph(universe)
-    if validate:
-        report = verify_line_graph(graph)
-        if not report.ok:
-            raise InvariantError(f"verify_line_graph: construction failed validation: "
-                                 f"{report.violations}")
+    report = verify_line_graph(graph)
+    if not report.ok:
+        raise InvariantError(f"verify_line_graph: construction failed validation: "
+                             f"{report.violations}")
     placement = build_placement(graph)
     instance = _scheme(cp, universe, placement, enumerate_transmission_cliques(graph))
-    params = instance.params
-    if (params.missing_per_user, params.missing_per_subfile) != (
-            graph.user_clique_size, graph.subfile_clique_size):
-        raise InvariantError("build_scheme: closed-form D and c match the line graph")
     violation = delivery_violation(instance.delivery, placement)
     if violation is not None:
         raise InvariantError(f"build_scheme: {violation}")
@@ -745,6 +734,9 @@ def deserialize(text: str | bytes) -> SchemeInstance:
         stand_ins.append(object())
         return stand_ins[-1]
 
+    nul = header.find(b"\x00")
+    if nul >= 0:  # no JSON text holds one, and json.loads would guess UTF-16/32
+        raise SchemaError(f"not valid JSON: NUL at char {_offset_in_document(nul, cuts)}")
     try:
         doc = json.loads(header, parse_constant=stand_in)
     except json.JSONDecodeError as exc:

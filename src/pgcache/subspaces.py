@@ -150,7 +150,7 @@ def contains(a: SubspaceBasis, b: SubspaceBasis) -> bool:
 # Enumeration
 # ----------------------------------------------------------------------
 
-def enumerate_rref(field: GF, width: int, dim: int) -> Iterator[tuple[Vector, ...]]:
+def _enumerate_rref(field: GF, width: int, dim: int) -> Iterator[tuple[Vector, ...]]:
     """All dim x width RREF matrices over the field, by pivot pattern."""
     if dim == 0:
         yield ()
@@ -190,7 +190,7 @@ def enumerate_superspaces(w: SubspaceBasis, dim: int) -> list[SubspaceBasis]:
     free_cols = [j for j in range(k) if j not in set(pivots)]
     quotient_dim = len(free_cols)
     out = []
-    for qmat in enumerate_rref(f, quotient_dim, dim - w.dim):
+    for qmat in _enumerate_rref(f, quotient_dim, dim - w.dim):
         lifted = []
         for qrow in qmat:
             row = [0] * k

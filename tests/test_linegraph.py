@@ -1,13 +1,16 @@
 """Line-graph construction: universes, cliques, covers, validators."""
 
+import dataclasses
 import os
 import subprocess
 import sys
 import warnings
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
 from pgcache.linegraph import (
@@ -164,6 +167,31 @@ def test_verify_flags_unequal_user_cliques():
     labels = list(g.vertex_labels())[:-1]        # drop one vertex
     report = verify_vertex_labels(labels, g.num_users, g.subpacketization)
     assert not report.user_partition_ok
+
+
+@lru_cache(maxsize=None)
+def graph_of(kmtq):
+    return build_line_graph(build_universe(ConstructionParams(*kmtq)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kmtq=st.sampled_from([(3, 1, 1, 2), (4, 1, 2, 2), (3, 1, 1, 3)]), data=st.data())
+def test_mask_report_matches_label_report(kmtq, data):
+    """verify_line_graph on a corrupted mask reports, field by field and
+    message by message, what verify_vertex_labels reports on its labels."""
+    g = graph_of(kmtq)
+    mask = g.vertex_mask.copy()   # the graph's own mask is read-only
+    f, k = mask.shape
+    cells = st.tuples(st.integers(0, f - 1), st.integers(0, k - 1))
+    for x, u in data.draw(st.lists(cells, max_size=20), label="flipped"):
+        mask[x, u] = not mask[x, u]
+    for x in data.draw(st.lists(st.integers(0, f - 1), max_size=2), label="cleared rows"):
+        mask[x] = False
+    for u in data.draw(st.lists(st.integers(0, k - 1), max_size=2), label="cleared columns"):
+        mask[:, u] = False
+    corrupted = dataclasses.replace(g, vertex_mask=mask)
+    expected = verify_vertex_labels(corrupted.vertex_labels(), g.num_users, g.subpacketization)
+    assert verify_line_graph(corrupted) == expected
 
 
 # ----------------------------------------------------------------------

@@ -100,8 +100,8 @@ def test_params_reject_empty_delivery():
 
 def test_fano_placement_regularity(fano):
     pl = fano.placement
-    assert (pl.row_degrees() == 12).all()
-    assert (pl.col_degrees() == 4).all()
+    assert (pl.matrix.sum(axis=1) == 12).all()
+    assert (pl.matrix.sum(axis=0) == 4).all()
     # each subfile is cached at K - c = 3 users
     assert ((pl.matrix == 0).sum(axis=0) == 3).all()
 
@@ -112,6 +112,15 @@ def test_placement_total_ones():
     assert int(pl.matrix.sum()) == g.vertex_count
 
 
+def test_one_read_only_table_backs_universe_graph_and_placement():
+    g = build_line_graph(build_universe(ConstructionParams(4, 1, 2, 2)))
+    tables = [g.universe.outside_mask, g.vertex_mask, build_placement(g).matrix]
+    assert all(np.shares_memory(tables[0], t) for t in tables[1:])
+    for t in tables:
+        with pytest.raises(ValueError):
+            t[0, 0] = not t[0, 0]
+
+
 def test_placement_bitmask_roundtrip(fano):
     pl = fano.placement
     for u in range(pl.num_users):
@@ -119,7 +128,6 @@ def test_placement_bitmask_roundtrip(fano):
         bits = np.unpackbits(raw, bitorder="little")
         assert (bits[:pl.num_subfiles] == pl.matrix[u]).all()
         assert not bits[pl.num_subfiles:].any()
-    assert pl.row_bitmask(0).bit_count() == 12
 
 
 # ----------------------------------------------------------------------
@@ -285,6 +293,15 @@ def test_deserialize_rejects_garbage(fano):
         deserialize("{\"format\": \"pgcache/1\"}")  # missing keys
     with pytest.raises(SchemaError):
         deserialize("[1, 2, 3]")
+
+
+def test_leading_nul_bytes_are_refused(fano):
+    """A NUL among the first bytes must not make the JSON parser read the
+    document as UTF-16 or UTF-32 and fail with UnicodeDecodeError."""
+    text = serialize(fano)
+    for at in range(4):
+        with pytest.raises(SchemaError):
+            deserialize(text[:at] + "\x00" + text[at + 1:])
 
 
 def test_packet_trace_roundtrip(fano):
