@@ -26,7 +26,8 @@ print("inverses in GF(7):", [field(7).inv(a) for a in range(1, 7)])
 
 f9 = field(9)
 print("GF(9) multiplication table corner:")
-print(f9.mul_table[:4, :4])
+for a in range(4):
+    print([f9.mul(a, b) for b in range(4)])
 
 # ----------------------------------------------------------------------
 # Subspaces: reduced-row-echelon bases are canonical names

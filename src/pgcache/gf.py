@@ -14,12 +14,15 @@ across runs.
 Multiplication and inversion run on precomputed log/antilog tables.  The
 generator behind them is the least element whose powers by (q-1)/r, for
 the prime factors r of q-1, are all not 1; it is found once when the
-field is built.  Fields up to 2^16 elements are allowed.
+field is built, and the antilog table is filled in O(log q) numpy steps
+(see GF._powers).  Fields up to 2^16 elements are allowed.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 DEFAULT_MAX_ORDER = 1 << 16
 
@@ -161,18 +164,11 @@ class GF:
         self.modulus = _find_modulus(p, n)
 
         # Antilog table of length 2(q-1) so mul never needs a reduction.
-        self._exp: list[int] = []
-        self._log: list[int] = [0] * q
-        g = self._find_generator()
-        val = 1
-        for i in range(q - 1):
-            self._exp.append(val)
-            self._log[val] = i
-            val = self._raw_mul(val, g)
-        self._exp.extend(self._exp)
-
-        self._add_table = None
-        self._mul_table = None
+        exp = self._powers(self._find_generator(), q - 1)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        self._exp: list[int] = exp.tolist() * 2
+        self._log: list[int] = log.tolist()
         self._log_exp_arrays = None
 
     # -- bootstrap arithmetic (table-free) ------------------------------
@@ -198,6 +194,21 @@ class GF:
             if e:
                 a = self._raw_mul(a, a)
         return out
+
+    def _powers(self, g: int, count: int) -> np.ndarray:
+        """g^0 .. g^(count-1), doubling the known prefix at each step:
+        exp[B:2B] = exp[:B] * g^B, and multiplying by g^B is a GF(p)-linear
+        map on base-p digit vectors, whose rows are the digits of x^i * g^B."""
+        p, n = self.p, self.n
+        weights = p ** np.arange(n, dtype=np.int64)
+        exp = np.ones(1, dtype=np.int64)
+        while len(exp) < count:
+            step = self._raw_mul(int(exp[-1]), g)
+            images = np.array([self._raw_mul(p ** i, step) for i in range(n)])
+            digits = exp[:count - len(exp), None] // weights % p
+            more = (digits @ (images[:, None] // weights % p)) % p @ weights
+            exp = np.concatenate((exp, more))
+        return exp
 
     def _find_generator(self) -> int:
         """The least g >= 2 of order q - 1 (1 for GF(2)): g^((q-1)/r) != 1
@@ -251,7 +262,6 @@ class GF:
 
     def mul_array(self, a, b):
         """Elementwise products of two broadcastable integer numpy arrays."""
-        import numpy as np
         if self._log_exp_arrays is None:
             self._log_exp_arrays = (np.array(self._log, dtype=np.int64),
                                     np.array(self._exp, dtype=np.int64))
@@ -282,41 +292,6 @@ class GF:
 
     def nonzero_elements(self) -> range:
         return range(1, self.q)
-
-    def element_order(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        order = 1
-        val = a
-        while val != 1:
-            val = self.mul(val, a)
-            order += 1
-        return order
-
-    # -- dense tables, handy for exhaustive law checks -------------------
-
-    @property
-    def add_table(self):
-        if self._add_table is None:
-            import numpy as np
-            t = np.zeros((self.q, self.q), dtype=np.int32)
-            for a in range(self.q):
-                for b in range(self.q):
-                    t[a, b] = self.add(a, b)
-            self._add_table = t
-        return self._add_table
-
-    @property
-    def mul_table(self):
-        if self._mul_table is None:
-            import numpy as np
-            t = np.zeros((self.q, self.q), dtype=np.int32)
-            for a in range(self.q):
-                for b in range(self.q):
-                    t[a, b] = self.mul(a, b)
-            self._mul_table = t
-        return self._mul_table
 
     # -- identity ---------------------------------------------------------
 

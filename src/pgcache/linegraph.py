@@ -35,6 +35,7 @@ line graph and the placement share; one more level gives the cliques.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -438,10 +439,14 @@ def enumerate_transmission_cliques(graph: CachingLineGraph) -> DeliveryPlan:
     """All independent (m+2)-sets of points, as cliques.
 
     Each set Y extends a subfile by one point outside its span, and
-    yields the clique {(u, Y minus u)}.  Each member's subfile is found by
-    binary search on the subfiles' radix-K keys.  That the cliques are
-    disjoint vertices covering the line graph is a property of the plan,
-    checked by `pgcache.scheme.delivery_violation`.
+    yields the clique {(u, Y minus u)}.  Each member's subfile is read from
+    subfile_of, a table indexed by the colex rank sum_i C(x_i, i+1) of an
+    ascending (m+1)-set x (the combinatorial number system), with -1
+    where the set is not a subfile.  The rank of Y minus its member j is
+    kept as one running column: member j-1 moves into position j-1 and
+    member j leaves it, so each member costs two gathers and a table read.
+    That the cliques are disjoint vertices covering the line graph is a
+    property of the plan, checked by `pgcache.scheme.delivery_violation`.
     """
     uni = graph.universe
     d = uni.params.m + 2
@@ -449,15 +454,22 @@ def enumerate_transmission_cliques(graph: CachingLineGraph) -> DeliveryPlan:
     rows, new = _extensions(subfiles, graph.vertex_mask)
     users = np.column_stack((subfiles[rows], new))
 
-    weights = graph.num_users ** np.arange(d - 2, -1, -1, dtype=np.int64)
-    keys = subfiles @ weights
+    # comb[i][x] = C(x, i): the rank term of point x in position i - 1.
+    comb = [np.array([math.comb(x, i) for x in range(graph.num_users)], dtype=np.int64)
+            for i in range(d)]
+    subfile_of = np.full(math.comb(graph.num_users, d - 1), -1, dtype=np.int64)
+    rank = sum(comb[i + 1][subfiles[:, i]] for i in range(d - 1))
+    subfile_of[rank] = np.arange(len(subfiles))
+
+    rank = sum(comb[i][users[:, i]] for i in range(1, d))  # Y minus member 0
     subs = np.empty_like(users)
-    for j in range(d):
-        rest = np.delete(users, j, axis=1) @ weights
-        found = np.minimum(np.searchsorted(keys, rest), len(keys) - 1)
-        _require((keys[found] == rest).all(), "enumerate_transmission_cliques",
-                 "every clique minus one member is a subfile")
-        subs[:, j] = found
+    subs[:, 0] = subfile_of[rank]
+    for j in range(1, d):
+        rank += comb[j][users[:, j - 1]]
+        rank -= comb[j][users[:, j]]
+        subs[:, j] = subfile_of[rank]
+    _require((subs >= 0).all(), "enumerate_transmission_cliques",
+             "every clique minus one member is a subfile")
     return DeliveryPlan(users=users, subfiles=subs)
 
 

@@ -237,10 +237,14 @@ class FileStore:
     @classmethod
     def random(cls, num_files: int, num_subfiles: int,
                subfile_len: int = DEFAULT_SUBFILE_LEN, seed: int = 0) -> "FileStore":
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 256, size=(num_files, num_subfiles, subfile_len),
-                            dtype=np.uint8)
-        return cls(data=data)
+        """The bytes of default_rng(seed).integers(0, 256, dtype=uint8), which
+        numpy takes from the little-endian bytes of the generator's 64-bit
+        outputs; drawn here as those outputs, eight bytes at a time."""
+        shape = (num_files, num_subfiles, subfile_len)
+        size = math.prod(shape)
+        words = np.random.default_rng(seed).integers(0, 2 ** 64, size=-(-size // 8),
+                                                     dtype="<u8")
+        return cls(data=words.view(np.uint8)[:size].reshape(shape))
 
     @classmethod
     def zeros(cls, num_files: int, num_subfiles: int,
@@ -536,11 +540,12 @@ def _json_int_blocks(a: np.ndarray) -> Iterator[bytes]:
     """json.dumps(a.tolist(), separators=(",", ":")) for a non-negative
     integer array of rank >= 1, as ASCII pieces, without building the lists.
 
-    Every leading-axis row is laid out as fixed-width ASCII: its template
-    of "[", "," and "]" bytes, with `width` digit bytes for each entry,
+    Every leading-axis row is laid out as fixed-width bytes: its template
+    of "[", "," and "]" bytes, with `width` digit slots for each entry,
     right-aligned, and a trailing "," that the last row ends with "]"
-    instead.  A keep mask drops the digit bytes in front of each entry's
-    leading digit, and one boolean index compresses a block of rows.
+    instead.  Each slot in front of an entry's leading digit is written as
+    NUL, which no JSON text holds, and dropping the NULs compresses a
+    block of rows.
     """
     if a.ndim < 1 or a.dtype.kind not in "iu":
         raise InvariantError(f"_json_ints: renders integer arrays of rank >= 1, "
@@ -553,37 +558,26 @@ def _json_int_blocks(a: np.ndarray) -> Iterator[bytes]:
         return
     top = int(a.max()) if a.size else 0
     width = len(str(top))
-    template = np.frombuffer(json.dumps(np.zeros(inner, dtype=np.int64).tolist(),
-                                        separators=(",", ":")).encode() + b",",
+    one_row = json.dumps(np.zeros(inner, dtype=np.int64).tolist(), separators=(",", ":"))
+    template = np.frombuffer(one_row.replace("0", "\0" * width).encode() + b",",
                              dtype=np.uint8)
-    is_entry = template == ord("0")
-    span = np.where(is_entry, width, 1)
-    at = np.cumsum(span) - span          # first byte of each template byte's text
-    row_len = int(span.sum())
-    punct_at, punct = at[~is_entry], template[~is_entry]
-    digit_at = (at[is_entry, None] + np.arange(width)).reshape(-1)
+    # ones_at[e] is the byte of entry e's last digit; its tens digit is one before.
+    ones_at = np.flatnonzero(template == 0)[width - 1::width]
     flat = a.reshape(rows, math.prod(inner))
     dtype = np.uint32 if top < 2 ** 32 else np.uint64
     yield b"["
     for lo in range(0, rows, _RENDER_ROWS):
         v = flat[lo:lo + _RENDER_ROWS].astype(dtype)
-        text = np.empty((len(v), row_len), dtype=np.uint8)
-        keep = np.empty(text.shape, dtype=bool)
-        text[:, punct_at] = punct
-        keep[:, punct_at] = True
-        digits = np.empty(v.shape + (width,), dtype=np.uint8)
-        lead = np.ones(digits.shape, dtype=bool)  # digit j is kept if v >= 10^(width-1-j)
-        for j in range(width - 1, -1, -1):
+        text = np.repeat(template[None], len(v), axis=0)
+        for j in range(width):
             tens = v // 10
-            digits[:, :, j] = v - tens * 10 + ord("0")
-            if j:
-                lead[:, :, j - 1] = tens != 0
+            digit = (v - tens * 10).astype(np.uint8)
+            # A digit is written once v is nonzero; a lone 0 is still "0".
+            text[:, ones_at - j] = digit + (v != 0) * np.uint8(48) if j else digit + 48
             v = tens
-        text[:, digit_at] = digits.reshape(len(text), -1)
-        keep[:, digit_at] = lead.reshape(len(text), -1)
         if lo + len(text) == rows:
             text[-1, -1] = ord("]")
-        yield text[keep].tobytes()
+        yield text[text != 0].tobytes()
 
 
 def _json_ints(a: np.ndarray) -> str:

@@ -22,6 +22,25 @@ def _prime_powers(limit):
 PRIME_POWERS_64 = _prime_powers(64)
 
 
+def add_table(f):
+    """The q x q addition table of f."""
+    return np.array([[f.add(a, b) for b in f.elements()] for a in f.elements()])
+
+
+def mul_table(f):
+    """The q x q multiplication table of f."""
+    return np.array([[f.mul(a, b) for b in f.elements()] for a in f.elements()])
+
+
+def element_order(f, a):
+    """Multiplicative order of a nonzero element of f."""
+    order, val = 1, a
+    while val != 1:
+        val = f.mul(val, a)
+        order += 1
+    return order
+
+
 def test_prime_power_list_is_the_expected_one():
     assert PRIME_POWERS_64 == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25,
                                27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
@@ -30,8 +49,8 @@ def test_prime_power_list_is_the_expected_one():
 @pytest.mark.parametrize("q", PRIME_POWERS_64)
 def test_field_laws_exhaustive(q):
     f = field(q)
-    add = f.add_table
-    mul = f.mul_table
+    add = add_table(f)
+    mul = mul_table(f)
     idx = np.arange(q)
     a = idx[:, None, None]
     b = idx[None, :, None]
@@ -57,11 +76,22 @@ def test_field_laws_exhaustive(q):
 @pytest.mark.parametrize("q", PRIME_POWERS_64)
 def test_multiplicative_group_order(q):
     f = field(q)
-    orders = [f.element_order(x) for x in range(1, q)]
+    orders = [element_order(f, x) for x in range(1, q)]
     assert all((q - 1) % o == 0 for o in orders)
     assert max(orders) == q - 1  # a generator exists
     for x in range(1, q):
         assert f.pow(x, q - 1) == 1
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_64)
+def test_antilog_table_is_the_generator_powers(q):
+    """The table is filled by doubling; one product per entry is the reference."""
+    f = field(q)
+    g, val = f._exp[1 % (q - 1)], 1
+    for i in range(q - 1):
+        assert f._exp[i] == f._exp[i + q - 1] == val
+        val = f._raw_mul(val, g)
+    assert val == 1
 
 
 def test_modulus_choices_are_deterministic():
@@ -107,7 +137,8 @@ def test_rejects_bad_parameters():
 
 # sha256 of repr(field(q)._exp), recorded when the generator was found by
 # walking each candidate's whole orbit: the generator and the log/antilog
-# tables must not change with the search.
+# tables must not change with the search.  65536 was recorded when the
+# table was still filled by one polynomial product per entry.
 EXP_TABLE_DIGESTS = {
     4: "421b667a818da865284c26b817fd582d2e4cbb871e149496fc672b2bcd1de5a9",
     8: "5d9e4c5177d942bab8b49608896fd604a8527fb2455a5e9a4c2191a64307623e",
@@ -122,6 +153,7 @@ EXP_TABLE_DIGESTS = {
     125: "c2f6e2ba3f667be9f6ab6fa81157adfdd262b378afe2b41d8e95650b6c393869",
     128: "2608811f66df3a9b06813fbb253b5dc5394024af5bdbe4838d6bdb2d0990555f",
     256: "4f57328f226aac2279b20bd04a69c29c3d81b440a48c3894ec7eedfacdf1cdee",
+    65536: "41a30f45d546b7885d2033e2af24f1cff3052e0428e57791b95684148427354e",
 }
 
 
@@ -130,8 +162,8 @@ def test_exp_tables_are_unchanged(q):
     f = field(q)
     assert hashlib.sha256(repr(f._exp).encode()).hexdigest() == EXP_TABLE_DIGESTS[q]
     generator = f._exp[1]
-    assert f.element_order(generator) == q - 1
-    assert all(f.element_order(g) < q - 1 for g in range(2, generator))
+    assert element_order(f, generator) == q - 1
+    assert all(element_order(f, g) < q - 1 for g in range(2, generator))
 
 
 def test_larger_field_under_custom_limit():

@@ -17,6 +17,7 @@ from pgcache.linegraph import (
     CapacityError,
     ConstructionParams,
     DegenerateConstructionError,
+    InvariantError,
     build_line_graph,
     build_universe,
     enumerate_transmission_cliques,
@@ -234,6 +235,20 @@ def test_fano_transmission_cover():
             for b in range(a + 1, 3):
                 assert is_compl_square_edge(g, members[a], members[b])
     assert len(seen) == g.vertex_count
+
+
+@pytest.mark.parametrize("drop", [-1, 10])
+def test_clique_lookup_refuses_a_missing_subfile(drop):
+    """Without one subfile row, some clique minus a member is no subfile."""
+    uni = build_universe(ConstructionParams(3, 1, 1, 2))
+    keep = np.arange(uni.subpacketization) != drop % uni.subpacketization
+    torn = dataclasses.replace(uni, subfile_array=uni.subfile_array[keep].copy(),
+                               outside_mask=uni.outside_mask[keep].copy())
+    graph = dataclasses.replace(build_line_graph(uni), universe=torn,
+                                vertex_mask=torn.outside_mask)
+    with pytest.raises(InvariantError, match="^enumerate_transmission_cliques: every "
+                                             "clique minus one member is a subfile$"):
+        enumerate_transmission_cliques(graph)
 
 
 def test_cover_counts_on_other_instances():

@@ -18,6 +18,7 @@ from pgcache.linegraph import (
     InvariantError,
     build_line_graph,
     build_universe,
+    enumerate_transmission_cliques,
 )
 from pgcache.scheme import (
     CodedPacket,
@@ -128,6 +129,16 @@ def test_placement_bitmask_roundtrip(fano):
         bits = np.unpackbits(raw, bitorder="little")
         assert (bits[:pl.num_subfiles] == pl.matrix[u]).all()
         assert not bits[pl.num_subfiles:].any()
+
+
+# (N, F, L) of 0, 1, 7, 9 and 323 bytes: not all whole 64-bit words.
+@pytest.mark.parametrize("shape", [(1, 1, 0), (1, 1, 1), (1, 7, 1), (3, 1, 3), (17, 19, 1)])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_random_store_is_numpy_uint8_draws(shape, seed):
+    want = np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8)
+    got = FileStore.random(*shape, seed=seed).data
+    assert got.dtype == np.uint8 and got.shape == shape
+    assert (got == want).all()
 
 
 # ----------------------------------------------------------------------
@@ -387,10 +398,39 @@ def test_documents_are_byte_identical(kmtq, digest, length):
         warnings.simplefilter("ignore")  # m = 0 rows
         text = serialize(build_scheme(ConstructionParams(*kmtq)))
     assert (hashlib.sha256(text.encode("ascii")).hexdigest(), len(text)) == (digest, length)
+    assert "\0" not in text  # the renderer's padding bytes are all dropped
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert serialize(deserialize(text)) == text
         assert serialize(deserialize(text.encode("ascii"))) == text
+
+
+def _subfiles_by_binary_search(graph, users):
+    """Each clique member's subfile, by binary search on the subfiles'
+    radix-K keys: the lookup the colex-rank table replaced."""
+    subfiles = graph.universe.subfile_array
+    weights = graph.num_users ** np.arange(subfiles.shape[1] - 1, -1, -1, dtype=np.int64)
+    keys = subfiles @ weights
+    found = []
+    for j in range(users.shape[1]):
+        rest = np.delete(users, j, axis=1) @ weights
+        at = np.minimum(np.searchsorted(keys, rest), len(keys) - 1)
+        assert (keys[at] == rest).all()
+        found.append(at)
+    return np.column_stack(found)
+
+
+@pytest.mark.parametrize("kmtq", [row[0] for row in DOCUMENT_LADDER
+                                  if row[0][1] == 0 or row[0][2] > 1],
+                         ids=lambda kmtq: ",".join(map(str, kmtq)))
+def test_clique_lookup_matches_binary_search(kmtq):
+    """m = 0 (pairs, one rank term) and t > 1 instances of the ladder."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # m = 0 rows
+        graph = build_line_graph(build_universe(ConstructionParams(*kmtq)))
+    plan = enumerate_transmission_cliques(graph)
+    assert plan.subfiles.dtype == np.int64
+    assert (plan.subfiles == _subfiles_by_binary_search(graph, plan.users)).all()
 
 
 def test_near_cap_document_is_byte_identical():
@@ -404,6 +444,23 @@ def test_near_cap_document_is_byte_identical():
 
 # Zero and both sides of every digit-width boundary up to 10^12.
 _WIDTH_EDGES = [0] + [v for w in range(1, 13) for v in (10 ** w - 1, 10 ** w)]
+
+
+# Entries whose digits hold zeros: inside, at the end, or both.
+_ZERO_DIGITS = [10, 100, 1005, 2 ** 32 - 1, 2 ** 32] + [
+    v for w in range(1, 13) for v in (10 ** w, 10 ** w + 1)]
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("value", _ZERO_DIGITS)
+def test_json_ints_keeps_inner_and_trailing_zeros(value, block):
+    """Each value as the widest entry and padded by wider ones."""
+    cases = [np.array([value]), np.array([[value, 0], [1, value], [value, 10]]),
+             np.array([[[value, 7]], [[0, 10 ** 12 + 10]]])]
+    with mock.patch.object(scheme_module, "_RENDER_ROWS", block):
+        for a in cases:
+            assert scheme_module._json_ints(a) == json.dumps(a.tolist(),
+                                                             separators=(",", ":"))
 
 
 _INT_ARRAYS = hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
