@@ -16,11 +16,13 @@ line graph, whenever a scheme is built or loaded.
 The in-memory simulator stores N files of F equal subfiles (numpy uint8
 payloads) and encodes a round as one (C, L) array whose row i is the XOR
 of clique i's members' demanded subfiles.  Decoding XORs all d member
-subfiles back into every packet at once.  Member j recovers the packet
-XOR the other members' subfiles, which differs from its own subfile by
-exactly the residual, the packet XOR all d subfiles.  So a user decodes
-its file exactly when every clique that contains it leaves a zero
-residual; its cached subfiles are exact by construction.
+subfiles back into every packet.  Both XOR a round in cache-sized blocks
+of cliques, each member's subfiles taken by one row gather from the
+store seen as N*F rows of L bytes.  Member j recovers the packet XOR the
+other members' subfiles, which differs from its own subfile by exactly
+the residual, the packet XOR all d subfiles.  So a user decodes its file
+exactly when every clique that contains it leaves a zero residual; its
+cached subfiles are exact by construction.
 
 Scheme documents serialize to JSON (format tag "pgcache/1") with the
 field spec, the canonical user matrices, subfile sets, base64 row bitmaps
@@ -295,14 +297,36 @@ def _demand_vector(plan: DeliveryPlan, store: FileStore, demands) -> np.ndarray:
         raise ValueError("demand vector shorter than the user count")
     if demands.size and (demands.min() < 0 or demands.max() >= store.num_files):
         raise ValueError("demand indexes a file outside the store")
+    # _xor_members reads the store as N*F rows, where a subfile past F
+    # would name a row of the next file.
+    if plan.num_cliques and (plan.subfiles.min() < 0
+                             or plan.subfiles.max() >= store.num_subfiles):
+        raise ValueError("delivery plan names a subfile outside the store")
     return demands
+
+
+# Cliques that _xor_members XORs at a time, so that a block's packets and
+# gathered subfiles stay in cache.
+_XOR_CLIQUES = 4096
 
 
 def _xor_members(acc: np.ndarray, plan: DeliveryPlan, store: FileStore,
                  demands: np.ndarray) -> None:
-    """XOR into acc[i] the demanded subfile of every member of clique i."""
-    for j in range(plan.group_size):
-        acc ^= store.data[demands[plan.users[:, j]], plan.subfiles[:, j]]
+    """XOR into acc[i] the demanded subfile of every member of clique i.
+
+    The store is read as N*F rows of L bytes, and a block of cliques takes
+    one row gather per member: np.take copies each row in one step, where
+    data[file, subfile] with two index arrays goes through numpy's
+    generic fancy-index iterator.
+    """
+    f, length = store.num_subfiles, store.subfile_len
+    rows = store.data.reshape(store.num_files * f, length)
+    for lo in range(0, plan.num_cliques, _XOR_CLIQUES):
+        hi = lo + _XOR_CLIQUES
+        at = demands[plan.users[lo:hi]] * f + plan.subfiles[lo:hi]
+        block = acc[lo:hi]
+        for j in range(plan.group_size):
+            block ^= np.take(rows, at[:, j], axis=0)
 
 
 def encode(plan: DeliveryPlan, store: FileStore, demands) -> Packets:
@@ -341,7 +365,8 @@ def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> l
     residual[ids] = packets.payloads
     _xor_members(residual, plan, store, demands)
     exact = np.ones(len(demands), dtype=bool)
-    exact[plan.users[residual.any(axis=1)]] = False
+    if residual.any():
+        exact[plan.users[residual.any(axis=1)]] = False
     return exact.tolist()
 
 
@@ -577,7 +602,7 @@ def _json_int_blocks(a: np.ndarray) -> Iterator[bytes]:
             v = tens
         if lo + len(text) == rows:
             text[-1, -1] = ord("]")
-        yield text[text != 0].tobytes()
+        yield text.tobytes().translate(None, b"\0")
 
 
 def _json_ints(a: np.ndarray) -> str:
@@ -845,10 +870,12 @@ def parse_packet_trace(blob: bytes) -> Packets:
         raise SchemaError("not a packet trace (bad magic)")
     count = int.from_bytes(blob[4:8], "little")
     length = int.from_bytes(blob[12:16], "little") if count else 0
-    record = _trace_record(length)
-    if len(blob) < 8 or len(blob) != 8 + count * record.itemsize:
+    # Sized before the record type, which numpy refuses for a length
+    # field near 2^32.
+    if len(blob) < 8 or len(blob) != 8 + count * (8 + length):
         raise SchemaError(f"packet trace of {len(blob)} bytes does not hold {count} "
                           f"packets of {length} bytes: truncated, or unequal payload lengths")
+    record = _trace_record(length)
     records = np.frombuffer(blob, dtype=record, count=count, offset=8)
     unequal = np.flatnonzero(records["len"] != length)
     if unequal.size:

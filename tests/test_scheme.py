@@ -3,6 +3,7 @@
 import base64
 import hashlib
 import json
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -229,6 +230,86 @@ def test_decode_rejects_payloads_of_another_length(fano):
         decode_round(fano, store, demands, short)
 
 
+def _xor_by_file_and_subfile(plan, store, demands):
+    """The packets as XOR-ed before the blocked row gathers: one gather
+    store.data[file, subfile] with two index arrays per member."""
+    demands = np.asarray(demands)
+    acc = np.zeros((plan.num_cliques, store.subfile_len), dtype=np.uint8)
+    for j in range(plan.group_size):
+        acc ^= store.data[demands[plan.users[:, j]], plan.subfiles[:, j]]
+    return acc
+
+
+@pytest.fixture(scope="module")
+def small_schemes(fano):
+    return {"3,1,1,2": fano, "4,1,1,3": build_scheme(ConstructionParams(4, 1, 1, 3))}
+
+
+@pytest.mark.parametrize("block", [1, 7, "default", "above C"])
+@pytest.mark.parametrize("length", [1, 5, 64])
+@pytest.mark.parametrize("name", ["3,1,1,2", "4,1,1,3"])
+def test_blocked_xor_matches_file_and_subfile_gathers(small_schemes, name, length, block,
+                                                      monkeypatch):
+    inst = small_schemes[name]
+    plan = inst.delivery
+    if block != "default":
+        monkeypatch.setattr(scheme_module, "_XOR_CLIQUES",
+                            plan.num_cliques + 1 if block == "above C" else block)
+    k, f = inst.params.users, inst.params.subpacketization
+    # More files than users, so that a row index mixing up files shows.
+    store = FileStore.random(k + 3, f, length, seed=length)
+    demands = next(demand_stream(length, k, k + 3))
+    packets = encode(plan, store, demands)
+    assert (packets.payloads == _xor_by_file_and_subfile(plan, store, demands)).all()
+    assert decode(plan, store, demands, packets) == [True] * k
+    # Clique 0 is in the first block; the last clique ends the last one,
+    # a partial block whenever the block size does not divide C.
+    for clique in (0, plan.num_cliques - 1):
+        bad = Packets(packets.ids, packets.payloads.copy())
+        bad.payloads[clique, length // 2] ^= 0x5A
+        results = decode(plan, store, demands, bad)
+        assert [u for u, ok in enumerate(results) if not ok] == sorted(plan.users[clique])
+
+
+def test_zero_length_subfiles_decode(fano):
+    store = FileStore.random(7, 21, subfile_len=0, seed=0)
+    packets = run_round(fano, store, [0] * 7)
+    assert packets.payloads.shape == (28, 0)
+    assert decode_round(fano, store, [0] * 7, packets) == [True] * 7
+
+
+def test_encode_refuses_subfiles_outside_the_store(fano):
+    # The store is read as N*F rows, so subfile F would be a row of the next file.
+    store = FileStore.random(7, 20, subfile_len=4, seed=0)
+    packets = Packets(np.arange(28), np.zeros((28, 4), dtype=np.uint8))
+    with pytest.raises(ValueError, match="subfile outside the store"):
+        encode(fano.delivery, store, [0] * 7)
+    with pytest.raises(ValueError, match="subfile outside the store"):
+        decode(fano.delivery, store, [0] * 7, packets)
+
+
+def test_encode_and_decode_peak_near_one_packet_array():
+    """Neither step holds a second (C, L) array: each tracemalloc peak is
+    the C x L payload or residual array plus block-sized temporaries."""
+    inst = build_scheme(ConstructionParams(6, 3, 2, 2))
+    k, f, length = inst.params.users, inst.params.subpacketization, 64
+    store = FileStore.random(k, f, length, seed=0)
+    demands = next(demand_stream(0, k, k))
+    budget = inst.delivery.num_cliques * length + 2 * 2 ** 20
+    tracemalloc.start()
+    try:
+        packets = encode(inst.delivery, store, demands)
+        encode_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert all(decode(inst.delivery, store, demands, packets))
+        decode_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert encode_peak <= budget
+    assert decode_peak <= budget
+
+
 def test_rate_identity_across_instances():
     for cp in [FANO, ConstructionParams(4, 1, 2, 2), ConstructionParams(5, 2, 2, 2)]:
         inst = build_scheme(cp)
@@ -337,6 +418,68 @@ def test_packet_trace_roundtrip(fano):
                   + (1).to_bytes(4, "little") + (2).to_bytes(4, "little") + bytes(6))
     with pytest.raises(SchemaError, match="packet 1 has 2 payload bytes"):
         parse_packet_trace(equal_size)
+    # numpy cannot make a record type this long; the size check comes first.
+    huge = blob[:12] + (2 ** 32 - 1).to_bytes(4, "little") + blob[16:]
+    with pytest.raises(SchemaError, match="does not hold 28 packets"):
+        parse_packet_trace(huge)
+
+
+def _corrupt_trace(blob: bytes, length: int, data) -> bytes:
+    """The trace after one to three random kinds of damage: byte edits in
+    a clique id, a length field or a payload, a cut, appended bytes, or
+    another packet count."""
+    record = 8 + length
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["id", "len", "payload", "truncate", "append",
+                                          "count"]))
+        records = max(0, (len(blob) - 8) // record)
+        if kind in ("id", "len", "payload") and records:
+            lo, hi = {"id": (0, 4), "len": (4, 8), "payload": (8, record)}[kind]
+            at = 8 + data.draw(st.integers(0, records - 1)) * record \
+                + data.draw(st.integers(lo, hi - 1))
+            edited = bytearray(blob)
+            edited[at] ^= data.draw(st.integers(1, 255))
+            blob = bytes(edited)
+        elif kind == "truncate":
+            blob = blob[:data.draw(st.integers(0, max(0, len(blob) - 1)))]
+        elif kind == "append":
+            blob += data.draw(st.binary(min_size=1, max_size=2 * record))
+        elif kind == "count":
+            count = data.draw(st.one_of(st.integers(0, 2 * records + 2),
+                                        st.integers(0, 2 ** 32 - 1)))
+            blob = blob[:4] + count.to_bytes(4, "little") + blob[8:]
+    return blob
+
+
+def _received(blob: bytes) -> dict[int, bytes]:
+    """The payload that each clique id of a trace gets, read with the
+    header's count and packet 0's length: the last packet naming it."""
+    count = int.from_bytes(blob[4:8], "little")
+    length = int.from_bytes(blob[12:16], "little")
+    received = {}
+    for r in range(count):
+        at = 8 + r * (8 + length)
+        received[int.from_bytes(blob[at:at + 4], "little")] = blob[at + 8:at + 8 + length]
+    return received
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupted_traces_are_refused_or_fail_exactly_their_cliques(fano, data):
+    k, f, length = 7, 21, 16
+    store = FileStore.random(k, f, length, seed=0)
+    demands = next(demand_stream(0, k, k))
+    packets = run_round(fano, store, demands)
+    sent = [row.tobytes() for row in packets.payloads]
+    blob = _corrupt_trace(packet_trace_bytes(packets), length, data)
+    try:
+        results = decode_round(fano, store, demands, parse_packet_trace(blob))
+    except (SchemaError, DecodeError):
+        return
+    received = _received(blob)
+    changed = [i for i, payload in enumerate(sent) if received[i] != payload]
+    wrong = set(fano.delivery.users[changed].ravel().tolist())
+    assert results == [u not in wrong for u in range(k)]
 
 
 # Round 0 of seed 0, recorded before packets became one batch.
