@@ -15,14 +15,16 @@ line graph, whenever a scheme is built or loaded.
 
 The in-memory simulator stores N files of F equal subfiles (numpy uint8
 payloads) and encodes a round as one (C, L) array whose row i is the XOR
-of clique i's members' demanded subfiles.  Decoding XORs all d member
-subfiles back into every packet.  Both XOR a round in cache-sized blocks
-of cliques, each member's subfiles taken by one row gather from the
-store seen as N*F rows of L bytes.  Member j recovers the packet XOR the
-other members' subfiles, which differs from its own subfile by exactly
-the residual, the packet XOR all d subfiles.  So a user decodes its file
-exactly when every clique that contains it leaves a zero residual; its
-cached subfiles are exact by construction.
+of clique i's members' demanded subfiles.  Both encode and decode make
+one pass over the plan in cache-sized blocks of cliques, range-checking
+each block's users and subfiles and taking each member's subfiles by one
+row gather from the store seen as N*F rows of L bytes.  Decoding takes a
+block's packets from the batch by clique id and XORs all d member
+subfiles back into them, so it keeps no (C, L) residual.  Member j
+recovers the packet XOR the other members' subfiles, which differs from
+its own subfile by exactly the residual, the packet XOR all d subfiles.
+So a user decodes its file exactly when every clique that contains it
+leaves a zero residual; its cached subfiles are exact by construction.
 
 Scheme documents serialize to JSON (format tag "pgcache/1") with the
 field spec, the canonical user matrices, subfile sets, base64 row bitmaps
@@ -289,51 +291,65 @@ class Packets:
         return CodedPacket(int(self.ids[i]), self.payloads[i])
 
 
-def _demand_vector(plan: DeliveryPlan, store: FileStore, demands) -> np.ndarray:
+def _demand_vector(store: FileStore, demands) -> np.ndarray:
     demands = np.asarray(demands, dtype=np.int64)
     if demands.ndim != 1:
         raise ValueError("demands must be a flat sequence, one file per user")
-    if plan.num_cliques and int(plan.users.max()) >= len(demands):
-        raise ValueError("demand vector shorter than the user count")
     if demands.size and (demands.min() < 0 or demands.max() >= store.num_files):
         raise ValueError("demand indexes a file outside the store")
-    # _xor_members reads the store as N*F rows, where a subfile past F
-    # would name a row of the next file.
-    if plan.num_cliques and (plan.subfiles.min() < 0
-                             or plan.subfiles.max() >= store.num_subfiles):
-        raise ValueError("delivery plan names a subfile outside the store")
     return demands
 
 
-# Cliques that _xor_members XORs at a time, so that a block's packets and
-# gathered subfiles stay in cache.
+# Cliques that _member_rows hands out at a time, so that a block's packets
+# and gathered subfiles stay in cache.
 _XOR_CLIQUES = 4096
 
 
-def _xor_members(acc: np.ndarray, plan: DeliveryPlan, store: FileStore,
-                 demands: np.ndarray) -> None:
-    """XOR into acc[i] the demanded subfile of every member of clique i.
+def _member_rows(plan: DeliveryPlan, store: FileStore,
+                 demands: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """For each block of cliques, its slice of the plan and the (B, d) rows
+    demands[users] * F + subfiles of its members' demanded subfiles in the
+    store read as N*F rows of L bytes.
 
-    The store is read as N*F rows of L bytes, and a block of cliques takes
-    one row gather per member: np.take copies each row in one step, where
-    data[file, subfile] with two index arrays goes through numpy's
-    generic fancy-index iterator.
+    Each block's users and subfiles are range-checked while in cache: a
+    negative user would wrap to another user's demand, and a subfile past
+    F would name a row of the next file.
     """
-    f, length = store.num_subfiles, store.subfile_len
-    rows = store.data.reshape(store.num_files * f, length)
+    f = store.num_subfiles
     for lo in range(0, plan.num_cliques, _XOR_CLIQUES):
-        hi = lo + _XOR_CLIQUES
-        at = demands[plan.users[lo:hi]] * f + plan.subfiles[lo:hi]
-        block = acc[lo:hi]
-        for j in range(plan.group_size):
-            block ^= np.take(rows, at[:, j], axis=0)
+        block = slice(lo, lo + _XOR_CLIQUES)
+        users, subfiles = plan.users[block], plan.subfiles[block]
+        if users.min() < 0:
+            raise ValueError("delivery plan names a negative user")
+        if users.max() >= len(demands):
+            raise ValueError("demand vector shorter than the user count")
+        if subfiles.min() < 0 or subfiles.max() >= f:
+            raise ValueError("delivery plan names a subfile outside the store")
+        yield block, demands[users] * f + subfiles
+
+
+def _store_rows(store: FileStore) -> np.ndarray:
+    # reshape(-1, L) cannot infer the row count when L = 0.
+    return store.data.reshape(store.num_files * store.num_subfiles, store.subfile_len)
 
 
 def encode(plan: DeliveryPlan, store: FileStore, demands) -> Packets:
-    """One packet per clique: XOR over members (u, x) of subfile x of u's demand."""
-    demands = _demand_vector(plan, store, demands)
-    payloads = np.zeros((plan.num_cliques, store.subfile_len), dtype=np.uint8)
-    _xor_members(payloads, plan, store, demands)
+    """One packet per clique: XOR over members (u, x) of subfile x of u's demand.
+
+    Each block of cliques takes one row gather per member from the store
+    read as N*F rows: np.take copies each row in one step, where
+    data[file, subfile] with two index arrays goes through numpy's generic
+    fancy-index iterator.
+    """
+    demands = _demand_vector(store, demands)
+    rows = _store_rows(store)
+    payloads = np.empty((plan.num_cliques, store.subfile_len), dtype=np.uint8)
+    for block, at in _member_rows(plan, store, demands):
+        acc = payloads[block]
+        acc[...] = np.take(rows, at[:, 0], axis=0)
+        for j in range(1, plan.group_size):
+            acc ^= np.take(rows, at[:, j], axis=0)
+    at = None  # frees the last block's rows before the (C,) ids are allocated
     return Packets(ids=np.arange(plan.num_cliques, dtype=np.int64), payloads=payloads)
 
 
@@ -344,10 +360,13 @@ def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> l
     The plan must pass `delivery_violation`.  Then each clique's residual,
     its packet XOR all d members' subfiles, is what every member's
     recovered subfile differs by, so a user is exact when all its cliques
-    leave a zero residual.  Raises DecodeError when a packet names no
-    clique, a clique has no packet, or a payload has the wrong length.
+    leave a zero residual.  Each block of cliques takes its packets from
+    the batch by clique id, the last packet naming a clique winning, and
+    XORs its members' subfiles into them; no (C, L) residual is kept.
+    Raises DecodeError when a packet names no clique, a clique has no
+    packet, or a payload has the wrong length.
     """
-    demands = _demand_vector(plan, store, demands)
+    demands = _demand_vector(store, demands)
     num, length = plan.num_cliques, store.subfile_len
     ids = np.asarray(packets.ids, dtype=np.int64)
     bad = (ids < 0) | (ids >= num)
@@ -356,17 +375,21 @@ def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> l
     if packets.payloads.shape[1:] != (length,):
         raise DecodeError(f"packet payloads have shape {packets.payloads.shape[1:]}, "
                           f"subfiles are {length} bytes")
-    seen = np.zeros(num, dtype=bool)
-    seen[ids] = True
-    if not seen.all():
-        lost = np.flatnonzero(~seen)
+    packet_of = np.full(num, -1, dtype=np.int64)
+    packet_of[ids] = np.arange(len(ids), dtype=np.int64)
+    if num and packet_of.min() < 0:
+        lost = np.flatnonzero(packet_of < 0)
         raise DecodeError(f"no packet for clique {lost[:5].tolist()}")
-    residual = np.empty((num, length), dtype=np.uint8)
-    residual[ids] = packets.payloads
-    _xor_members(residual, plan, store, demands)
+    rows = _store_rows(store)
     exact = np.ones(len(demands), dtype=bool)
-    if residual.any():
-        exact[plan.users[residual.any(axis=1)]] = False
+    for block, at in _member_rows(plan, store, demands):
+        residual = np.take(packets.payloads, packet_of[block], axis=0)
+        # Payloads of another dtype are read as bytes, as a uint8 copy would.
+        residual = residual.astype(np.uint8, copy=False)
+        for j in range(plan.group_size):
+            residual ^= np.take(rows, at[:, j], axis=0)
+        if residual.any():
+            exact[plan.users[block][residual.any(axis=1)]] = False
     return exact.tolist()
 
 

@@ -3,9 +3,13 @@
 import base64
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -198,6 +202,35 @@ def test_decode_detects_corruption(fano):
     assert [u for u, ok in enumerate(results) if not ok] == sorted(fano.delivery.users[5])
 
 
+def test_decode_takes_packets_by_clique_id(fano):
+    """Packets may come in any order, and of two packets naming one clique
+    the later one is decoded."""
+    store = FileStore.random(7, 21, subfile_len=16, seed=9)
+    demands = [6, 0, 2, 2, 5, 1, 3]
+    packets = run_round(fano, store, demands)
+    order = np.random.default_rng(9).permutation(len(packets))
+    shuffled = Packets(packets.ids[order], packets.payloads[order])
+    assert decode_round(fano, store, demands, shuffled) == [True] * 7
+    ids = np.append(packets.ids, 5)
+    for corrupt, failed in [(5, []), (len(ids) - 1, sorted(fano.delivery.users[5]))]:
+        doubled = Packets(ids, np.vstack([packets.payloads, packets.payloads[5]]))
+        doubled.payloads[corrupt, 3] ^= 0x81
+        results = decode_round(fano, store, demands, doubled)
+        assert [u for u, ok in enumerate(results) if not ok] == failed
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_decode_reads_payloads_of_another_dtype_as_bytes(fano, dtype):
+    store = FileStore.random(7, 21, subfile_len=8, seed=2)
+    demands = [5, 5, 0, 1, 6, 2, 4]
+    packets = run_round(fano, store, demands)
+    wide = Packets(packets.ids, packets.payloads.astype(dtype))
+    assert decode_round(fano, store, demands, wide) == [True] * 7
+    wide.payloads[5, 0] = packets.payloads[5, 0] ^ 1
+    results = decode_round(fano, store, demands, wide)
+    assert [u for u, ok in enumerate(results) if not ok] == sorted(fano.delivery.users[5])
+
+
 def test_decode_missing_packet_errors(fano):
     store = FileStore.random(7, 21, subfile_len=16, seed=3)
     demands = [0] * 7
@@ -288,14 +321,56 @@ def test_encode_refuses_subfiles_outside_the_store(fano):
         decode(fano.delivery, store, [0] * 7, packets)
 
 
+def test_negative_users_are_refused():
+    # numpy would wrap user -1 to the demand of the last user.
+    plan = DeliveryPlan(users=np.array([[-1, 0]]), subfiles=np.array([[1, 0]]))
+    store = FileStore.random(2, 2, subfile_len=8)
+    packets = Packets(np.arange(1), np.zeros((1, 8), dtype=np.uint8))
+    with pytest.raises(ValueError, match="negative user"):
+        encode(plan, store, [1, 0])
+    with pytest.raises(ValueError, match="negative user"):
+        decode(plan, store, [1, 0], packets)
+
+
+def test_plan_guards_hold_under_optimize():
+    """The plan's range checks raise under -O, so they are not asserts."""
+    script = (
+        "import numpy as np\n"
+        "from pgcache.linegraph import ConstructionParams\n"
+        "from pgcache.scheme import DeliveryPlan, FileStore, Packets, build_scheme, decode, encode\n"
+        "fano = build_scheme(ConstructionParams(3, 1, 1, 2)).delivery\n"
+        "negative = DeliveryPlan(users=np.array([[-1, 0]]), subfiles=np.array([[1, 0]]))\n"
+        "cases = [(fano, FileStore.random(7, 20, 4), [0] * 7),\n"
+        "         (negative, FileStore.random(2, 2, 4), [1, 0])]\n"
+        "for plan, store, demands in cases:\n"
+        "    packets = Packets(np.arange(plan.num_cliques), np.zeros((plan.num_cliques, 4), 'u1'))\n"
+        "    for step in (lambda: encode(plan, store, demands),\n"
+        "                 lambda: decode(plan, store, demands, packets)):\n"
+        "        try:\n"
+        "            step()\n"
+        "        except ValueError as exc:\n"
+        "            print(exc)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["delivery plan names a subfile outside the store"] * 2 \
+        + ["delivery plan names a negative user"] * 2, proc.stdout
+
+
 def test_encode_and_decode_peak_near_one_packet_array():
-    """Neither step holds a second (C, L) array: each tracemalloc peak is
-    the C x L payload or residual array plus block-sized temporaries."""
+    """Encode holds one (C, L) payload array plus block-sized temporaries;
+    decode holds no (C, L) array at all, only two (C,) int64 index arrays
+    plus block-sized temporaries."""
     inst = build_scheme(ConstructionParams(6, 3, 2, 2))
     k, f, length = inst.params.users, inst.params.subpacketization, 64
     store = FileStore.random(k, f, length, seed=0)
     demands = next(demand_stream(0, k, k))
-    budget = inst.delivery.num_cliques * length + 2 * 2 ** 20
+    num = inst.delivery.num_cliques
+    budget = num * length + 2 * 2 ** 20
     tracemalloc.start()
     try:
         packets = encode(inst.delivery, store, demands)
@@ -307,7 +382,7 @@ def test_encode_and_decode_peak_near_one_packet_array():
     finally:
         tracemalloc.stop()
     assert encode_peak <= budget
-    assert decode_peak <= budget
+    assert decode_peak <= 16 * num + 2 * 2 ** 20
 
 
 def test_rate_identity_across_instances():
