@@ -96,12 +96,7 @@ def bound_biregular(st: SystemTriple) -> int:
 def biregular_bound_terms(st: SystemTriple) -> list[int]:
     """The individual nested-ceiling terms (len = K(1-M/N))."""
     r = st.uncached_users
-    term = st.missing_per_user
-    terms = [term]
-    for j in range(1, r):
-        term = _ceil_div(term * (r - j), st.users - j)
-        terms.append(term)
-    return terms
+    return _nested_ceiling(st.missing_per_user, r, st.users, r)
 
 
 def bound_pda(st: SystemTriple) -> int:
@@ -112,12 +107,15 @@ def bound_pda(st: SystemTriple) -> int:
     """
     big_d = st.missing_per_user
     big_f = st.subpacketization
-    term = _ceil_div(big_d * st.users, big_f)
-    total = term
-    for j in range(1, big_d):
-        term = _ceil_div(term * (big_d - j), big_f - j)
-        total += term
-    return total
+    return sum(_nested_ceiling(_ceil_div(big_d * st.users, big_f), big_d, big_f, big_d))
+
+
+def _nested_ceiling(first: int, top: int, bottom: int, count: int) -> list[int]:
+    """T_1 = first, T_{j+1} = ceil(T_j * (top - j) / (bottom - j)), up to T_count."""
+    terms = [first]
+    for j in range(1, count):
+        terms.append(_ceil_div(terms[-1] * (top - j), bottom - j))
+    return terms
 
 
 def bound_cutset(st: SystemTriple) -> Fraction:
@@ -152,24 +150,45 @@ class OrderingTrace:
         return sum(self.rhos)
 
 
-def _row_masks(matrix: np.ndarray, users: Sequence[int],
-               subfiles: Sequence[int] | None) -> dict[int, int]:
-    masks = {}
-    cols = None if subfiles is None else np.asarray(sorted(subfiles))
-    for u in users:
-        row = matrix[u] if cols is None else matrix[u][cols]
-        packed = np.packbits(row.astype(np.uint8), bitorder="little").tobytes()
-        masks[u] = int.from_bytes(packed, "little")
-    return masks
+class _OrderingWalk:
+    """The ordering bound's step on one placement, over the selected users
+    (`pool`, sorted) and subfiles.  The state is a bitmask of subfiles: in
+    "shared" mode those missing at every user so far, starting from all;
+    in "fresh" mode those missing at any user so far, starting from none.
+    """
 
+    def __init__(self, placement, users: Sequence[int] | None,
+                 subfiles: Sequence[int] | None, mode: str) -> None:
+        if mode not in ("shared", "fresh"):
+            raise ValueError(f"unknown mode {mode!r}")
+        matrix = placement.matrix if hasattr(placement, "matrix") else np.asarray(placement)
+        total_k, total_f = matrix.shape
+        self.pool = sorted(range(total_k) if users is None else users)
+        rows = matrix if subfiles is None else matrix[:, np.asarray(sorted(subfiles))]
+        packed = np.packbits(rows.astype(np.uint8), axis=1, bitorder="little")
+        self.masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        degrees = set(matrix.sum(axis=1).tolist())
+        if len(degrees) != 1:
+            raise ValueError("placement is not left-regular")
+        # floor of K(1-M/N)
+        self.n_prime = min(len(self.pool), total_k * int(degrees.pop()) // total_f)
+        self.shared = mode == "shared"
+        self.start = (1 << rows.shape[1]) - 1 if self.shared else 0
 
-def _n_prime(matrix: np.ndarray, num_selected_users: int) -> int:
-    total_k, total_f = matrix.shape
-    degrees = matrix.sum(axis=1)
-    if len(set(degrees.tolist())) != 1:
-        raise ValueError("placement is not left-regular")
-    ku = Fraction(int(total_k) * int(degrees[0]), int(total_f))
-    return min(num_selected_users, int(ku))  # floor of K(1-M/N)
+    def step(self, state: int, user: int) -> tuple[int, int]:
+        mask = self.masks[user]
+        if self.shared:
+            state &= mask
+            return state.bit_count(), state
+        return (mask & ~state).bit_count(), state | mask
+
+    def terms(self, ordering: Sequence[int]) -> list[int]:
+        state = self.start
+        out = []
+        for user in ordering:
+            term, state = self.step(state, user)
+            out.append(term)
+        return out
 
 
 def bound_generic_trace(placement, ordering: Sequence[int],
@@ -182,28 +201,14 @@ def bound_generic_trace(placement, ordering: Sequence[int],
     users (monotone intersections, matching the bi-regular recursion).
     mode "fresh": rho_j = subfiles seen at user j for the first time.
     """
-    matrix = placement.matrix if hasattr(placement, "matrix") else np.asarray(placement)
-    all_users = range(matrix.shape[0]) if users is None else users
+    walk = _OrderingWalk(placement, users, subfiles, mode)
     ordering = tuple(ordering)
     if len(set(ordering)) != len(ordering):
         raise ValueError("ordering repeats a user")
-    if not set(ordering) <= set(all_users):
+    if not set(ordering) <= set(walk.pool):
         raise ValueError("ordering contains users outside the selection")
-    if mode not in ("shared", "fresh"):
-        raise ValueError(f"unknown mode {mode!r}")
-    masks = _row_masks(matrix, ordering, subfiles)
-    n_prime = _n_prime(matrix, len(all_users))
-    rhos: list[int] = []
-    cur = None
-    seen = 0
-    for u in ordering[:n_prime]:
-        if mode == "shared":
-            cur = masks[u] if cur is None else (cur & masks[u])
-            rhos.append(cur.bit_count())
-        else:
-            rhos.append((masks[u] & ~seen).bit_count())
-            seen |= masks[u]
-    return OrderingTrace(ordering=ordering[:n_prime], rhos=rhos, n_prime=n_prime)
+    ordering = ordering[:walk.n_prime]
+    return OrderingTrace(ordering=ordering, rhos=walk.terms(ordering), n_prime=walk.n_prime)
 
 
 def bound_generic(placement, ordering: Sequence[int],
@@ -231,54 +236,22 @@ def bound_generic_max(placement,
     are in play, greedy max-intersection otherwise.  Ties break to the
     lexicographically least ordering in both cases.
     """
-    matrix = placement.matrix if hasattr(placement, "matrix") else np.asarray(placement)
-    pool = sorted(range(matrix.shape[0]) if users is None else users)
-    masks = _row_masks(matrix, pool, subfiles)
-    n_prime = _n_prime(matrix, len(pool))
-
-    if len(pool) <= exhaustive_limit:
-        best_val = -1
-        best_ord: tuple[int, ...] = ()
-        for perm in permutations(pool, n_prime):
-            cur = None
-            seen = 0
-            total = 0
-            for u in perm:
-                if mode == "shared":
-                    cur = masks[u] if cur is None else (cur & masks[u])
-                    total += cur.bit_count()
-                else:
-                    total += (masks[u] & ~seen).bit_count()
-                    seen |= masks[u]
-            if total > best_val:
-                best_val = total
-                best_ord = perm
-        return OrderingSearchResult(best_val, best_ord, exhaustive=True)
+    walk = _OrderingWalk(placement, users, subfiles, mode)
+    if len(walk.pool) <= exhaustive_limit:
+        # permutations of the sorted pool come in lexicographic order, and
+        # max keeps the first maximum
+        best = max(permutations(walk.pool, walk.n_prime), key=lambda o: sum(walk.terms(o)))
+        return OrderingSearchResult(sum(walk.terms(best)), best, exhaustive=True)
 
     chosen: list[int] = []
-    remaining = list(pool)
-    cur = None
-    seen = 0
-    total = 0
-    for _ in range(n_prime):
-        best_u = None
-        best_gain = -1
-        for u in remaining:
-            if mode == "shared":
-                gain = (masks[u] if cur is None else (cur & masks[u])).bit_count()
-            else:
-                gain = (masks[u] & ~seen).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_u = u
-        chosen.append(best_u)
-        remaining.remove(best_u)
-        if mode == "shared":
-            cur = masks[best_u] if cur is None else (cur & masks[best_u])
-        else:
-            seen |= masks[best_u]
-        total += best_gain
-    return OrderingSearchResult(total, tuple(chosen), exhaustive=False)
+    remaining = list(walk.pool)
+    state = walk.start
+    for _ in range(walk.n_prime):
+        user = max(remaining, key=lambda u: walk.step(state, u)[0])
+        state = walk.step(state, user)[1]
+        chosen.append(user)
+        remaining.remove(user)
+    return OrderingSearchResult(sum(walk.terms(chosen)), tuple(chosen), exhaustive=False)
 
 
 # ----------------------------------------------------------------------

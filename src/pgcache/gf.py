@@ -290,9 +290,6 @@ class GF:
     def elements(self) -> range:
         return range(self.q)
 
-    def nonzero_elements(self) -> range:
-        return range(1, self.q)
-
     # -- identity ---------------------------------------------------------
 
     def __repr__(self) -> str:

@@ -363,15 +363,21 @@ def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> l
     leave a zero residual.  Each block of cliques takes its packets from
     the batch by clique id, the last packet naming a clique winning, and
     XORs its members' subfiles into them; no (C, L) residual is kept.
-    Raises DecodeError when a packet names no clique, a clique has no
-    packet, or a payload has the wrong length.
+    Raises DecodeError when a packet id is not an integer or names no
+    clique, a clique has no packet, or a payload is not bytes of the
+    subfile length.
     """
     demands = _demand_vector(store, demands)
     num, length = plan.num_cliques, store.subfile_len
-    ids = np.asarray(packets.ids, dtype=np.int64)
+    ids = np.asarray(packets.ids)
+    if ids.dtype.kind not in "iu":
+        raise DecodeError(f"packet clique ids are {ids.dtype}, not integers")
+    ids = ids.astype(np.int64, copy=False)
     bad = (ids < 0) | (ids >= num)
     if bad.any():
         raise DecodeError(f"packet clique id {int(ids[bad][0])} is outside [0, {num})")
+    if packets.payloads.dtype != np.uint8:
+        raise DecodeError(f"packet payloads are {packets.payloads.dtype}, not bytes")
     if packets.payloads.shape[1:] != (length,):
         raise DecodeError(f"packet payloads have shape {packets.payloads.shape[1:]}, "
                           f"subfiles are {length} bytes")
@@ -384,8 +390,6 @@ def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> l
     exact = np.ones(len(demands), dtype=bool)
     for block, at in _member_rows(plan, store, demands):
         residual = np.take(packets.payloads, packet_of[block], axis=0)
-        # Payloads of another dtype are read as bytes, as a uint8 copy would.
-        residual = residual.astype(np.uint8, copy=False)
         for j in range(plan.group_size):
             residual ^= np.take(rows, at[:, j], axis=0)
         if residual.any():
@@ -399,32 +403,26 @@ def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> l
 
 @dataclass
 class SchemeInstance:
-    """A fully realized scheme: parameters, placement and delivery plan."""
+    """A fully realized scheme: parameters, the universe it was built
+    from, placement and delivery plan."""
 
     construction: ConstructionParams
     params: SchemeParams
-    field_spec: tuple[int, int, tuple[int, ...]]  # (p, n, modulus coefficients)
-    root_rows: tuple[tuple[int, ...], ...]
-    user_matrices: tuple[tuple[tuple[int, ...], ...], ...]
-    subfile_array: np.ndarray  # (F, m+1) int64, ascending user indexes per row
+    universe: Universe
     placement: PlacementMap
     delivery: DeliveryPlan
 
     @cached_property
     def subfile_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.subfile_array.tolist()))
+        return tuple(map(tuple, self.universe.subfile_array.tolist()))
 
 
 def _scheme(cp: ConstructionParams, universe: Universe, placement: PlacementMap,
             delivery: DeliveryPlan) -> SchemeInstance:
-    f = cp.field
     return SchemeInstance(
         construction=cp,
         params=params_from(cp),
-        field_spec=(f.p, f.n, f.modulus),
-        root_rows=universe.root.rows,
-        user_matrices=universe.user_matrices,
-        subfile_array=universe.subfile_array,
+        universe=universe,
         placement=placement,
         delivery=delivery,
     )
@@ -555,13 +553,13 @@ def run_trials(instance: SchemeInstance, trials: int, seed: int,
 
 def _header(instance: SchemeInstance) -> dict:
     """Every document field but the two integer arrays, subfiles and delivery."""
-    p, n, modulus = instance.field_spec
     cp = instance.construction
+    f = cp.field
     pr = instance.params
     return {
         "format": FORMAT_VERSION,
         "construction": {"k": cp.k, "m": cp.m, "t": cp.t, "q": cp.q},
-        "field": {"p": p, "n": n, "modulus": list(modulus)},
+        "field": {"p": f.p, "n": f.n, "modulus": list(f.modulus)},
         "params": {
             "users": pr.users,
             "subpacketization": pr.subpacketization,
@@ -571,8 +569,8 @@ def _header(instance: SchemeInstance) -> dict:
             "cached_fraction": [pr.cached_fraction.numerator, pr.cached_fraction.denominator],
             "rate": [pr.rate.numerator, pr.rate.denominator],
         },
-        "root": [list(row) for row in instance.root_rows],
-        "users": [[list(row) for row in mat] for mat in instance.user_matrices],
+        "root": [list(row) for row in instance.universe.root.rows],
+        "users": [[list(row) for row in mat] for mat in instance.universe.user_matrices],
         "placement": [
             instance.placement.row_base64(u) for u in range(pr.users)
         ],
@@ -697,7 +695,7 @@ def serialize(instance: SchemeInstance) -> str:
     plan = instance.delivery
     fields = {key: json.dumps(value, sort_keys=True, separators=(",", ":"))
               for key, value in _header(instance).items()}
-    fields["subfiles"] = _json_ints(instance.subfile_array)
+    fields["subfiles"] = _json_ints(instance.universe.subfile_array)
     fields["delivery"] = _json_ints(np.stack((plan.users, plan.subfiles), axis=-1))
     parts = []
     for key in sorted(fields):

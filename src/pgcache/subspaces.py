@@ -94,11 +94,6 @@ class SubspaceBasis:
         """Flattened digit sequence; a total order on same-shape bases."""
         return (self.dim,) + tuple(x for row in self.rows for x in row)
 
-    def contains_vector(self, v: Vector) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector has wrong ambient dimension")
-        return not any(reduce_vector(self.field, v, self.rows))
-
     def vectors(self) -> Iterator[Vector]:
         """All q^dim vectors of the subspace (small dims only)."""
         f = self.field

@@ -1,8 +1,12 @@
 """Lower bounds: reference-table values, recursions, ordering bound."""
 
 from fractions import Fraction
+from itertools import permutations
+from math import gcd, perm
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as hst
 
 from pgcache.bounds import (
     SystemTriple,
@@ -124,6 +128,8 @@ def test_ordering_bound_edge_cases(fano_placement):
         bound_generic(fano_placement, [0, 1], users=[0, 2])
     with pytest.raises(ValueError):
         bound_generic(fano_placement, [0, 1], mode="sideways")
+    with pytest.raises(ValueError):
+        bound_generic_max(fano_placement, mode="sideways")
 
 
 def test_ordering_bound_truncates_at_n_prime(fano_placement):
@@ -193,3 +199,168 @@ def test_scheme_rf_exceeds_reference_bounds():
         assert rf_doubled >= bound_biregular(st)
         assert rf_doubled >= bound_pda(st)
         assert rf_doubled >= bound_cutset(st)
+
+
+# ----------------------------------------------------------------------
+# Reference: the ordering loops and nested ceilings as first written, one
+# loop per mode and per search, kept to check the shared walker against.
+# ----------------------------------------------------------------------
+
+def _ceil_div(a, b):
+    return -(-a // b)
+
+
+def _reference_biregular_terms(st):
+    r = st.uncached_users
+    term = st.missing_per_user
+    terms = [term]
+    for j in range(1, r):
+        term = _ceil_div(term * (r - j), st.users - j)
+        terms.append(term)
+    return terms
+
+
+def _reference_pda(st):
+    big_d = st.missing_per_user
+    big_f = st.subpacketization
+    term = _ceil_div(big_d * st.users, big_f)
+    total = term
+    for j in range(1, big_d):
+        term = _ceil_div(term * (big_d - j), big_f - j)
+        total += term
+    return total
+
+
+def _reference_masks(matrix, users, subfiles):
+    masks = {}
+    cols = None if subfiles is None else np.asarray(sorted(subfiles))
+    for u in users:
+        row = matrix[u] if cols is None else matrix[u][cols]
+        packed = np.packbits(row.astype(np.uint8), bitorder="little").tobytes()
+        masks[u] = int.from_bytes(packed, "little")
+    return masks
+
+
+def _reference_n_prime(matrix, num_selected_users):
+    total_k, total_f = matrix.shape
+    degrees = matrix.sum(axis=1)
+    if len(set(degrees.tolist())) != 1:
+        raise ValueError("placement is not left-regular")
+    ku = Fraction(int(total_k) * int(degrees[0]), int(total_f))
+    return min(num_selected_users, int(ku))
+
+
+def _reference_trace(matrix, ordering, users, subfiles, mode):
+    """(ordering, rhos, n_prime) of bound_generic_trace."""
+    all_users = range(matrix.shape[0]) if users is None else users
+    ordering = tuple(ordering)
+    masks = _reference_masks(matrix, ordering, subfiles)
+    n_prime = _reference_n_prime(matrix, len(all_users))
+    rhos = []
+    cur = None
+    seen = 0
+    for u in ordering[:n_prime]:
+        if mode == "shared":
+            cur = masks[u] if cur is None else (cur & masks[u])
+            rhos.append(cur.bit_count())
+        else:
+            rhos.append((masks[u] & ~seen).bit_count())
+            seen |= masks[u]
+    return ordering[:n_prime], rhos, n_prime
+
+
+def _reference_max(matrix, users, subfiles, mode, exhaustive_limit):
+    """(value, ordering, exhaustive) of bound_generic_max."""
+    pool = sorted(range(matrix.shape[0]) if users is None else users)
+    masks = _reference_masks(matrix, pool, subfiles)
+    n_prime = _reference_n_prime(matrix, len(pool))
+    if len(pool) <= exhaustive_limit:
+        best_val = -1
+        best_ord = ()
+        for order in permutations(pool, n_prime):
+            cur = None
+            seen = 0
+            total = 0
+            for u in order:
+                if mode == "shared":
+                    cur = masks[u] if cur is None else (cur & masks[u])
+                    total += cur.bit_count()
+                else:
+                    total += (masks[u] & ~seen).bit_count()
+                    seen |= masks[u]
+            if total > best_val:
+                best_val = total
+                best_ord = order
+        return best_val, best_ord, True
+    chosen = []
+    remaining = list(pool)
+    cur = None
+    seen = 0
+    total = 0
+    for _ in range(n_prime):
+        best_u = None
+        best_gain = -1
+        for u in remaining:
+            if mode == "shared":
+                gain = (masks[u] if cur is None else (cur & masks[u])).bit_count()
+            else:
+                gain = (masks[u] & ~seen).bit_count()
+            if gain > best_gain:
+                best_gain = gain
+                best_u = u
+        chosen.append(best_u)
+        remaining.remove(best_u)
+        if mode == "shared":
+            cur = masks[best_u] if cur is None else (cur & masks[best_u])
+        else:
+            seen |= masks[best_u]
+        total += best_gain
+    return total, tuple(chosen), False
+
+
+@hst.composite
+def _left_regular_placements(draw):
+    """A random K x F 0/1 placement with equal row sums, K <= 9, F <= 24."""
+    k = draw(hst.integers(1, 9))
+    f = draw(hst.integers(1, 24))
+    degree = draw(hst.integers(0, f))
+    matrix = np.zeros((k, f), dtype=bool)
+    for u in range(k):
+        matrix[u, draw(hst.permutations(range(f)))[:degree]] = True
+    return matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=_left_regular_placements(), mode=hst.sampled_from(["shared", "fresh"]),
+       data=hst.data())
+def test_ordering_walker_matches_reference_loops(matrix, mode, data):
+    k, f = matrix.shape
+    users = data.draw(hst.none() | hst.lists(hst.integers(0, k - 1), unique=True), "users")
+    subfiles = data.draw(hst.none() | hst.lists(hst.integers(0, f - 1), min_size=1,
+                                                unique=True), "subfiles")
+    pool = sorted(range(k) if users is None else users)
+    ordering = data.draw(hst.permutations(pool), "ordering")
+    ordering = ordering[:data.draw(hst.integers(0, len(pool)), "length")]
+    trace = bound_generic_trace(matrix, ordering, users, subfiles, mode)
+    assert (trace.ordering, trace.rhos, trace.n_prime) == _reference_trace(
+        matrix, ordering, users, subfiles, mode)
+
+    # Below len(pool) the search is greedy, at or above it exhaustive.
+    limit = data.draw(hst.integers(max(0, len(pool) - 2), len(pool) + 1), "limit")
+    # keeps each exhaustive search at most P(9, 4) orderings long
+    assume(len(pool) > limit or perm(len(pool), trace.n_prime) <= 3024)
+    got = bound_generic_max(matrix, users, subfiles, mode, exhaustive_limit=limit)
+    assert (got.value, got.ordering, got.exhaustive) == _reference_max(
+        matrix, users, subfiles, mode, limit)
+
+
+@given(users=hst.integers(1, 60), data=hst.data())
+def test_nested_ceilings_match_reference_loops(users, data):
+    # Every bi-regular triple has D/F = r/K for some 1 <= r <= K.
+    r = data.draw(hst.integers(1, users), "r")
+    scale = data.draw(hst.integers(1, 20), "scale")
+    g = gcd(users, r)
+    triple = SystemTriple(users, users // g * scale, r // g * scale)
+    assert triple.uncached_users == r
+    assert biregular_bound_terms(triple) == _reference_biregular_terms(triple)
+    assert bound_pda(triple) == _reference_pda(triple)

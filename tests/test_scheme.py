@@ -219,16 +219,24 @@ def test_decode_takes_packets_by_clique_id(fano):
         assert [u for u, ok in enumerate(results) if not ok] == failed
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.float64])
-def test_decode_reads_payloads_of_another_dtype_as_bytes(fano, dtype):
+@pytest.mark.parametrize("ids_dtype,payload_dtype,refused", [
+    (np.int64, np.int64, "payloads are int64"),
+    (np.int64, np.float64, "payloads are float64"),
+    (np.float64, np.uint8, "ids are float64"),
+], ids=["int64", "float64", "float_ids"])
+def test_decode_refuses_payloads_that_are_not_bytes_and_ids_that_are_not_integers(
+        fano, ids_dtype, payload_dtype, refused):
     store = FileStore.random(7, 21, subfile_len=8, seed=2)
     demands = [5, 5, 0, 1, 6, 2, 4]
     packets = run_round(fano, store, demands)
-    wide = Packets(packets.ids, packets.payloads.astype(dtype))
-    assert decode_round(fano, store, demands, wide) == [True] * 7
-    wide.payloads[5, 0] = packets.payloads[5, 0] ^ 1
-    results = decode_round(fano, store, demands, wide)
-    assert [u for u, ok in enumerate(results) if not ok] == sorted(fano.delivery.users[5])
+    ids = packets.ids.astype(ids_dtype)
+    payloads = packets.payloads.astype(payload_dtype)
+    if payload_dtype is np.uint8:
+        ids[1] = 1.7      # read as clique 1 by a cast to int64
+    else:
+        payloads += 256   # the sent bytes in their low byte
+    with pytest.raises(DecodeError, match=refused):
+        decode_round(fano, store, demands, Packets(ids, payloads))
 
 
 def test_decode_missing_packet_errors(fano):
