@@ -47,6 +47,7 @@ from .scheme import (
     decode_round,
     delivery_violation,
     deserialize,
+    document_chunks,
     encode,
     params_from,
     run_trials,

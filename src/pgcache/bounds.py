@@ -150,6 +150,18 @@ class OrderingTrace:
         return sum(self.rhos)
 
 
+def _selection(ids: Sequence[int] | None, total: int, what: str) -> list[int]:
+    """The sorted ids of a restriction to users or subfiles, all of them
+    for None; each id must lie in [0, total) and appear once."""
+    chosen = sorted(range(total) if ids is None else ids)
+    for end in chosen[:1] + chosen[-1:]:
+        if not 0 <= end < total:
+            raise ValueError(f"{what} {end} is outside [0, {total})")
+    if len(set(chosen)) != len(chosen):
+        raise ValueError(f"{what}s repeat an id")
+    return chosen
+
+
 class _OrderingWalk:
     """The ordering bound's step on one placement, over the selected users
     (`pool`, sorted) and subfiles.  The state is a bitmask of subfiles: in
@@ -163,8 +175,10 @@ class _OrderingWalk:
             raise ValueError(f"unknown mode {mode!r}")
         matrix = placement.matrix if hasattr(placement, "matrix") else np.asarray(placement)
         total_k, total_f = matrix.shape
-        self.pool = sorted(range(total_k) if users is None else users)
-        rows = matrix if subfiles is None else matrix[:, np.asarray(sorted(subfiles))]
+        self.pool = _selection(users, total_k, "user")
+        if subfiles is not None and not len(subfiles):
+            raise ValueError("subfiles selects no subfile")
+        rows = matrix if subfiles is None else matrix[:, _selection(subfiles, total_f, "subfile")]
         packed = np.packbits(rows.astype(np.uint8), axis=1, bitorder="little")
         self.masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
         degrees = set(matrix.sum(axis=1).tolist())

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import mmap
 import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -20,12 +22,13 @@ from .linegraph import CapacityError, ConstructionParams, DEFAULT_VERTEX_CAP
 from .scheme import (
     DecodeError,
     SchemaError,
+    SchemeInstance,
     build_scheme,
     deserialize,
+    document_chunks,
     packet_trace_bytes,
     params_from,
     run_trials,
-    serialize,
 )
 
 EXIT_OK = 0
@@ -79,9 +82,8 @@ def cmd_construct(args) -> int:
     cp = ConstructionParams(k=args.k, m=args.m, t=args.t, q=args.q)
     cap = args.cap if args.cap is not None else _default_cap()
     instance = build_scheme(cp, max_vertices=cap)
-    text = serialize(instance)
-    with open(args.output, "w", encoding="ascii") as fh:
-        fh.write(text)
+    with open(args.output, "wb") as fh:
+        fh.writelines(document_chunks(instance))
     p = instance.params
     print(f"wrote {args.output}: K={p.users} F={p.subpacketization} "
           f"D={p.missing_per_user} c={p.missing_per_subfile} d={p.group_size} "
@@ -89,9 +91,19 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _load_scheme(fh) -> SchemeInstance:
+    """deserialize over an mmap of the file.  An empty file cannot be
+    mapped, nor can a pipe, so those are read instead."""
+    info = os.fstat(fh.fileno())
+    if not stat.S_ISREG(info.st_mode) or info.st_size == 0:
+        return deserialize(fh.read())
+    with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
+        return deserialize(view)
+
+
 def cmd_simulate(args) -> int:
     with open(args.scheme, "rb") as fh:
-        instance = deserialize(fh.read())
+        instance = _load_scheme(fh)
     extra = None
     if args.fixed_demands:
         k = instance.params.users

@@ -28,13 +28,19 @@ leaves a zero residual; its cached subfiles are exact by construction.
 
 Scheme documents serialize to JSON (format tag "pgcache/1") with the
 field spec, the canonical user matrices, subfile sets, base64 row bitmaps
-for the placement, and the delivery cliques; serialization is
-deterministic and round-trips byte for byte.  The two large integer
-fields, subfiles and delivery, are rendered as ASCII straight from their
-numpy arrays, and loading reads them back from the text with numpy;
-only the rest goes through json.loads.  Loading rebuilds the
-construction, refuses any stored field that differs from the rebuilt
-one, and checks the stored delivery plan as above.
+for the placement, and the delivery cliques.  A document is a pure
+function of the construction, which its sorted keys put first:
+document_chunks yields it as one stream of ASCII byte chunks, rendering
+the two large integer fields, subfiles and delivery, block by block
+from their numpy arrays, delivery straight from the plan's users and
+subfiles; serialize joins the chunks.  Loading a canonical document
+rebuilds the scheme from the construction at its start, so build_scheme
+checks the plan, and compares the input with that scheme's chunks in
+order; when every byte matches, nothing is parsed.  Any other text
+takes the general path: subfiles and delivery are read with numpy and
+the rest with json.loads, the construction is rebuilt, any stored field
+that differs from the rebuilt one is refused, and the stored delivery
+plan is checked as above.
 """
 
 from __future__ import annotations
@@ -577,43 +583,103 @@ def _header(instance: SchemeInstance) -> dict:
     }
 
 
-# Leading-axis rows that _json_ints renders at a time, so that its work
-# arrays take O(rows in a block) memory, not O(rows in the array).
+# Leading-axis rows that _json_int_blocks renders at a time, so that its
+# work arrays take O(rows in a block) memory, not O(rows in the array).
 _RENDER_ROWS = 4096
 
 
-def _json_int_blocks(a: np.ndarray) -> Iterator[bytes]:
+def _json_int_blocks(*columns: np.ndarray) -> Iterator[bytes]:
     """json.dumps(a.tolist(), separators=(",", ":")) for a non-negative
-    integer array of rank >= 1, as ASCII pieces, without building the lists.
+    integer array `a` of rank >= 1, as ASCII pieces, without building the
+    lists.  `a` is the one array given, or np.stack(columns, axis=-1) for
+    several columns of one shape, rendered without that stack.
 
-    Every leading-axis row is laid out as fixed-width bytes: its template
-    of "[", "," and "]" bytes, with `width` digit slots for each entry,
-    right-aligned, and a trailing "," that the last row ends with "]"
-    instead.  Each slot in front of an entry's leading digit is written as
-    NUL, which no JSON text holds, and dropping the NULs compresses a
-    block of rows.
+    Every entry is laid out in a slot: the JSON punctuation in front of it
+    and its digits, right-aligned in a field as wide as the largest entry
+    of its column.  A row's first slot holds the end of the previous row
+    too, so a block of rows is one run of slots, and each place in front
+    of an entry's leading digit is written as NUL, which no JSON text
+    holds: dropping the NULs compresses the block.  When every slot fits
+    in 8 bytes and the array holds more entries than its largest value,
+    a slot is one uint64 word, the OR of its punctuation and the value's
+    digits taken from a table; else the digits are written one decimal
+    place at a time.
     """
-    if a.ndim < 1 or a.dtype.kind not in "iu":
-        raise InvariantError(f"_json_ints: renders integer arrays of rank >= 1, "
-                             f"got {a.dtype} of shape {a.shape}")
-    if a.size and a.min() < 0:
-        raise InvariantError(f"_json_ints: entries are non-negative, found {a.min()}")
-    rows, inner = len(a), a.shape[1:]
+    a = columns[0]
+    for c in columns:
+        if c.ndim < 1 or c.dtype.kind not in "iu":
+            raise InvariantError(f"_json_ints: renders integer arrays of rank >= 1, "
+                                 f"got {c.dtype} of shape {c.shape}")
+        if c.shape != a.shape:
+            raise InvariantError(f"_json_ints: columns of shapes {a.shape} and {c.shape}")
+        if c.size and c.min() < 0:
+            raise InvariantError(f"_json_ints: entries are non-negative, found {c.min()}")
+    rows = len(a)
+    inner = a.shape[1:] + ((len(columns),) if len(columns) > 1 else ())
+    entries = math.prod(inner)
     if rows == 0:
         yield b"[]"
         return
-    top = int(a.max()) if a.size else 0
-    width = len(str(top))
     one_row = json.dumps(np.zeros(inner, dtype=np.int64).tolist(), separators=(",", ":"))
-    template = np.frombuffer(one_row.replace("0", "\0" * width).encode() + b",",
-                             dtype=np.uint8)
-    # ones_at[e] is the byte of entry e's last digit; its tens digit is one before.
-    ones_at = np.flatnonzero(template == 0)[width - 1::width]
-    flat = a.reshape(rows, math.prod(inner))
-    dtype = np.uint32 if top < 2 ** 32 else np.uint64
+    if entries == 0:
+        yield f"[{','.join([one_row] * rows)}]".encode()
+        return
+    pieces = one_row.encode().split(b"0")
+    opening, closing = pieces[0], pieces[-1]
+    prefixes = [closing + b"," + opening] + pieces[1:-1]
+    # Entry e of a row is an entry of column e % len(columns).
+    tops = [int(c.max()) for c in columns]
+    widths = [len(str(tops[e % len(columns)])) for e in range(entries)]
+    if max(tops) < rows * entries and all(len(p) + w <= 8 for p, w in zip(prefixes, widths)):
+        blocks = _table_rows(columns, prefixes, max(tops))
+    else:
+        blocks = _digit_rows(columns, prefixes, max(tops))
     yield b"["
+    # The first row's first slot starts with the end of a row before it.
+    yield next(blocks)[len(closing) + 1:]
+    yield from blocks
+    yield closing + b"]"
+
+
+def _digit_words(top: int) -> np.ndarray:
+    """Entry v is the ASCII digits of v, right-aligned in a little-endian
+    uint64 with NULs in front, for 0 <= v <= top < 10^8: the digits of
+    v // 10 moved one byte down, then the ones digit in the top byte."""
+    ones = (np.arange(10, dtype="<u8") + ord("0")) << np.uint64(56)
+    if top < 10:
+        return ones[:top + 1]
+    head = _digit_words(top // 10) >> np.uint64(8)
+    head[0] = 0  # no leading zero
+    return (head[:, None] | ones).reshape(-1)[:top + 1]
+
+
+def _table_rows(columns, prefixes, top) -> Iterator[bytes]:
+    """The rows of _json_int_blocks block by block, one 8-byte slot per
+    entry: the prefix in the low bytes, the digits from the table in the
+    high bytes."""
+    table = _digit_words(top)
+    template = np.array([int.from_bytes(p, "little") for p in prefixes], dtype="<u8")
+    for lo in range(0, len(columns[0]), _RENDER_ROWS):
+        words = [table[c[lo:lo + _RENDER_ROWS]] for c in columns]
+        words = words[0] if len(words) == 1 else np.stack(words, axis=-1)
+        slots = words.reshape(len(words), -1)
+        slots |= template
+        yield slots.tobytes().translate(None, b"\0")
+
+
+def _digit_rows(columns, prefixes, top) -> Iterator[bytes]:
+    """The rows of _json_int_blocks block by block, written one decimal
+    place at a time into a fixed-width template of each row."""
+    width = len(str(top))
+    template = np.frombuffer(b"".join(p + b"\0" * width for p in prefixes), dtype=np.uint8)
+    # ones_at[e] is the byte of entry e's last digit; its tens digit is one before.
+    ones_at = np.cumsum([len(p) + width for p in prefixes]) - 1
+    rows = len(columns[0])
+    dtype = np.uint32 if top < 2 ** 32 else np.uint64
     for lo in range(0, rows, _RENDER_ROWS):
-        v = flat[lo:lo + _RENDER_ROWS].astype(dtype)
+        block = [c[lo:lo + _RENDER_ROWS] for c in columns]
+        v = block[0] if len(block) == 1 else np.stack(block, axis=-1)
+        v = v.reshape(len(v), -1).astype(dtype)
         text = np.repeat(template[None], len(v), axis=0)
         for j in range(width):
             tens = v // 10
@@ -621,8 +687,6 @@ def _json_int_blocks(a: np.ndarray) -> Iterator[bytes]:
             # A digit is written once v is nonzero; a lone 0 is still "0".
             text[:, ones_at - j] = digit + (v != 0) * np.uint8(48) if j else digit + 48
             v = tens
-        if lo + len(text) == rows:
-            text[-1, -1] = ord("]")
         yield text.tobytes().translate(None, b"\0")
 
 
@@ -689,19 +753,31 @@ def _parse_ints(text: bytes, inner: tuple[int, ...]) -> np.ndarray | None:
     return a if at == len(canonical) else None
 
 
+def document_chunks(instance: SchemeInstance) -> Iterator[bytes]:
+    """The canonical document of the scheme as ASCII byte chunks: json.dumps
+    of it with sorted keys and no spaces.  Subfiles and delivery are
+    rendered block by block, delivery straight from the plan's users and
+    subfiles; the other fields come as one chunk between them."""
+    plan = instance.delivery
+    header = _header(instance)
+    arrays = {"subfiles": (instance.universe.subfile_array,),
+              "delivery": (plan.users, plan.subfiles)}
+    pending = b""
+    for i, key in enumerate(sorted(header.keys() | arrays.keys())):
+        pending += (b"," if i else b"{") + json.dumps(key).encode() + b":"
+        if key in arrays:
+            yield pending
+            yield from _json_int_blocks(*arrays[key])
+            pending = b""
+        else:
+            pending += json.dumps(header[key], sort_keys=True, separators=(",", ":")).encode()
+    yield pending + b"}"
+
+
 def serialize(instance: SchemeInstance) -> str:
     """Deterministic JSON rendering of the scheme (format "pgcache/1"):
     json.dumps of the document with sorted keys and no spaces."""
-    plan = instance.delivery
-    fields = {key: json.dumps(value, sort_keys=True, separators=(",", ":"))
-              for key, value in _header(instance).items()}
-    fields["subfiles"] = _json_ints(instance.universe.subfile_array)
-    fields["delivery"] = _json_ints(np.stack((plan.users, plan.subfiles), axis=-1))
-    parts = []
-    for key in sorted(fields):
-        parts += (",", json.dumps(key), ":", fields[key])
-    parts[0] = "{"
-    return "".join(parts + ["}"])
+    return b"".join(document_chunks(instance)).decode("ascii")
 
 
 # The two integer arrays that deserialize reads with numpy (_parse_ints):
@@ -756,7 +832,70 @@ def _offset_in_document(at: int, cuts: list[tuple[int, int, str]]) -> int:
 
 
 def deserialize(text: str | bytes) -> SchemeInstance:
-    """Parse a scheme document; raises SchemaError on any malformation.
+    """Load a scheme document given as str, bytes or another bytes-like
+    object such as an mmap; raises SchemaError on any malformation.
+
+    The document must be ASCII.  A canonical document, the one serialize
+    writes, is loaded by rebuilding the construction it starts with, so
+    build_scheme checks the plan, and comparing it byte for byte with
+    that scheme's document_chunks.  Any other text takes the general
+    path of _parse_document, which gives every refusal its message.
+    """
+    if isinstance(text, str):
+        if not text.isascii():
+            raise SchemaError("document is not ASCII")
+        text = text.encode("ascii")
+    instance = _canonical_scheme(text)
+    return instance if instance is not None else _parse_document(bytes(text))
+
+
+# The start of every document that serialize writes: sorted keys put the
+# construction first, its values written as canonical JSON integers.
+_CANONICAL_START = re.compile(rb'\{"construction":\{"k":%s,"m":%s,"q":%s,"t":%s\},'
+                              % ((rb"(0|[1-9][0-9]{0,8})",) * 4))
+
+
+def _canonical_scheme(data) -> SchemeInstance | None:
+    """The scheme of the construction `data` starts with, if `data` is byte
+    for byte its canonical document; else None.
+
+    That document holds K*D delivery entries of at least 5 bytes each and
+    K user matrices of t*k entries of at least 2 bytes each, so a
+    construction that needs more than `data` holds is not rebuilt.  Since
+    K > q and K >= 2^(k-t), bounds on q and k - t come first and keep the
+    closed forms cheap.  The chunks are compared in order, each with
+    bytes.startswith where `data` is bytes, so a mismatch stops the
+    rendering.
+    """
+    match = _CANONICAL_START.match(bytes(data[:128]))
+    if match is None:
+        return None
+    k, m, q, t = map(int, match.groups())
+    size = len(data)
+    if q >= size or not 0 <= k - t < size.bit_length():
+        return None
+    try:
+        cp = ConstructionParams(k=k, m=m, t=t, q=q)
+    except ValueError:
+        return None
+    if cp.alpha < 1 or 2 * cp.num_users * t * k > size or 5 * cp.vertex_count > size:
+        return None
+    instance = build_scheme(cp, max_vertices=None)
+    if isinstance(data, bytes):
+        same = data.startswith
+    else:
+        def same(chunk: bytes, at: int) -> bool:
+            return data[at:at + len(chunk)] == chunk
+    at = 0
+    for chunk in document_chunks(instance):
+        if not same(chunk, at):
+            return None
+        at += len(chunk)
+    return instance if at == size else None
+
+
+def _parse_document(text: bytes) -> SchemeInstance:
+    """Parse any scheme document; raises SchemaError on any malformation.
 
     The document must be ASCII.  Its subfiles and delivery are read
     straight from the text (_parse_ints) and must be written as JSON
@@ -767,7 +906,7 @@ def deserialize(text: str | bytes) -> SchemeInstance:
     """
     if not text.isascii():
         raise SchemaError("document is not ASCII")
-    header, arrays, cuts = _cut_arrays(text.encode("ascii") if isinstance(text, str) else text)
+    header, arrays, cuts = _cut_arrays(text)
     stand_ins = []
 
     def stand_in(constant: str) -> object:

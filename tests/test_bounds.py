@@ -132,6 +132,25 @@ def test_ordering_bound_edge_cases(fano_placement):
         bound_generic_max(fano_placement, mode="sideways")
 
 
+@pytest.mark.parametrize("restriction,why", [
+    ({"users": [0, 9]}, "user 9 is outside"),
+    ({"users": [-1, 0]}, "user -1 is outside"),
+    ({"users": [0, 0]}, "users repeat"),
+    ({"subfiles": [0, 21]}, "subfile 21 is outside"),
+    ({"subfiles": [-2, 3]}, "subfile -2 is outside"),
+    ({"subfiles": [3, 3]}, "subfiles repeat"),
+    ({"subfiles": []}, "no subfile"),
+], ids=repr)
+def test_ordering_bound_refuses_restrictions_outside_the_placement(fano_placement,
+                                                                   restriction, why):
+    """A restriction names users and subfiles of the 7 x 21 placement, each
+    once; a negative id would wrap to the last row or column."""
+    with pytest.raises(ValueError, match=why):
+        bound_generic(fano_placement, [0], **restriction)
+    with pytest.raises(ValueError, match=why):
+        bound_generic_max(fano_placement, **restriction)
+
+
 def test_ordering_bound_truncates_at_n_prime(fano_placement):
     # K(1-M/N) = 4 for the Fano placement, so only four terms count
     trace = bound_generic_trace(fano_placement, list(range(7)))

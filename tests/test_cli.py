@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import warnings
 
 import pytest
 
 from pgcache.cli import main
+from test_scheme import DOCUMENT_LADDER
 
 
 def run(capsys, *argv):
@@ -64,6 +66,35 @@ def test_construct_and_simulate_roundtrip(tmp_path, capsys):
     assert "27" in out                      # 25 random + all-equal + all-distinct
     assert "packets/round   = 28" in out
     assert "189/189" in out                 # 27 rounds x 7 users
+
+
+_SMALL_LADDER = [row for row in DOCUMENT_LADDER if row[2] < 10 ** 6]
+
+
+@pytest.mark.parametrize("kmtq,digest,length", _SMALL_LADDER,
+                         ids=[",".join(map(str, row[0])) for row in _SMALL_LADDER])
+def test_construct_writes_the_ladder_document_and_simulate_loads_it(tmp_path, capsys, kmtq,
+                                                                   digest, length):
+    doc = tmp_path / "scheme.json"
+    flags = [arg for name, value in zip("kmtq", kmtq) for arg in (f"-{name}", str(value))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # m = 0 rows
+        code, _, _ = run(capsys, "construct", *flags, "-o", str(doc))
+        assert code == 0
+        assert (hashlib.sha256(doc.read_bytes()).hexdigest(), doc.stat().st_size) == (
+            digest, length)
+        code, out, _ = run(capsys, "simulate", str(doc), "--trials", "1", "--seed", "3")
+    assert code == 0
+    assert "decode success  = " in out and "DECODE FAILURES" not in out
+
+
+def test_simulate_rejects_an_empty_document(tmp_path, capsys):
+    """An empty file cannot be mapped; it is still a malformed document."""
+    doc = tmp_path / "empty.json"
+    doc.write_bytes(b"")
+    code, _, err = run(capsys, "simulate", str(doc))
+    assert code == 5
+    assert "not valid JSON" in err
 
 
 def test_simulate_trace_is_reproducible(tmp_path, capsys):

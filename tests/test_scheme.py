@@ -3,7 +3,9 @@
 import base64
 import hashlib
 import json
+import mmap
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -40,6 +42,7 @@ from pgcache.scheme import (
     delivery_violation,
     demand_stream,
     deserialize,
+    document_chunks,
     encode,
     packet_trace_bytes,
     params_from,
@@ -721,6 +724,53 @@ def test_json_ints_matches_json_dumps(a, block, data):
                 scheme_module._json_ints(bad)
 
 
+@pytest.mark.parametrize("top", [0, 9, 10, 99, 1005, 283139, 10 ** 7 - 1])
+def test_digit_words_hold_each_value_right_aligned(top):
+    words = scheme_module._digit_words(top)
+    assert words.dtype == np.dtype("<u8") and len(words) == top + 1
+    step = max(1, top // 5000)
+    for v in list(range(0, top + 1, step)) + [top]:
+        digits = str(v).encode()
+        assert words[v].tobytes() == b"\0" * (8 - len(digits)) + digits
+
+
+# (users, subfiles, rows, whether the digit table serves).  The table
+# serves when the plan holds more entries (8 a row here) than its largest
+# value and every slot fits in 8 bytes.  The first entry of a delivery row
+# follows "]],[[" and each subfile a ",", so the slots fit up to 3-digit
+# users and 7-digit subfiles: (5,2,1,3) has K = 121 and F = 283140.
+_PLAN_WIDTHS = [(31, 26040, 3256, True), (121, 283140, 35393, True),
+                (31, 26040, 3254, False), (1001, 26040, 3256, False),
+                (121, 10 ** 7 + 1, 100, False)]
+
+
+@pytest.mark.parametrize("users,subfiles,rows,table", _PLAN_WIDTHS)
+def test_plan_columns_render_as_their_stack(users, subfiles, rows, table):
+    """Delivery renders from its two columns; the digit table serves
+    wherever it can, the digit loop the rest."""
+    rng = np.random.default_rng(users)
+    u = rng.integers(0, users, size=(rows, 4))
+    x = rng.integers(0, subfiles, size=(rows, 4))
+    u[-1, -1], x[0, 0] = users - 1, subfiles - 1
+    unused = "_digit_rows" if table else "_table_rows"
+    with mock.patch.object(scheme_module, unused, side_effect=AssertionError):
+        text = b"".join(scheme_module._json_int_blocks(u, x)).decode()
+    assert text == json.dumps(np.stack((u, x), axis=-1).tolist(), separators=(",", ":"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=12),
+       tops=st.lists(st.sampled_from([0, 9, 999, 10 ** 6 - 1, 10 ** 12]), min_size=2,
+                     max_size=3),
+       block=st.sampled_from([1, 7, scheme_module._RENDER_ROWS]), data=st.data())
+def test_json_int_columns_match_json_dumps_of_their_stack(shape, tops, block, data):
+    columns = [data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, top)))
+               for top in tops]
+    with mock.patch.object(scheme_module, "_RENDER_ROWS", block):
+        text = b"".join(scheme_module._json_int_blocks(*columns)).decode()
+    assert text == json.dumps(np.stack(columns, axis=-1).tolist(), separators=(",", ":"))
+
+
 @pytest.mark.parametrize("a", [np.array([1.0, 2.0]), np.array([True]), np.array(5)],
                          ids=["float", "bool", "rank-0"])
 def test_json_ints_refuses_what_it_cannot_render(a):
@@ -909,12 +959,80 @@ def test_deserialize_rejects_json_constants(fano):
 
 
 def test_deserialize_parses_only_the_header_as_json(fano):
-    text = serialize(fano)
+    """A document with its keys out of order is not canonical, so it takes
+    the general path, which parses only the header with json.loads."""
+    doc = json.loads(serialize(fano))
+    text = json.dumps(dict(reversed(doc.items())), separators=(",", ":"))
     with mock.patch.object(scheme_module.json, "loads", wraps=json.loads) as loads:
         deserialize(text)
     assert loads.call_count == 1
     (header,), _ = loads.call_args
     assert b'"delivery":NaN' in header and b'"subfiles":NaN' in header
+
+
+def _mapped(path):
+    with open(path, "rb") as fh:
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+
+
+def test_canonical_documents_load_without_parsing(fano, tmp_path):
+    """A canonical document, as text, bytes or an mmap, is rebuilt from its
+    construction and compared with the rebuilt scheme's chunks; nothing
+    of it is parsed."""
+    text = serialize(fano)
+    path = tmp_path / "fano.json"
+    path.write_text(text)
+    with mock.patch.object(scheme_module.json, "loads", side_effect=AssertionError), \
+            mock.patch.object(scheme_module, "_parse_ints", side_effect=AssertionError), \
+            _mapped(path) as view:
+        for document in (text, text.encode("ascii"), view):
+            assert serialize(deserialize(document)) == text
+
+
+@pytest.mark.parametrize("case", ["indented", "truncated", "not-a-vertex", "repeated"])
+def test_mapped_documents_load_like_their_bytes(fano, tmp_path, case):
+    """An mmap of any other text loads, or is refused, as its bytes are."""
+    text = serialize(fano)
+    if case == "indented":
+        document = json.dumps(json.loads(text), indent=1)
+    elif case == "truncated":
+        document = text[:-1]
+    else:
+        document = _bad_delivery(fano, case)
+    path = tmp_path / "doc.json"
+    path.write_text(document)
+    try:
+        expected = serialize(deserialize(document.encode()))
+    except SchemaError as exc:
+        with _mapped(path) as view, pytest.raises(SchemaError, match=re.escape(str(exc))):
+            deserialize(view)
+    else:
+        with _mapped(path) as view:
+            assert serialize(deserialize(view)) == expected == text
+
+
+def test_canonical_start_on_a_short_body_is_refused_before_any_rebuild(fano):
+    """The canonical prefix of a construction far larger than the document:
+    the general path refuses it by the stored row counts, as it refuses
+    any rendering of that document."""
+    doc = json.loads(serialize(fano))
+    doc["construction"] = {"k": 40, "m": 1, "t": 1, "q": 2}
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert text.startswith('{"construction":{"k":40,"m":1,"q":2,"t":1},')
+    with mock.patch.object(scheme_module, "build_universe", side_effect=AssertionError):
+        with pytest.raises(SchemaError, match="stored placement has 7 rows"):
+            deserialize(text)
+
+
+@pytest.mark.parametrize("kmtq", [row[0] for row in DOCUMENT_LADDER],
+                         ids=[",".join(map(str, row[0])) for row in DOCUMENT_LADDER])
+def test_serialize_joins_the_document_chunks(kmtq):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # m = 0 rows
+        instance = build_scheme(ConstructionParams(*kmtq))
+    chunks = list(document_chunks(instance))
+    assert all(isinstance(chunk, bytes) for chunk in chunks)
+    assert serialize(instance) == b"".join(chunks).decode()
 
 
 @pytest.fixture(scope="module")
