@@ -27,9 +27,7 @@ from .linegraph import (
     build_line_graph,
     build_universe,
     enumerate_transmission_cliques,
-    is_compl_square_edge,
     verify_line_graph,
-    verify_vertex_labels,
 )
 from .scheme import (
     CodedPacket,

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -174,12 +175,14 @@ class _Points:
         return out
 
 
-def _extensions(sets: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, point) pairs where the point extends sets[row] to a larger
-    independent set: outside its span and after its last point.  The
-    pairs come in lexicographic order of the extended sets."""
-    after_last = np.arange(outside.shape[1]) > sets[:, -1:]
-    return np.nonzero(after_last & outside)
+def _extensions(sets: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """The flat indexes row * K + point of the (row, point) pairs where the
+    point extends sets[row] to a larger independent set: outside its span
+    and after its last point.  They come in lexicographic order of the
+    extended sets."""
+    extends = np.arange(outside.shape[1]) > sets[:, -1:]
+    extends &= outside
+    return np.flatnonzero(extends)
 
 
 # ----------------------------------------------------------------------
@@ -266,9 +269,6 @@ class Universe:
     def subfile_span(self) -> list[int]:
         return self._spans[2]
 
-    def subfile_sum_space(self, x: int) -> SubspaceBasis:
-        return self.sum_spaces[self.subfile_span[x]]
-
 
 def build_universe(params: ConstructionParams, max_vertices: int | None = DEFAULT_VERTEX_CAP) -> Universe:
     """Enumerate the points and the subfile sets for the parameters.
@@ -303,7 +303,7 @@ def build_universe(params: ConstructionParams, max_vertices: int | None = DEFAUL
     outside = ~np.eye(k_users, dtype=bool)
     vectors = pts.multiples
     for level in range(1, cp.m + 1):
-        rows, new = _extensions(sets, outside)
+        rows, new = np.divmod(_extensions(sets, outside), k_users)
         base = vectors[rows]                 # span vectors of the set being extended
         sets = np.column_stack((sets[rows], new))
         outside = outside[rows]
@@ -363,14 +363,6 @@ class CachingLineGraph:
         users = np.nonzero(self.vertex_mask)[1]
         return list(map(tuple, users.reshape(-1, self.subfile_clique_size).tolist()))
 
-    def has_vertex(self, user: int, subfile: int) -> bool:
-        return bool(self.vertex_mask[subfile, user])
-
-    def vertex_labels(self):
-        """All (user, subfile) labels, grouped by subfile clique."""
-        subs, users = np.nonzero(self.vertex_mask)
-        return zip(users.tolist(), subs.tolist())
-
 
 def build_line_graph(universe: Universe) -> CachingLineGraph:
     cp = universe.params
@@ -389,25 +381,6 @@ def build_line_graph(universe: Universe) -> CachingLineGraph:
                             subfile_clique_size=clique_size, user_clique_size=expected_d)
 
 
-def is_compl_square_edge(graph: CachingLineGraph, v1: tuple[int, int], v2: tuple[int, int]) -> bool:
-    """Edge test in the complement of the squared line graph.
-
-    (u1, x1) and (u2, x2) are joined exactly when the users differ, the
-    subfiles differ, and neither crossed pair (u1, x2), (u2, x1) is a
-    vertex, i.e. each user has the other's subfile cached.
-    """
-    u1, x1 = v1
-    u2, x2 = v2
-    for u, x in (v1, v2):
-        if not (0 <= u < graph.num_users and 0 <= x < graph.subpacketization):
-            raise ValueError(f"({u}, {x}) is out of range")
-        if not graph.has_vertex(u, x):
-            raise ValueError(f"({u}, {x}) is not a vertex of the line graph")
-    if u1 == u2 or x1 == x2:
-        return False
-    return not graph.has_vertex(u1, x2) and not graph.has_vertex(u2, x1)
-
-
 # ----------------------------------------------------------------------
 # Transmission cliques
 # ----------------------------------------------------------------------
@@ -417,11 +390,15 @@ class DeliveryPlan:
     """Transmission cliques, one XOR packet each.
 
     Row i of `users`/`subfiles` is clique i: d = m+2 (user, subfile)
-    vertices, ordered by user index.
+    vertices, ordered by user index.  Built plans are int32, half the
+    bytes of int64: K and F fit in int32 far past any plan that fits in
+    memory.  A plan of another integer dtype, such as one parsed from a
+    document, is kept as it is; every pass over a plan walks it in
+    blocks of cliques (`blocks`).
     """
 
-    users: np.ndarray     # (num_cliques, d) int64
-    subfiles: np.ndarray  # (num_cliques, d) int64
+    users: np.ndarray     # (num_cliques, d), int32 when built
+    subfiles: np.ndarray  # (num_cliques, d), int32 when built
 
     @property
     def num_cliques(self) -> int:
@@ -434,43 +411,64 @@ class DeliveryPlan:
     def clique(self, i: int) -> list[tuple[int, int]]:
         return list(zip(self.users[i].tolist(), self.subfiles[i].tolist()))
 
+    def blocks(self, size: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        """The plan in consecutive blocks of at most `size` cliques: each
+        block's slice and its rows of users and subfiles, as views."""
+        for lo in range(0, self.num_cliques, size):
+            block = slice(lo, lo + size)
+            yield block, self.users[block], self.subfiles[block]
+
+
+# Cliques that enumerate_transmission_cliques fills at a time, so that a
+# block's gathers stay in cache.
+_CLIQUE_BLOCK = 4096
+
 
 def enumerate_transmission_cliques(graph: CachingLineGraph) -> DeliveryPlan:
     """All independent (m+2)-sets of points, as cliques.
 
-    Each set Y extends a subfile by one point outside its span, and
-    yields the clique {(u, Y minus u)}.  Each member's subfile is read from
-    subfile_of, a table indexed by the colex rank sum_i C(x_i, i+1) of an
-    ascending (m+1)-set x (the combinatorial number system), with -1
-    where the set is not a subfile.  The rank of Y minus its member j is
-    kept as one running column: member j-1 moves into position j-1 and
-    member j leaves it, so each member costs two gathers and a table read.
-    That the cliques are disjoint vertices covering the line graph is a
+    Each set Y extends a subfile x by one point outside its span and after
+    its last point, and yields the clique {(u, Y minus u)}; the int32 plan
+    is filled from these extensions block by block.  Y minus its last
+    point, the new one, is x itself.  Every other member's subfile is read
+    from subfile_of, a table indexed by the colex rank sum_i C(x_i, i+1) of
+    an ascending (m+1)-set x (the combinatorial number system), with -1
+    where the set is not a subfile.  The rank of Y minus point j of x is
+    partial[x, j], the rank of x without point j, computed once per
+    subfile, plus C(new, m+1) for the new point, which comes last.  That
+    the cliques are disjoint vertices covering the line graph is a
     property of the plan, checked by `pgcache.scheme.delivery_violation`.
     """
     uni = graph.universe
-    d = uni.params.m + 2
+    k, d = graph.num_users, uni.params.m + 2
     subfiles = uni.subfile_array
-    rows, new = _extensions(subfiles, graph.vertex_mask)
-    users = np.column_stack((subfiles[rows], new))
-
     # comb[i][x] = C(x, i): the rank term of point x in position i - 1.
-    comb = [np.array([math.comb(x, i) for x in range(graph.num_users)], dtype=np.int64)
-            for i in range(d)]
-    subfile_of = np.full(math.comb(graph.num_users, d - 1), -1, dtype=np.int64)
-    rank = sum(comb[i + 1][subfiles[:, i]] for i in range(d - 1))
-    subfile_of[rank] = np.arange(len(subfiles))
+    comb = [np.array([math.comb(x, i) for x in range(k)], dtype=np.int64) for i in range(d)]
+    # Without point j, the points after it move down one position: the
+    # rank without point 0, then point j - 1 moves back in and point j out.
+    partial = np.empty((len(subfiles), d - 1), dtype=np.int64)
+    partial[:, 0] = sum(comb[i][subfiles[:, i]] for i in range(1, d - 1))
+    for j in range(1, d - 1):
+        partial[:, j] = (partial[:, j - 1] + comb[j][subfiles[:, j - 1]]
+                         - comb[j][subfiles[:, j]])
+    subfile_of = np.full(math.comb(k, d - 1), -1, dtype=np.int32)
+    subfile_of[partial[:, -1] + comb[d - 1][subfiles[:, -1]]] = np.arange(len(subfiles))
 
-    rank = sum(comb[i][users[:, i]] for i in range(1, d))  # Y minus member 0
-    subs = np.empty_like(users)
-    subs[:, 0] = subfile_of[rank]
-    for j in range(1, d):
-        rank += comb[j][users[:, j - 1]]
-        rank -= comb[j][users[:, j]]
-        subs[:, j] = subfile_of[rank]
-    _require((subs >= 0).all(), "enumerate_transmission_cliques",
-             "every clique minus one member is a subfile")
-    return DeliveryPlan(users=users, subfiles=subs)
+    cells = _extensions(subfiles, graph.vertex_mask)
+    plan = DeliveryPlan(users=np.empty((len(cells), d), dtype=np.int32),
+                        subfiles=np.empty((len(cells), d), dtype=np.int32))
+    for block, users, subs in plan.blocks(_CLIQUE_BLOCK):
+        x, new = np.divmod(cells[block], k)
+        users[:, :-1] = np.take(subfiles, x, axis=0)
+        users[:, -1] = new
+        rank = np.take(partial, x, axis=0)
+        rank += np.take(comb[d - 1], new)[:, None]
+        found = np.take(subfile_of, rank)
+        _require(found.min(initial=0) >= 0, "enumerate_transmission_cliques",
+                 "every clique minus one member is a subfile")
+        subs[:, :-1] = found
+        subs[:, -1] = x
+    return plan
 
 
 # ----------------------------------------------------------------------
@@ -497,10 +495,21 @@ class LineGraphReport:
         )
 
 
-def _report(per_user: np.ndarray, num_subfile_cliques: int, num_users: int,
-            num_subfiles: int, repeats: list[str]) -> LineGraphReport:
-    """The report from the sizes of the non-empty user cliques, the count of
-    non-empty subfile cliques, and the (ii)/(iii) messages of repeats."""
+def verify_line_graph(graph: CachingLineGraph) -> LineGraphReport:
+    """Check the caching-line-graph conditions on the vertex mask.
+
+    (i) user cliques partition the vertices with one common size; (ii) a
+    vertex has at most one neighbour inside any other user clique; (iii) a
+    vertex plus its neighbours outside its own user clique form a clique;
+    (iv) the number of subfile cliques matches.  (i) and (iv) come from
+    the mask's column and row counts.  A mask holds no (user, subfile)
+    label twice, so (ii) and (iii) hold by construction.
+    """
+    mask = graph.vertex_mask
+    per_user = np.count_nonzero(mask, axis=0)
+    per_user = per_user[per_user > 0]
+    num_subfile_cliques = int(np.count_nonzero(mask.any(axis=1)))
+    num_users, num_subfiles = graph.num_users, graph.subpacketization
     violations: list[str] = []
     sizes = np.unique(per_user).tolist()
     if len(per_user) != num_users:
@@ -509,7 +518,6 @@ def _report(per_user: np.ndarray, num_subfile_cliques: int, num_users: int,
         )
     if len(sizes) > 1:
         violations.append(f"condition (i): unequal user clique sizes {sizes}")
-    violations += repeats
     subfile_count_ok = num_subfile_cliques == num_subfiles
     if not subfile_count_ok:
         violations.append(
@@ -517,61 +525,8 @@ def _report(per_user: np.ndarray, num_subfile_cliques: int, num_users: int,
         )
     return LineGraphReport(
         user_partition_ok=len(per_user) == num_users and len(sizes) == 1,
-        cross_degree_ok=not repeats,
-        subfile_clique_ok=not repeats,
+        cross_degree_ok=True,
+        subfile_clique_ok=True,
         subfile_count_ok=subfile_count_ok,
         violations=violations,
     )
-
-
-def verify_vertex_labels(labels, num_users: int, num_subfiles: int) -> LineGraphReport:
-    """Check the caching-line-graph conditions on raw (user, subfile) labels.
-
-    labels is an (N, 2) array or any iterable of pairs.  Conditions:
-    (i) user cliques partition the vertices with one common size; (ii) a
-    vertex has at most one neighbour inside any other user clique; (iii) a
-    vertex plus its neighbours outside its own user clique form a clique;
-    (iv) the number of subfile cliques matches.
-    """
-    if not isinstance(labels, np.ndarray):
-        labels = list(labels)
-    pairs = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
-    users, subs = pairs[:, 0], pairs[:, 1]
-    _, per_user = np.unique(users, return_counts=True)
-
-    # Sorted (subfile, user) keys give the subfile cliques as runs.  (ii)
-    # and (iii) fail on the same labels: a repeated (u, x) is a user
-    # counted twice in subfile clique x, so that clique is not a clique.
-    u_lo, x_lo = users.min(initial=0), subs.min(initial=0)
-    width = users.max(initial=0) - u_lo + 1
-    keys = (subs - x_lo) * width + (users - u_lo)
-    ordered = np.sort(keys)
-    num_subfile_cliques = int(np.count_nonzero(np.diff(ordered // width))) + bool(len(keys))
-    repeats: list[str] = []
-    if not (np.diff(ordered) != 0).all():
-        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        twice: dict[int, list[int]] = {}
-        for i, times in sorted(zip(first[counts > 1].tolist(), counts[counts > 1].tolist())):
-            lab = (int(users[i]), int(subs[i]))
-            twice.setdefault(lab[1], []).append(lab[0])
-            repeats.append(
-                f"condition (ii): label {lab} occurs {times} times, so some vertex "
-                f"has two neighbours in one other user clique"
-            )
-        # (iii) lists subfile cliques in the order of their first label.
-        for x in sorted(twice, key=lambda x: np.flatnonzero(subs == x)[0]):
-            repeats.append(
-                f"condition (iii): subfile clique {x} holds user "
-                f"{sorted(twice[x])} twice; it is not a clique"
-            )
-    return _report(per_user, num_subfile_cliques, num_users, num_subfiles, repeats)
-
-
-def verify_line_graph(graph: CachingLineGraph) -> LineGraphReport:
-    """`verify_vertex_labels` from the mask's row and column counts; a mask
-    holds no label twice, so (ii) and (iii) hold by construction."""
-    mask = graph.vertex_mask
-    per_user = np.count_nonzero(mask, axis=0)
-    num_subfile_cliques = int(np.count_nonzero(mask.any(axis=1)))
-    return _report(per_user[per_user > 0], num_subfile_cliques,
-                   graph.num_users, graph.subpacketization, [])

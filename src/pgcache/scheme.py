@@ -11,7 +11,13 @@ A clique's d members (u_j, x_j) can all decode its packet only if each
 caches the others' subfiles: placement[u_j, x_j'] == 0 for j != j'.  That
 is a property of the plan, not of a round, so `delivery_violation` checks
 it once, together with the cliques being disjoint vertices that cover the
-line graph, whenever a scheme is built or loaded.
+line graph, whenever a scheme is built or loaded.  The plan is int32 and
+every pass over it walks it in cache-sized blocks of cliques.  The check
+packs, per subfile, the users that do not cache it as bits of uint64
+words; a clique passes when its users' bits are distinct and subfile x_j's
+word, masked to the clique's users, is member j's bit alone.  A covered
+mask of F*K bytes catches repeated and missing vertices, and only a plan
+that fails is walked again, check by check, for its message.
 
 The in-memory simulator stores N files of F equal subfiles (numpy uint8
 payloads) and encodes a round as one (C, L) array whose row i is the XOR
@@ -38,9 +44,11 @@ rebuilds the scheme from the construction at its start, so build_scheme
 checks the plan, and compares the input with that scheme's chunks in
 order; when every byte matches, nothing is parsed.  Any other text
 takes the general path: subfiles and delivery are read with numpy and
-the rest with json.loads, the construction is rebuilt, any stored field
-that differs from the rebuilt one is refused, and the stored delivery
-plan is checked as above.
+the rest with json.loads, the construction is rebuilt (or, when the
+document starts canonically, the universe and placement that the
+comparison built are reused), any stored field that differs from the
+rebuilt one is refused, and the stored delivery plan is checked as
+above, as int64, before it is narrowed to int32.
 """
 
 from __future__ import annotations
@@ -188,53 +196,128 @@ def build_placement(graph: CachingLineGraph) -> PlacementMap:
 # Delivery plan check, file store and packets
 # ----------------------------------------------------------------------
 
+# Cliques that each pass over a plan here takes at a time (DeliveryPlan.blocks),
+# and mask rows that _bit_words packs at a time, so that a block's packets,
+# gathered subfiles and bit words stay in cache.
+_XOR_CLIQUES = 4096
+
+
 def delivery_violation(plan: DeliveryPlan, placement: PlacementMap) -> str | None:
     """Why the plan cannot deliver under the placement, or None if it can.
 
     Every entry must be a vertex (an uncached (user, subfile) pair) and in
     exactly one clique, the cliques must cover every vertex, and each
-    member of a clique must cache the other members' subfiles.
+    member of a clique must cache the other members' subfiles.  One pass
+    over the plan in blocks (`_plan_fits`) tells a plan that delivers;
+    only a plan that does not is walked again, check by check, for the
+    message (`_first_violation`).
     """
-    users, subs = plan.users, plan.subfiles
-    mat = placement.matrix
+    if _plan_fits(plan, placement.matrix):
+        return None
+    return _first_violation(plan, placement.matrix)
+
+
+def _bit_words(mask: np.ndarray) -> np.ndarray:
+    """An (R, K) bool mask as a (ceil(K / 64), R) table of uint64 words:
+    bit u % 64 of word [u // 64, r] is set where mask[r, u].  Packed
+    block by block, one row of words per 64 users."""
+    rows, k = mask.shape
+    packed = np.zeros((rows, -(-k // 64) * 8), dtype=np.uint8)
+    for lo in range(0, rows, _XOR_CLIQUES):
+        packed[lo:lo + _XOR_CLIQUES, :-(-k // 8)] = np.packbits(
+            mask[lo:lo + _XOR_CLIQUES], axis=1, bitorder="little")
+    return np.ascontiguousarray(packed.view("<u8").T)
+
+
+def _cells(users: np.ndarray, subfiles: np.ndarray, k: int) -> np.ndarray:
+    """Entries as int64 indexes subfile * K + user of the placement in the
+    order it is stored, so that F * K past 2^31 cannot wrap."""
+    return subfiles.astype(np.int64) * k + users
+
+
+def _plan_fits(plan: DeliveryPlan, mat: np.ndarray) -> bool:
+    """Whether the plan delivers under the (K, F) placement, in one pass.
+
+    words[:, x] holds, as bits, the users that do not cache subfile x, and
+    bits[:, u] is user u's bit alone; each row of either holds 64 users.
+    A clique's members are distinct users when no member's bit is already
+    in the OR Y of the bits before it.  Then words[:, x_j] & Y is member
+    j's bit alone exactly when (u_j, x_j) is a vertex and every other
+    member caches x_j: the vertex check and the side-information check at
+    once.  The entries are scattered into a covered mask, so a repeated
+    entry or a vertex in no clique shows in its count.
+    """
+    k, f = mat.shape
+    words = _bit_words(mat.T)
+    bits = _bit_words(np.eye(k, dtype=bool))
+    covered = np.zeros(f * k, dtype=bool)
+    for _, users, subs in plan.blocks(_XOR_CLIQUES):
+        if users.min() < 0 or users.max() >= k or subs.min() < 0 or subs.max() >= f:
+            return False
+        # (W, d, B): the block runs along the last axis, so that each step
+        # is a long run, not d or W values at a time.
+        member = np.take(bits, users.T, axis=1)
+        group = member[:, 0].copy()
+        for j in range(1, plan.group_size):
+            if (group & member[:, j]).any():
+                return False
+            group |= member[:, j]
+        if not np.array_equal(np.take(words, subs.T, axis=1) & group[:, None], member):
+            return False
+        covered[_cells(users, subs, k)] = True
+    return np.count_nonzero(covered) == plan.users.size == np.count_nonzero(mat)
+
+
+def _first_violation(plan: DeliveryPlan, mat: np.ndarray) -> str | None:
+    """The first failure of the plan's checks under the (K, F) placement,
+    each over the whole plan before the next: entries in range, entries
+    that are vertices, no entry twice, every vertex covered, then side
+    information member by member.  Each check walks the plan in blocks
+    and reports its first failure in row-major order."""
     k, f = mat.shape
     # The mask in the order it is stored: flat[x * k + u] = mat[u, x], a
     # view when mat is the transpose of a line graph's vertex mask.
     flat = np.ravel(mat, order="F")
 
-    def first_entry(where: np.ndarray) -> str:
+    def first_entry(block: slice, users, subs, where: np.ndarray) -> str:
         i, j = np.argwhere(where)[0]
-        return f"delivery clique {i} entry {j} {[int(users[i, j]), int(subs[i, j])]}"
+        return (f"delivery clique {block.start + i} entry {j} "
+                f"{[int(users[i, j]), int(subs[i, j])]}")
 
-    outside = (users < 0) | (users >= k) | (subs < 0) | (subs >= f)
-    if outside.any():
-        return f"{first_entry(outside)} is outside {k} users x {f} subfiles"
-    offsets = subs * k
-    entries = offsets + users
-    not_vertex = flat[entries] != 1
-    if not_vertex.any():
-        return f"{first_entry(not_vertex)} is cached, not a vertex"
+    for block, users, subs in plan.blocks(_XOR_CLIQUES):
+        outside = (users < 0) | (users >= k) | (subs < 0) | (subs >= f)
+        if outside.any():
+            return (f"{first_entry(block, users, subs, outside)} is outside "
+                    f"{k} users x {f} subfiles")
+    for block, users, subs in plan.blocks(_XOR_CLIQUES):
+        not_vertex = flat[_cells(users, subs, k)] != 1
+        if not_vertex.any():
+            return f"{first_entry(block, users, subs, not_vertex)} is cached, not a vertex"
     covered = np.zeros(f * k, dtype=bool)
-    covered[entries] = True
-    if np.count_nonzero(covered) != users.size:
-        _, first = np.unique(entries, return_index=True)
-        again = np.ones(users.shape, dtype=bool)
-        again.reshape(-1)[first] = False
-        return f"{first_entry(again)} repeats an earlier entry"
-    del entries
-    if users.size != np.count_nonzero(flat):
+    for block, users, subs in plan.blocks(_XOR_CLIQUES):
+        cells = _cells(users, subs, k)
+        again = covered[cells]
+        _, first = np.unique(cells, return_index=True)
+        later = np.ones(cells.size, dtype=bool)
+        later[first] = False
+        again |= later.reshape(cells.shape)
+        if again.any():
+            return f"{first_entry(block, users, subs, again)} repeats an earlier entry"
+        covered[cells] = True
+    if plan.users.size != np.count_nonzero(flat):
         u, x = np.argwhere((mat == 1) & ~covered.reshape(f, k).T)[0]
         return f"vertex ({u}, {x}) is in no delivery clique"
     for j in range(plan.group_size):
-        # placement[u_j, x_j'] for the members j' of each clique: 1 at j' = j
-        # (a vertex), 0 elsewhere (u_j caches the side information).
-        side = np.take(flat, offsets + users[:, j:j + 1])
-        if np.count_nonzero(side) != len(side):
-            side[:, j] = 0
-            i, other = np.argwhere(side)[0]
-            return (f"delivery clique {i}: user {users[i, j]} does not cache subfile "
-                    f"{subs[i, other]} of entry {other}, so it lacks the side "
-                    f"information to decode entry {j}")
+        for block, users, subs in plan.blocks(_XOR_CLIQUES):
+            # placement[u_j, x_j'] for the members j' of each clique: 1 at
+            # j' = j (a vertex), 0 elsewhere (u_j caches the side information).
+            side = flat[_cells(users[:, j:j + 1], subs, k)]
+            if np.count_nonzero(side) != len(side):
+                side[:, j] = 0
+                i, other = np.argwhere(side)[0]
+                return (f"delivery clique {block.start + i}: user {users[i, j]} does not "
+                        f"cache subfile {subs[i, other]} of entry {other}, so it lacks "
+                        f"the side information to decode entry {j}")
     return None
 
 
@@ -306,32 +389,26 @@ def _demand_vector(store: FileStore, demands) -> np.ndarray:
     return demands
 
 
-# Cliques that _member_rows hands out at a time, so that a block's packets
-# and gathered subfiles stay in cache.
-_XOR_CLIQUES = 4096
-
-
 def _member_rows(plan: DeliveryPlan, store: FileStore,
                  demands: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """For each block of cliques, its slice of the plan and the (B, d) rows
-    demands[users] * F + subfiles of its members' demanded subfiles in the
-    store read as N*F rows of L bytes.
+    """For each block of cliques, its slice of the plan and the (B, d) int64
+    rows demands[users] * F + subfiles of its members' demanded subfiles in
+    the store read as N*F rows of L bytes.
 
     Each block's users and subfiles are range-checked while in cache: a
     negative user would wrap to another user's demand, and a subfile past
     F would name a row of the next file.
     """
     f = store.num_subfiles
-    for lo in range(0, plan.num_cliques, _XOR_CLIQUES):
-        block = slice(lo, lo + _XOR_CLIQUES)
-        users, subfiles = plan.users[block], plan.subfiles[block]
+    offsets = demands * f
+    for block, users, subfiles in plan.blocks(_XOR_CLIQUES):
         if users.min() < 0:
             raise ValueError("delivery plan names a negative user")
         if users.max() >= len(demands):
             raise ValueError("demand vector shorter than the user count")
         if subfiles.min() < 0 or subfiles.max() >= f:
             raise ValueError("delivery plan names a subfile outside the store")
-        yield block, demands[users] * f + subfiles
+        yield block, np.take(offsets, users) + subfiles
 
 
 def _store_rows(store: FileStore) -> np.ndarray:
@@ -745,8 +822,13 @@ def _parse_ints(text: bytes, inner: tuple[int, ...]) -> np.ndarray | None:
             return None
         canonical = canonical.replace(b"-", b"")
         magnitude = np.abs(a).astype(np.uint64)  # |-2^63| wraps to 2^63 in uint64
+    # One column per position of a last axis that has several, so that each
+    # gets its own width and the digit table applies where it fits.
+    columns = (magnitude,)
+    if a.ndim > 1 and a.shape[-1] > 1:
+        columns = tuple(np.moveaxis(magnitude, -1, 0))
     at = 0
-    for block in _json_int_blocks(magnitude):
+    for block in _json_int_blocks(*columns):
         if not canonical.startswith(block, at):
             return None
         at += len(block)
@@ -845,8 +927,10 @@ def deserialize(text: str | bytes) -> SchemeInstance:
         if not text.isascii():
             raise SchemaError("document is not ASCII")
         text = text.encode("ascii")
-    instance = _canonical_scheme(text)
-    return instance if instance is not None else _parse_document(bytes(text))
+    built = _canonical_build(text)
+    if built is not None and _is_document_of(built, text):
+        return built
+    return _parse_document(bytes(text), built)
 
 
 # The start of every document that serialize writes: sorted keys put the
@@ -855,17 +939,16 @@ _CANONICAL_START = re.compile(rb'\{"construction":\{"k":%s,"m":%s,"q":%s,"t":%s\
                               % ((rb"(0|[1-9][0-9]{0,8})",) * 4))
 
 
-def _canonical_scheme(data) -> SchemeInstance | None:
-    """The scheme of the construction `data` starts with, if `data` is byte
-    for byte its canonical document; else None.
+def _canonical_build(data) -> SchemeInstance | None:
+    """The scheme of the construction `data` starts with, if it starts
+    canonically and is long enough to be that construction's document;
+    else None.
 
     That document holds K*D delivery entries of at least 5 bytes each and
     K user matrices of t*k entries of at least 2 bytes each, so a
     construction that needs more than `data` holds is not rebuilt.  Since
     K > q and K >= 2^(k-t), bounds on q and k - t come first and keep the
-    closed forms cheap.  The chunks are compared in order, each with
-    bytes.startswith where `data` is bytes, so a mismatch stops the
-    rendering.
+    closed forms cheap.
     """
     match = _CANONICAL_START.match(bytes(data[:128]))
     if match is None:
@@ -880,7 +963,13 @@ def _canonical_scheme(data) -> SchemeInstance | None:
         return None
     if cp.alpha < 1 or 2 * cp.num_users * t * k > size or 5 * cp.vertex_count > size:
         return None
-    instance = build_scheme(cp, max_vertices=None)
+    return build_scheme(cp, max_vertices=None)
+
+
+def _is_document_of(instance: SchemeInstance, data) -> bool:
+    """Whether `data` is byte for byte the canonical document of the
+    scheme.  The chunks are compared in order, each with bytes.startswith
+    where `data` is bytes, so a mismatch stops the rendering."""
     if isinstance(data, bytes):
         same = data.startswith
     else:
@@ -889,20 +978,22 @@ def _canonical_scheme(data) -> SchemeInstance | None:
     at = 0
     for chunk in document_chunks(instance):
         if not same(chunk, at):
-            return None
+            return False
         at += len(chunk)
-    return instance if at == size else None
+    return at == len(data)
 
 
-def _parse_document(text: bytes) -> SchemeInstance:
+def _parse_document(text: bytes, built: SchemeInstance | None = None) -> SchemeInstance:
     """Parse any scheme document; raises SchemaError on any malformation.
 
     The document must be ASCII.  Its subfiles and delivery are read
     straight from the text (_parse_ints) and must be written as JSON
     integers; json.loads parses the rest.  The scheme is rebuilt from
-    the stored construction.  Every other stored field must equal the
-    rebuilt one, and the stored delivery plan must pass
-    `delivery_violation`.
+    the stored construction, or its universe and placement are taken
+    from `built` when that is a scheme of the same construction.  Every
+    other stored field must equal the rebuilt one, and the stored
+    delivery plan must pass `delivery_violation`; only then, with every
+    entry in range, is it narrowed to int32.
     """
     if not text.isascii():
         raise SchemaError("document is not ASCII")
@@ -951,12 +1042,13 @@ def _parse_document(text: bytes) -> SchemeInstance:
                 raise SchemaError(f"stored {key} has {stored} rows, the "
                                   f"construction {doc['construction']} has {rows}")
         pairs = _stored_ints(arrays.pop("delivery"), "delivery", (cp.m + 2, 2))
-        delivery = DeliveryPlan(users=np.ascontiguousarray(pairs[:, :, 0]),
-                                subfiles=np.ascontiguousarray(pairs[:, :, 1]))
-        del pairs
-        universe = build_universe(cp, max_vertices=None)
-        instance = _scheme(cp, universe, build_placement(build_line_graph(universe)),
-                           delivery)
+        delivery = DeliveryPlan(users=pairs[:, :, 0], subfiles=pairs[:, :, 1])
+        if built is not None and built.construction == cp:
+            universe, placement = built.universe, built.placement
+        else:
+            universe = build_universe(cp, max_vertices=None)
+            placement = build_placement(build_line_graph(universe))
+        instance = _scheme(cp, universe, placement, delivery)
         same_subfiles = np.array_equal(subfiles, universe.subfile_array)
     except SchemaError:
         raise
@@ -970,9 +1062,11 @@ def _parse_document(text: bytes) -> SchemeInstance:
     if not same_subfiles:
         raise SchemaError(f"stored subfiles does not match the construction "
                           f"{doc['construction']}")
-    violation = delivery_violation(instance.delivery, instance.placement)
+    violation = delivery_violation(delivery, instance.placement)
     if violation is not None:
         raise SchemaError(violation)
+    instance.delivery = DeliveryPlan(users=delivery.users.astype(np.int32),
+                                     subfiles=delivery.subfiles.astype(np.int32))
     return instance
 
 

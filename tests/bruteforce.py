@@ -5,12 +5,21 @@ fields GF(q), using plain mod-q arithmetic: no row reduction, no
 canonical forms, no code shared with the package under test.  A subspace
 is a frozenset of coordinate tuples; families of subspaces are grown one
 dimension at a time by closing a known element set over one new vector.
+
+The last section reads a built line graph by (user, subfile) label: the
+vertex test, the complement-square edge test and the line-graph
+conditions checked label by label, the references that the package's
+mask-based checks are compared with.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
+
+import numpy as np
+
+from pgcache.linegraph import LineGraphReport
 
 Vec = tuple[int, ...]
 Space = frozenset  # of Vec
@@ -170,3 +179,104 @@ def oracle_candidate_sets(q: int, k: int, m: int, t: int) -> int:
     members = qbin(m + 1, 1)
     num_spans = qbin(k - t + 1, m + 1)
     return num_spans * comb(members, m + 1)
+
+
+# ----------------------------------------------------------------------
+# Label-level oracles on a built line graph
+# ----------------------------------------------------------------------
+
+def has_vertex(graph, user: int, subfile: int) -> bool:
+    return bool(graph.vertex_mask[subfile, user])
+
+
+def vertex_labels(graph):
+    """All (user, subfile) labels, grouped by subfile clique."""
+    subs, users = np.nonzero(graph.vertex_mask)
+    return zip(users.tolist(), subs.tolist())
+
+
+def subfile_sum_space(universe, x: int):
+    return universe.sum_spaces[universe.subfile_span[x]]
+
+
+def is_compl_square_edge(graph, v1: tuple[int, int], v2: tuple[int, int]) -> bool:
+    """Edge test in the complement of the squared line graph.
+
+    (u1, x1) and (u2, x2) are joined exactly when the users differ, the
+    subfiles differ, and neither crossed pair (u1, x2), (u2, x1) is a
+    vertex, i.e. each user has the other's subfile cached.
+    """
+    u1, x1 = v1
+    u2, x2 = v2
+    for u, x in (v1, v2):
+        if not (0 <= u < graph.num_users and 0 <= x < graph.subpacketization):
+            raise ValueError(f"({u}, {x}) is out of range")
+        if not has_vertex(graph, u, x):
+            raise ValueError(f"({u}, {x}) is not a vertex of the line graph")
+    if u1 == u2 or x1 == x2:
+        return False
+    return not has_vertex(graph, u1, x2) and not has_vertex(graph, u2, x1)
+
+
+def verify_vertex_labels(labels, num_users: int, num_subfiles: int) -> LineGraphReport:
+    """Check the caching-line-graph conditions on raw (user, subfile) labels.
+
+    labels is an (N, 2) array or any iterable of pairs.  Conditions:
+    (i) user cliques partition the vertices with one common size; (ii) a
+    vertex has at most one neighbour inside any other user clique; (iii) a
+    vertex plus its neighbours outside its own user clique form a clique;
+    (iv) the number of subfile cliques matches.
+    """
+    if not isinstance(labels, np.ndarray):
+        labels = list(labels)
+    pairs = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
+    users, subs = pairs[:, 0], pairs[:, 1]
+    _, per_user = np.unique(users, return_counts=True)
+
+    # Sorted (subfile, user) keys give the subfile cliques as runs.  (ii)
+    # and (iii) fail on the same labels: a repeated (u, x) is a user
+    # counted twice in subfile clique x, so that clique is not a clique.
+    u_lo, x_lo = users.min(initial=0), subs.min(initial=0)
+    width = users.max(initial=0) - u_lo + 1
+    keys = (subs - x_lo) * width + (users - u_lo)
+    ordered = np.sort(keys)
+    num_subfile_cliques = int(np.count_nonzero(np.diff(ordered // width))) + bool(len(keys))
+    repeats: list[str] = []
+    if not (np.diff(ordered) != 0).all():
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        twice: dict[int, list[int]] = {}
+        for i, times in sorted(zip(first[counts > 1].tolist(), counts[counts > 1].tolist())):
+            lab = (int(users[i]), int(subs[i]))
+            twice.setdefault(lab[1], []).append(lab[0])
+            repeats.append(
+                f"condition (ii): label {lab} occurs {times} times, so some vertex "
+                f"has two neighbours in one other user clique"
+            )
+        # (iii) lists subfile cliques in the order of their first label.
+        for x in sorted(twice, key=lambda x: np.flatnonzero(subs == x)[0]):
+            repeats.append(
+                f"condition (iii): subfile clique {x} holds user "
+                f"{sorted(twice[x])} twice; it is not a clique"
+            )
+
+    violations: list[str] = []
+    sizes = np.unique(per_user).tolist()
+    if len(per_user) != num_users:
+        violations.append(
+            f"condition (i): {len(per_user)} user cliques, expected {num_users}"
+        )
+    if len(sizes) > 1:
+        violations.append(f"condition (i): unequal user clique sizes {sizes}")
+    violations += repeats
+    subfile_count_ok = num_subfile_cliques == num_subfiles
+    if not subfile_count_ok:
+        violations.append(
+            f"condition (iv): {num_subfile_cliques} subfile cliques, expected {num_subfiles}"
+        )
+    return LineGraphReport(
+        user_partition_ok=len(per_user) == num_users and len(sizes) == 1,
+        cross_degree_ok=not repeats,
+        subfile_clique_ok=not repeats,
+        subfile_count_ok=subfile_count_ok,
+        violations=violations,
+    )

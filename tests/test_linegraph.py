@@ -13,6 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
+from bruteforce import (
+    has_vertex,
+    is_compl_square_edge,
+    subfile_sum_space,
+    verify_vertex_labels,
+    vertex_labels,
+)
 from pgcache.linegraph import (
     CapacityError,
     ConstructionParams,
@@ -21,9 +28,7 @@ from pgcache.linegraph import (
     build_line_graph,
     build_universe,
     enumerate_transmission_cliques,
-    is_compl_square_edge,
     verify_line_graph,
-    verify_vertex_labels,
 )
 from pgcache.subspaces import contains, generating_set_counts, q_binomial
 
@@ -131,9 +136,9 @@ def test_fano_line_graph_sizes():
     assert g.vertex_count == 84
     # every user misses a subfile iff its space is outside the sum
     for x, users in enumerate(g.subfile_cliques):
-        p = g.universe.subfile_sum_space(x)
+        p = subfile_sum_space(g.universe, x)
         for v in range(g.num_users):
-            assert g.has_vertex(v, x) == (not contains(p, g.universe.user_spaces[v]))
+            assert has_vertex(g, v, x) == (not contains(p, g.universe.user_spaces[v]))
 
 
 def test_empty_graph_rejected():
@@ -152,7 +157,7 @@ def test_verify_passes_on_real_constructions():
 
 def test_verify_flags_moved_vertex():
     g = fano_graph()
-    labels = list(g.vertex_labels())
+    labels = list(vertex_labels(g))
     # move one vertex into a subfile clique that already holds its user
     (u0, x0) = labels[0]
     x1 = next(x for (u, x) in labels if u == u0 and x != x0)
@@ -165,7 +170,7 @@ def test_verify_flags_moved_vertex():
 
 def test_verify_flags_unequal_user_cliques():
     g = fano_graph()
-    labels = list(g.vertex_labels())[:-1]        # drop one vertex
+    labels = list(vertex_labels(g))[:-1]         # drop one vertex
     report = verify_vertex_labels(labels, g.num_users, g.subpacketization)
     assert not report.user_partition_ok
 
@@ -191,7 +196,7 @@ def test_mask_report_matches_label_report(kmtq, data):
     for u in data.draw(st.lists(st.integers(0, k - 1), max_size=2), label="cleared columns"):
         mask[:, u] = False
     corrupted = dataclasses.replace(g, vertex_mask=mask)
-    expected = verify_vertex_labels(corrupted.vertex_labels(), g.num_users, g.subpacketization)
+    expected = verify_vertex_labels(vertex_labels(corrupted), g.num_users, g.subpacketization)
     assert verify_line_graph(corrupted) == expected
 
 
@@ -205,12 +210,12 @@ def test_compl_square_edge_rules():
     x_a, x_b = g.user_cliques[u0][:2]
     assert not is_compl_square_edge(g, (u0, int(x_a)), (u0, int(x_b)))  # same user
     x = next(x for x in range(g.subpacketization)
-             if g.has_vertex(0, x) and g.has_vertex(1, x))
+             if has_vertex(g, 0, x) and has_vertex(g, 1, x))
     assert not is_compl_square_edge(g, (0, x), (1, x))                  # same subfile
     with pytest.raises(ValueError):
         is_compl_square_edge(g, (0, 99), (1, 0))                        # out of range
     non_vertex = next((v, x) for v in range(7) for x in range(21)
-                      if not g.has_vertex(v, x))
+                      if not has_vertex(g, v, x))
     with pytest.raises(ValueError):
         is_compl_square_edge(g, non_vertex, (0, int(g.user_cliques[0][0])))
 

@@ -396,6 +396,148 @@ def test_encode_and_decode_peak_near_one_packet_array():
     assert decode_peak <= 16 * num + 2 * 2 ** 20
 
 
+def _reference_delivery_violation(plan: DeliveryPlan, placement: PlacementMap) -> str | None:
+    """The whole-plan int64 check that the blocked one replaced, kept as
+    the reference for its messages."""
+    users, subs = plan.users, plan.subfiles
+    mat = placement.matrix
+    k, f = mat.shape
+    # The mask in the order it is stored: flat[x * k + u] = mat[u, x], a
+    # view when mat is the transpose of a line graph's vertex mask.
+    flat = np.ravel(mat, order="F")
+
+    def first_entry(where: np.ndarray) -> str:
+        i, j = np.argwhere(where)[0]
+        return f"delivery clique {i} entry {j} {[int(users[i, j]), int(subs[i, j])]}"
+
+    outside = (users < 0) | (users >= k) | (subs < 0) | (subs >= f)
+    if outside.any():
+        return f"{first_entry(outside)} is outside {k} users x {f} subfiles"
+    offsets = subs * k
+    entries = offsets + users
+    not_vertex = flat[entries] != 1
+    if not_vertex.any():
+        return f"{first_entry(not_vertex)} is cached, not a vertex"
+    covered = np.zeros(f * k, dtype=bool)
+    covered[entries] = True
+    if np.count_nonzero(covered) != users.size:
+        _, first = np.unique(entries, return_index=True)
+        again = np.ones(users.shape, dtype=bool)
+        again.reshape(-1)[first] = False
+        return f"{first_entry(again)} repeats an earlier entry"
+    del entries
+    if users.size != np.count_nonzero(flat):
+        u, x = np.argwhere((mat == 1) & ~covered.reshape(f, k).T)[0]
+        return f"vertex ({u}, {x}) is in no delivery clique"
+    for j in range(plan.group_size):
+        # placement[u_j, x_j'] for the members j' of each clique: 1 at j' = j
+        # (a vertex), 0 elsewhere (u_j caches the side information).
+        side = np.take(flat, offsets + users[:, j:j + 1])
+        if np.count_nonzero(side) != len(side):
+            side[:, j] = 0
+            i, other = np.argwhere(side)[0]
+            return (f"delivery clique {i}: user {users[i, j]} does not cache subfile "
+                    f"{subs[i, other]} of entry {other}, so it lacks the side "
+                    f"information to decode entry {j}")
+    return None
+
+
+_PLAN_DAMAGE = ["swap subfiles", "swap a user's subfiles", "repeat a user", "drop a clique",
+                "duplicate a clique", "reorder members", "set an entry", "widen an entry"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["3,1,1,2", "4,1,1,3"]), data=st.data(),
+       wide=st.booleans(), block=st.sampled_from([5, 64, 1000, scheme_module._XOR_CLIQUES]))
+def test_delivery_violation_matches_the_whole_plan_reference(small_schemes, name, data,
+                                                             wide, block):
+    """On plans damaged one to three times, the blocked check returns what
+    the whole-plan check returns, None included, string for string; for
+    int32 plans and int64 ones, as a document's are parsed, and for
+    blocks small enough that a plan spans many."""
+    inst = small_schemes[name]
+    k, f = inst.params.users, inst.params.subpacketization
+    users = inst.delivery.users.astype(np.int64 if wide else np.int32)
+    subs = inst.delivery.subfiles.astype(users.dtype)
+    d = users.shape[1]
+    for _ in range(data.draw(st.integers(1, 3), label="damages")):
+        kind = data.draw(st.sampled_from(_PLAN_DAMAGE), label="kind")
+        if not len(users):
+            break
+        i = data.draw(st.integers(0, len(users) - 1), label="clique")
+        j = data.draw(st.integers(0, d - 1), label="member")
+        if kind == "swap subfiles":
+            i2 = data.draw(st.integers(0, len(users) - 1), label="other clique")
+            j2 = data.draw(st.integers(0, d - 1), label="other member")
+            subs[i, j], subs[i2, j2] = subs[i2, j2], subs[i, j]
+        elif kind == "swap a user's subfiles":
+            # Both entries stay vertices and the cover stays exact, so
+            # only the side information can fail.
+            others = np.argwhere(users == users[i, j])
+            i2, j2 = others[data.draw(st.integers(0, len(others) - 1), label="other entry")]
+            subs[i, j], subs[i2, j2] = subs[i2, j2], subs[i, j]
+        elif kind == "repeat a user":
+            users[i, j] = users[i, (j + 1) % d]
+        elif kind == "drop a clique":
+            users, subs = np.delete(users, i, axis=0), np.delete(subs, i, axis=0)
+        elif kind == "duplicate a clique":
+            at = data.draw(st.integers(0, len(users)), label="at")
+            users, subs = (np.insert(users, at, users[i], axis=0),
+                           np.insert(subs, at, subs[i], axis=0))
+        elif kind == "reorder members":
+            order = data.draw(st.permutations(range(d)), label="order")
+            users[i], subs[i] = users[i][order], subs[i][order]
+        else:
+            target = data.draw(st.sampled_from([users, subs]), label="field")
+            if kind == "set an entry":
+                target[i, j] = data.draw(st.sampled_from([-1, -2 ** 31, k, f, f + 1])
+                                         | st.integers(-3, f + 3), label="value")
+            else:
+                users, subs = users.astype(np.int64), subs.astype(np.int64)
+                (users if target is users else subs)[i, j] = 2 ** 31 + 1
+    plan = DeliveryPlan(users=users, subfiles=subs)
+    with mock.patch.object(scheme_module, "_XOR_CLIQUES", block):
+        found = delivery_violation(plan, inst.placement)
+    assert found == _reference_delivery_violation(plan, inst.placement)
+
+
+def test_a_clique_that_repeats_its_user_lacks_side_information():
+    """Nobody caches anything, and each clique holds both vertices of one
+    user: every entry is a vertex, covered once, and each member's subfile
+    is missed only by that user within the clique, yet the user cannot
+    decode two entries from one packet."""
+    placement = PlacementMap(np.ones((2, 2), dtype=bool))
+    plan = DeliveryPlan(users=np.array([[0, 0], [1, 1]], dtype=np.int32),
+                        subfiles=np.array([[0, 1], [0, 1]], dtype=np.int32))
+    found = delivery_violation(plan, placement)
+    assert found == _reference_delivery_violation(plan, placement)
+    assert found == ("delivery clique 0: user 0 does not cache subfile 1 of entry 1, so it "
+                     "lacks the side information to decode entry 0")
+
+
+def test_plan_is_int32_and_built_and_checked_in_blocks():
+    """At (6,3,2,2) the clique build holds its two int32 (C, d) arrays and
+    little more; the check holds the F*K covered mask and block-sized
+    work, none of the plan-sized int64 temporaries of the whole-plan
+    check."""
+    graph = build_line_graph(build_universe(ConstructionParams(6, 3, 2, 2)))
+    placement = build_placement(graph)
+    tracemalloc.start()
+    try:
+        plan = enumerate_transmission_cliques(graph)
+        clique_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert delivery_violation(plan, placement) is None
+        check_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert plan.users.dtype == plan.subfiles.dtype == np.int32
+    num, d = plan.users.shape
+    assert clique_peak <= 8 * num * d + 4 * 2 ** 20
+    assert check_peak <= placement.matrix.size + 2 * 2 ** 20
+
+
 def test_rate_identity_across_instances():
     for cp in [FANO, ConstructionParams(4, 1, 2, 2), ConstructionParams(5, 2, 2, 2)]:
         inst = build_scheme(cp)
@@ -658,7 +800,7 @@ def test_clique_lookup_matches_binary_search(kmtq):
         warnings.simplefilter("ignore")  # m = 0 rows
         graph = build_line_graph(build_universe(ConstructionParams(*kmtq)))
     plan = enumerate_transmission_cliques(graph)
-    assert plan.subfiles.dtype == np.int64
+    assert plan.subfiles.dtype == np.int32
     assert (plan.subfiles == _subfiles_by_binary_search(graph, plan.users)).all()
 
 
@@ -810,6 +952,18 @@ def test_parse_ints_refuses_ragged_rows(text, inner):
     assert scheme_module._parse_ints(text, inner) is None
 
 
+def test_parsed_delivery_is_rendered_by_columns():
+    """The general load path renders the parsed (C, d, 2) delivery back one
+    column per position, each with its own width, so that at (6,3,2,2),
+    where a user and a subfile in one width would not fit an 8-byte slot,
+    it still takes the digit table and never the per-digit loop."""
+    text = serialize(build_scheme(ConstructionParams(6, 3, 2, 2))).encode()
+    _, arrays, _ = scheme_module._cut_arrays(text)
+    with mock.patch.object(scheme_module, "_digit_rows", side_effect=AssertionError):
+        pairs = scheme_module._parse_ints(arrays["delivery"], (5, 2))
+    assert pairs is not None and pairs.shape == (83328, 5, 2)
+
+
 def _corrupt(text: str, data) -> str:
     """The document text after one random kind of damage."""
     kind = data.draw(st.sampled_from(["edit", "truncate", "entry", "clique"]))
@@ -894,6 +1048,32 @@ def _bad_delivery(fano, case):
 def test_deserialize_rejects_bad_delivery_entries(fano, case, why):
     with pytest.raises(SchemaError, match=why):
         deserialize(_bad_delivery(fano, case))
+
+
+def test_deserialize_refuses_a_delivery_entry_past_int32(fano):
+    """A stored entry is range-checked before the plan is narrowed to
+    int32, so 2^31 + 1 is refused as it is, not wrapped."""
+    doc = json.loads(serialize(fano))
+    doc["delivery"][0][0][1] = 2 ** 31 + 1
+    with pytest.raises(SchemaError, match=r"entry 0 \[\d+, 2147483649\] is outside"):
+        deserialize(json.dumps(doc))
+
+
+def test_a_damaged_canonical_document_is_refused_with_one_rebuild():
+    """The general path takes the universe and placement of the scheme that
+    the canonical comparison built, and refuses with the message it gives
+    when it rebuilds them itself."""
+    text = serialize(build_scheme(ConstructionParams(6, 3, 2, 2)))
+    at = text.index(']]],"field"') - 1
+    damaged = text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:]
+    with pytest.raises(SchemaError) as alone:
+        scheme_module._parse_document(damaged.encode())
+    with mock.patch.object(scheme_module, "build_universe",
+                           wraps=scheme_module.build_universe) as rebuild:
+        with pytest.raises(SchemaError) as loaded:
+            deserialize(damaged)
+    assert rebuild.call_count == 1
+    assert str(loaded.value) == str(alone.value)
 
 
 # Each token is not a JSON integer, yet a parser that casts or strips
