@@ -10,7 +10,7 @@ Run: python demos/02_smallest_scheme_end_to_end.py
 
 import numpy as np
 
-from pgcache import ConstructionParams, build_scheme, verify_line_graph
+from pgcache import ConstructionParams, build_scheme, q_binomial, verify_line_graph
 from pgcache.linegraph import build_line_graph, build_universe
 from pgcache.scheme import (
     FileStore,
@@ -24,13 +24,13 @@ cp = ConstructionParams(k=3, m=1, t=1, q=2)
 
 uni = build_universe(cp)
 print("users (points):         ", uni.num_users)
-print("sum spaces (lines):     ", len(uni.sum_spaces))
+# a sum space is the span of a subfile's points: a line of the plane
+print("sum spaces (lines):     ", q_binomial(cp.k - cp.t + 1, cp.m + 1, cp.q))
 print("subfiles (point pairs): ", uni.subpacketization)
 
-graph = build_line_graph(uni)
-print("uncached per user   D = ", graph.user_clique_size)
-print("uncached per subfile c =", graph.subfile_clique_size)
-report = verify_line_graph(graph)
+print("uncached per user   D = ", cp.user_clique_size)
+print("uncached per subfile c =", cp.subfile_clique_size)
+report = verify_line_graph(build_line_graph(uni))
 print("structural conditions pass:", report.ok)
 
 inst = build_scheme(cp)

@@ -19,7 +19,6 @@ from .subspaces import (
     subspace_sum,
 )
 from .linegraph import (
-    CachingLineGraph,
     CapacityError,
     ConstructionParams,
     DegenerateConstructionError,

@@ -20,6 +20,7 @@ from .bounds import SystemTriple, bounds_report
 from .compare import asymptotic_sweep, fraction_text, table1, table3
 from .linegraph import CapacityError, ConstructionParams, DEFAULT_VERTEX_CAP
 from .scheme import (
+    DEFAULT_SUBFILE_LEN,
     DecodeError,
     SchemaError,
     SchemeInstance,
@@ -107,7 +108,7 @@ def cmd_simulate(args) -> int:
     extra = None
     if args.fixed_demands:
         k = instance.params.users
-        n = args.files if args.files else k
+        n = args.files if args.files is not None else k
         extra = [[0] * k]
         if n >= k:
             extra.append(list(range(k)))
@@ -196,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--files", type=int, default=None,
                    help="files in the store (default: one per user)")
-    p.add_argument("--subfile-len", type=int, default=64)
+    p.add_argument("--subfile-len", type=int, default=DEFAULT_SUBFILE_LEN)
     p.add_argument("--fixed-demands", action="store_true",
                    help="also run the all-equal and all-distinct demand vectors")
     p.add_argument("--trace", default=None, help="write a binary packet trace here")

@@ -27,44 +27,58 @@ import numpy as np
 DEFAULT_MAX_ORDER = 1 << 16
 
 
+# Miller-Rabin with the first thirteen primes as bases is exact below
+# _PRIME_TEST_LIMIT (Sorenson and Webster, 2015); larger orders are refused.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check (fields here are tiny)."""
+    """Deterministic Miller-Rabin test; ValueError at or above the limit
+    where its witnesses are proven exact."""
+    if n >= _PRIME_TEST_LIMIT:
+        raise ValueError(f"{n} is too large to test for primality "
+                         f"(limit {_PRIME_TEST_LIMIT})")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, n) with q = p^n, p prime.
 
-    Raises ValueError when q is not a prime power.
+    Tests the n-th root of q, n from floor(log2 q) down to 1, for an exact
+    prime root.  Raises ValueError when q is not a prime power or is too
+    large for the primality test.
     """
     if q < 2:
         raise ValueError(f"q must be at least 2, got {q}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    n = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        n += 1
-    if rest != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, n
+    if q >= _PRIME_TEST_LIMIT:
+        raise ValueError(f"q = {q} is too large (limit {_PRIME_TEST_LIMIT})")
+    for n in range(q.bit_length() - 1, 0, -1):
+        # Below the limit a float n-th root, n >= 2, is off by far less
+        # than 1/2, so it rounds to the exact root whenever there is one.
+        p = round(q ** (1 / n)) if n > 1 else q
+        if p ** n == q and is_prime(p):
+            return p, n
+    raise ValueError(f"{q} is not a prime power")
 
 
 def _prime_factors(n: int) -> list[int]:

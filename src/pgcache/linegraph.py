@@ -29,8 +29,9 @@ points outside its span and, below the subfile level, the list of its
 span's vectors.  A point extends a set when it lies outside the span and
 after the set's last point, and np.nonzero over that candidate mask
 lists the next level already in lexicographic order.  The subfile
-level's mask is the one read-only (F, K) table that the universe, the
-line graph and the placement share; one more level gives the cliques.
+level's mask is the one read-only (F, K) table of the universe: it is
+the line graph, whose vertices are its set cells, and the placement.
+One more level gives the cliques.
 """
 
 from __future__ import annotations
@@ -44,14 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .gf import GF, factor_prime_power, field as make_field
-from .subspaces import (
-    InvariantError,
-    SubspaceBasis,
-    canonicalize,
-    generating_set_counts,
-    q_binomial,
-    standard_prefix_subspace,
-)
+from .subspaces import InvariantError, generating_set_counts, q_binomial
 
 DEFAULT_VERTEX_CAP = 10 ** 7
 
@@ -191,15 +185,13 @@ def _extensions(sets: np.ndarray, outside: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Universe:
-    """The points and subfile sets of one construction.
+    """The points, subfile sets and caching line graph of one construction.
 
     points holds the K point codes in user order.  subfile_array holds
     the F subfiles as ascending rows of point indices, in lexicographic
-    order, and outside_mask[x, u] is set when point u lies outside the
-    span of subfile x; it is read-only, and also the line graph's vertex
-    mask and the placement.  The subspace views (user_spaces, sum_spaces,
-    members, subfile_span) are derived on first use; members lists, per
-    sum space, the users whose space lies inside it.
+    order.  outside_mask[x, u] is set when point u lies outside the span
+    of subfile x: user u does not cache subfile x, and (u, x) is a vertex
+    of the line graph.  The mask is read-only and is also the placement.
     """
 
     params: ConstructionParams
@@ -215,14 +207,27 @@ class Universe:
     def subpacketization(self) -> int:
         return len(self.subfile_array)
 
-    @cached_property
-    def subfile_sets(self) -> list[tuple[int, ...]]:
-        return list(map(tuple, self.subfile_array.tolist()))
+    @property
+    def vertex_count(self) -> int:
+        return self.num_users * self.params.user_clique_size
 
     @cached_property
-    def root(self) -> SubspaceBasis:
-        cp = self.params
-        return standard_prefix_subspace(cp.field, cp.k, cp.t - 1)
+    def user_cliques(self) -> list[np.ndarray]:
+        """Per user, the sorted subfile indices it does not cache."""
+        subs = np.nonzero(self.outside_mask.T)[1]
+        return list(subs.reshape(self.num_users, self.params.user_clique_size))
+
+    @cached_property
+    def subfile_cliques(self) -> list[tuple[int, ...]]:
+        """Per subfile, the sorted user indices that do not cache it."""
+        users = np.nonzero(self.outside_mask)[1]
+        return list(map(tuple, users.reshape(-1, self.params.subfile_clique_size).tolist()))
+
+    @cached_property
+    def root(self) -> tuple[tuple[int, ...], ...]:
+        """The rows e_0..e_{t-2} of GF(q)^k, spanning w."""
+        k = self.params.k
+        return tuple(tuple(int(j == i) for j in range(k)) for i in range(self.params.t - 1))
 
     @cached_property
     def user_matrices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -231,43 +236,7 @@ class Universe:
         n = cp.k - cp.t + 1
         digits = self.points[:, None] // cp.q ** np.arange(n - 1, -1, -1) % cp.q
         pad = (0,) * (cp.t - 1)
-        return tuple(self.root.rows + (pad + tuple(row),) for row in digits.tolist())
-
-    @cached_property
-    def user_spaces(self) -> list[SubspaceBasis]:
-        f, k = self.params.field, self.params.k
-        return [SubspaceBasis(f, k, rows) for rows in self.user_matrices]
-
-    @cached_property
-    def _spans(self) -> tuple[list[SubspaceBasis], list[tuple[int, ...]], list[int]]:
-        """Sum spaces in canonical order, their members, and each subfile's
-        sum space; subfiles share a sum space exactly when their masks
-        agree."""
-        cp = self.params
-        _, first, inverse = np.unique(np.packbits(self.outside_mask, axis=1), axis=0,
-                                      return_index=True, return_inverse=True)
-        bases = [
-            canonicalize(cp.field, cp.k, [row for u in self.subfile_array[x].tolist()
-                                          for row in self.user_matrices[u]])
-            for x in first.tolist()
-        ]
-        order = sorted(range(len(bases)), key=lambda i: bases[i].key())
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order))
-        members = [tuple(np.nonzero(~self.outside_mask[first[i]])[0].tolist()) for i in order]
-        return [bases[i] for i in order], members, rank[inverse.reshape(-1)].tolist()
-
-    @property
-    def sum_spaces(self) -> list[SubspaceBasis]:
-        return self._spans[0]
-
-    @property
-    def members(self) -> list[tuple[int, ...]]:
-        return self._spans[1]
-
-    @property
-    def subfile_span(self) -> list[int]:
-        return self._spans[2]
+        return tuple(self.root + (pad + tuple(row),) for row in digits.tolist())
 
 
 def build_universe(params: ConstructionParams, max_vertices: int | None = DEFAULT_VERTEX_CAP) -> Universe:
@@ -324,61 +293,23 @@ def build_universe(params: ConstructionParams, max_vertices: int | None = DEFAUL
 # The line graph
 # ----------------------------------------------------------------------
 
-@dataclass
-class CachingLineGraph:
-    """Vertex set {(user, subfile): user's point outside the subfile's span}
-    as an F x K mask, with its user-clique and subfile-clique partitions.
-    Built from a universe, vertex_mask is the universe's outside_mask."""
-
-    universe: Universe
-    vertex_mask: np.ndarray  # (F, K) bool; [x, u] set when (u, x) is a vertex
-    subfile_clique_size: int
-    user_clique_size: int
-
-    @property
-    def params(self) -> ConstructionParams:
-        return self.universe.params
-
-    @property
-    def num_users(self) -> int:
-        return self.universe.num_users
-
-    @property
-    def subpacketization(self) -> int:
-        return self.universe.subpacketization
-
-    @property
-    def vertex_count(self) -> int:
-        return self.num_users * self.user_clique_size
-
-    @cached_property
-    def user_cliques(self) -> list[np.ndarray]:
-        """Per user, the sorted subfile indices it does not cache."""
-        subs = np.nonzero(self.vertex_mask.T)[1]
-        return list(subs.reshape(self.num_users, self.user_clique_size))
-
-    @cached_property
-    def subfile_cliques(self) -> list[tuple[int, ...]]:
-        """Per subfile, the sorted user indices that do not cache it."""
-        users = np.nonzero(self.vertex_mask)[1]
-        return list(map(tuple, users.reshape(-1, self.subfile_clique_size).tolist()))
-
-
-def build_line_graph(universe: Universe) -> CachingLineGraph:
+def build_line_graph(universe: Universe) -> Universe:
+    """Check that the universe's outside mask is the caching line graph of
+    the closed forms, with c users per subfile clique and D subfiles per
+    user clique, and return the universe: its mask is the vertex set."""
     cp = universe.params
     clique_size = cp.subfile_clique_size
     if clique_size == 0:
         raise DegenerateConstructionError(
             "m + t = k leaves every subfile cached at every user: empty line graph"
         )
-    vertex_mask = universe.outside_mask
-    _require((vertex_mask.sum(axis=1) == clique_size).all(), "build_line_graph",
+    mask = universe.outside_mask
+    _require((mask.sum(axis=1) == clique_size).all(), "build_line_graph",
              f"every subfile clique has c = {clique_size} users")
     expected_d = cp.user_clique_size
-    _require((vertex_mask.sum(axis=0) == expected_d).all(), "build_line_graph",
+    _require((mask.sum(axis=0) == expected_d).all(), "build_line_graph",
              f"every user clique has D = {expected_d} subfiles")
-    return CachingLineGraph(universe=universe, vertex_mask=vertex_mask,
-                            subfile_clique_size=clique_size, user_clique_size=expected_d)
+    return universe
 
 
 # ----------------------------------------------------------------------
@@ -424,7 +355,7 @@ class DeliveryPlan:
 _CLIQUE_BLOCK = 4096
 
 
-def enumerate_transmission_cliques(graph: CachingLineGraph) -> DeliveryPlan:
+def enumerate_transmission_cliques(universe: Universe) -> DeliveryPlan:
     """All independent (m+2)-sets of points, as cliques.
 
     Each set Y extends a subfile x by one point outside its span and after
@@ -439,9 +370,8 @@ def enumerate_transmission_cliques(graph: CachingLineGraph) -> DeliveryPlan:
     the cliques are disjoint vertices covering the line graph is a
     property of the plan, checked by `pgcache.scheme.delivery_violation`.
     """
-    uni = graph.universe
-    k, d = graph.num_users, uni.params.m + 2
-    subfiles = uni.subfile_array
+    k, d = universe.num_users, universe.params.m + 2
+    subfiles = universe.subfile_array
     # comb[i][x] = C(x, i): the rank term of point x in position i - 1.
     comb = [np.array([math.comb(x, i) for x in range(k)], dtype=np.int64) for i in range(d)]
     # Without point j, the points after it move down one position: the
@@ -454,7 +384,7 @@ def enumerate_transmission_cliques(graph: CachingLineGraph) -> DeliveryPlan:
     subfile_of = np.full(math.comb(k, d - 1), -1, dtype=np.int32)
     subfile_of[partial[:, -1] + comb[d - 1][subfiles[:, -1]]] = np.arange(len(subfiles))
 
-    cells = _extensions(subfiles, graph.vertex_mask)
+    cells = _extensions(subfiles, universe.outside_mask)
     plan = DeliveryPlan(users=np.empty((len(cells), d), dtype=np.int32),
                         subfiles=np.empty((len(cells), d), dtype=np.int32))
     for block, users, subs in plan.blocks(_CLIQUE_BLOCK):
@@ -495,8 +425,8 @@ class LineGraphReport:
         )
 
 
-def verify_line_graph(graph: CachingLineGraph) -> LineGraphReport:
-    """Check the caching-line-graph conditions on the vertex mask.
+def verify_line_graph(universe: Universe) -> LineGraphReport:
+    """Check the caching-line-graph conditions on the outside mask.
 
     (i) user cliques partition the vertices with one common size; (ii) a
     vertex has at most one neighbour inside any other user clique; (iii) a
@@ -505,11 +435,11 @@ def verify_line_graph(graph: CachingLineGraph) -> LineGraphReport:
     the mask's column and row counts.  A mask holds no (user, subfile)
     label twice, so (ii) and (iii) hold by construction.
     """
-    mask = graph.vertex_mask
+    mask = universe.outside_mask
     per_user = np.count_nonzero(mask, axis=0)
     per_user = per_user[per_user > 0]
     num_subfile_cliques = int(np.count_nonzero(mask.any(axis=1)))
-    num_users, num_subfiles = graph.num_users, graph.subpacketization
+    num_users, num_subfiles = universe.num_users, universe.subpacketization
     violations: list[str] = []
     sizes = np.unique(per_user).tolist()
     if len(per_user) != num_users:

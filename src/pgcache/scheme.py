@@ -5,7 +5,7 @@ F, per-user missing count D, per-subfile missing count c, delivery group
 size d, cached fraction M/N, rate R), a K x F placement bit matrix whose
 1 entries mark subfiles NOT cached at a user, and a delivery plan: the
 transmission cliques, one XOR packet per clique.  The placement is a
-read-only view of the line graph's vertex mask, the universe's one table.
+read-only view of the universe's outside mask, which is the line graph.
 
 A clique's d members (u_j, x_j) can all decode its packet only if each
 caches the others' subfiles: placement[u_j, x_j'] == 0 for j != j'.  That
@@ -66,7 +66,6 @@ from functools import cached_property
 import numpy as np
 
 from .linegraph import (
-    CachingLineGraph,
     ConstructionParams,
     DEFAULT_VERTEX_CAP,
     DeliveryPlan,
@@ -185,11 +184,11 @@ class PlacementMap:
         return base64.b64encode(self._packed_rows[user]).decode("ascii")
 
 
-def build_placement(graph: CachingLineGraph) -> PlacementMap:
+def build_placement(universe: Universe) -> PlacementMap:
     """Placement bits straight off the line graph: 1 where a vertex exists,
     i.e. where the user's point lies outside the subfile's span: a view of
-    the vertex mask, whose counts build_line_graph checked."""
-    return PlacementMap(matrix=graph.vertex_mask.T)
+    the outside mask, whose counts build_line_graph checked."""
+    return PlacementMap(matrix=universe.outside_mask.T)
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +275,7 @@ def _first_violation(plan: DeliveryPlan, mat: np.ndarray) -> str | None:
     and reports its first failure in row-major order."""
     k, f = mat.shape
     # The mask in the order it is stored: flat[x * k + u] = mat[u, x], a
-    # view when mat is the transpose of a line graph's vertex mask.
+    # view when mat is the transpose of a universe's outside mask.
     flat = np.ravel(mat, order="F")
 
     def first_entry(block: slice, users, subs, where: np.ndarray) -> str:
@@ -495,10 +494,6 @@ class SchemeInstance:
     placement: PlacementMap
     delivery: DeliveryPlan
 
-    @cached_property
-    def subfile_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.universe.subfile_array.tolist()))
-
 
 def _scheme(cp: ConstructionParams, universe: Universe, placement: PlacementMap,
             delivery: DeliveryPlan) -> SchemeInstance:
@@ -514,14 +509,13 @@ def _scheme(cp: ConstructionParams, universe: Universe, placement: PlacementMap,
 def build_scheme(cp: ConstructionParams,
                  max_vertices: int | None = DEFAULT_VERTEX_CAP) -> SchemeInstance:
     """Construct the full scheme for the parameters."""
-    universe = build_universe(cp, max_vertices=max_vertices)
-    graph = build_line_graph(universe)
-    report = verify_line_graph(graph)
+    universe = build_line_graph(build_universe(cp, max_vertices=max_vertices))
+    report = verify_line_graph(universe)
     if not report.ok:
         raise InvariantError(f"verify_line_graph: construction failed validation: "
                              f"{report.violations}")
-    placement = build_placement(graph)
-    instance = _scheme(cp, universe, placement, enumerate_transmission_cliques(graph))
+    placement = build_placement(universe)
+    instance = _scheme(cp, universe, placement, enumerate_transmission_cliques(universe))
     violation = delivery_violation(instance.delivery, placement)
     if violation is not None:
         raise InvariantError(f"build_scheme: {violation}")
@@ -556,6 +550,8 @@ class SimulationReport:
     trials: int
     users: int
     packet_count: int
+    # Packets per subfile, the rate R, despite the name; `pgcache simulate`
+    # prints R*F by multiplying it by F.
     measured_rf: Fraction
     failures: int
     per_user_failures: list[int]
@@ -596,8 +592,12 @@ def run_trials(instance: SchemeInstance, trials: int, seed: int,
     demand vector of the seed's stream, as `simulate --trace` writes
     them; with no random rounds that round is encoded for this alone.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     k = instance.params.users
     n = num_files if num_files is not None else k
+    if n < 1:
+        raise ValueError(f"num_files must be >= 1, got {n}")
     store = FileStore.random(n, instance.params.subpacketization, subfile_len, seed=seed)
     stream = demand_stream(seed, k, n)
     vectors = [next(stream) for _ in range(trials)]
@@ -652,7 +652,7 @@ def _header(instance: SchemeInstance) -> dict:
             "cached_fraction": [pr.cached_fraction.numerator, pr.cached_fraction.denominator],
             "rate": [pr.rate.numerator, pr.rate.denominator],
         },
-        "root": [list(row) for row in instance.universe.root.rows],
+        "root": [list(row) for row in instance.universe.root],
         "users": [[list(row) for row in mat] for mat in instance.universe.user_matrices],
         "placement": [
             instance.placement.row_base64(u) for u in range(pr.users)

@@ -1,15 +1,20 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here works on explicit element sets of subspaces over prime
-fields GF(q), using plain mod-q arithmetic: no row reduction, no
-canonical forms, no code shared with the package under test.  A subspace
-is a frozenset of coordinate tuples; families of subspaces are grown one
-dimension at a time by closing a known element set over one new vector.
+Everything but the last two sections works on explicit element sets of
+subspaces over prime fields GF(q), using plain mod-q arithmetic: no row
+reduction, no canonical forms, no code shared with the package under
+test.  A subspace is a frozenset of coordinate tuples; families of
+subspaces are grown one dimension at a time by closing a known element
+set over one new vector.
 
-The last section reads a built line graph by (user, subfile) label: the
-vertex test, the complement-square edge test and the line-graph
-conditions checked label by label, the references that the package's
-mask-based checks are compared with.
+The last two sections read a built universe.  The first gives its
+subspace views in the package's canonical RREF algebra, a path apart
+from the point codes that the universe is built on: the user spaces,
+the sum spaces with their members, and each subfile's sum space.  The
+second reads the line graph, the universe's outside mask, by (user,
+subfile) label: the vertex test, the complement-square edge test and
+the line-graph conditions checked label by label, the references that
+the package's mask-based checks are compared with.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from itertools import combinations, product
 import numpy as np
 
 from pgcache.linegraph import LineGraphReport
+from pgcache.subspaces import SubspaceBasis, canonicalize
 
 Vec = tuple[int, ...]
 Space = frozenset  # of Vec
@@ -182,21 +188,67 @@ def oracle_candidate_sets(q: int, k: int, m: int, t: int) -> int:
 
 
 # ----------------------------------------------------------------------
+# Subspace views of a built universe
+# ----------------------------------------------------------------------
+
+def user_spaces(universe) -> list[SubspaceBasis]:
+    """Each user's t-dim space, from its lifted user matrix."""
+    f, k = universe.params.field, universe.params.k
+    return [SubspaceBasis(f, k, rows) for rows in universe.user_matrices]
+
+
+def _spans(universe) -> tuple[list[SubspaceBasis], list[tuple[int, ...]], list[int]]:
+    """Sum spaces in canonical order, their members, and each subfile's
+    sum space; subfiles share a sum space exactly when their masks
+    agree."""
+    cp = universe.params
+    mask = universe.outside_mask
+    _, first, inverse = np.unique(np.packbits(mask, axis=1), axis=0,
+                                  return_index=True, return_inverse=True)
+    bases = [
+        canonicalize(cp.field, cp.k, [row for u in universe.subfile_array[x].tolist()
+                                      for row in universe.user_matrices[u]])
+        for x in first.tolist()
+    ]
+    order = sorted(range(len(bases)), key=lambda i: bases[i].key())
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    members = [tuple(np.nonzero(~mask[first[i]])[0].tolist()) for i in order]
+    return [bases[i] for i in order], members, rank[inverse.reshape(-1)].tolist()
+
+
+def sum_spaces(universe) -> list[SubspaceBasis]:
+    """The distinct (m+t)-dim spans of the subfiles, in canonical order."""
+    return _spans(universe)[0]
+
+
+def members(universe) -> list[tuple[int, ...]]:
+    """Per sum space, the users whose space lies inside it."""
+    return _spans(universe)[1]
+
+
+def subfile_span(universe) -> list[int]:
+    """Per subfile, the index of its sum space."""
+    return _spans(universe)[2]
+
+
+def subfile_sum_space(universe, x: int) -> SubspaceBasis:
+    spaces, _, span_of_subfile = _spans(universe)
+    return spaces[span_of_subfile[x]]
+
+
+# ----------------------------------------------------------------------
 # Label-level oracles on a built line graph
 # ----------------------------------------------------------------------
 
 def has_vertex(graph, user: int, subfile: int) -> bool:
-    return bool(graph.vertex_mask[subfile, user])
+    return bool(graph.outside_mask[subfile, user])
 
 
 def vertex_labels(graph):
     """All (user, subfile) labels, grouped by subfile clique."""
-    subs, users = np.nonzero(graph.vertex_mask)
+    subs, users = np.nonzero(graph.outside_mask)
     return zip(users.tolist(), subs.tolist())
-
-
-def subfile_sum_space(universe, x: int):
-    return universe.sum_spaces[universe.subfile_span[x]]
 
 
 def is_compl_square_edge(graph, v1: tuple[int, int], v2: tuple[int, int]) -> bool:

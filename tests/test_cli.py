@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 import warnings
 
 import pytest
@@ -40,6 +41,15 @@ def test_params_rejects_bad_shape(capsys):
     code, _, err = run(capsys, "params", "-k", "2", "-m", "2", "-t", "2", "-q", "2")
     assert code == 2
     assert "m + t" in err
+
+
+def test_params_accepts_a_large_prime_order(capsys):
+    q = 2 ** 61 - 1
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "params", "-k", "3", "-m", "1", "-t", "1", "-q", str(q))
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert f"K (users)               = {q * q + q + 1}\n" in out
 
 
 def test_params_rejects_non_prime_power(capsys):
@@ -149,6 +159,20 @@ def test_cap_env_override(tmp_path, capsys, monkeypatch):
                        "-o", str(tmp_path / "fano.json"))
     assert code == 3
     assert "exceed cap 10" in err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--trials", "-3"), "trials must be >= 0, got -3"),
+    (("--files", "0"), "num_files must be >= 1, got 0"),
+    (("--files", "0", "--fixed-demands"), "num_files must be >= 1, got 0"),
+])
+def test_simulate_rejects_bad_counts(tmp_path, capsys, flags, message):
+    doc = tmp_path / "fano.json"
+    run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2", "-o", str(doc))
+    code, out, err = run(capsys, "simulate", str(doc), *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_simulate_missing_file(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Field arithmetic: exhaustive law checks for every order up to 64."""
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -44,6 +45,38 @@ def element_order(f, a):
 def test_prime_power_list_is_the_expected_one():
     assert PRIME_POWERS_64 == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25,
                                27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
+
+
+def test_prime_powers_factor_against_trial_division():
+    def trial(q):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        n = 0
+        while q % p == 0:
+            q //= p
+            n += 1
+        return (p, n) if q == 1 else None
+
+    for q in range(2, 3000):
+        try:
+            got = factor_prime_power(q)
+        except ValueError:
+            got = None
+        assert got == trial(q), q
+
+
+def test_large_orders_factor_quickly():
+    mersenne_31, mersenne_61 = 2 ** 31 - 1, 2 ** 61 - 1
+    start = time.perf_counter()
+    assert factor_prime_power(mersenne_61) == (mersenne_61, 1)
+    assert factor_prime_power(mersenne_31 ** 2) == (mersenne_31, 2)
+    assert factor_prime_power(3 ** 45) == (3, 45)
+    with pytest.raises(ValueError, match="not a prime power"):
+        factor_prime_power(mersenne_61 * 8191)
+    with pytest.raises(ValueError, match="not a prime power"):
+        factor_prime_power(mersenne_31 ** 2 * 2)
+    with pytest.raises(ValueError, match="too large"):
+        factor_prime_power(2 ** 89 - 1)   # prime, above the exact test's limit
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_64)

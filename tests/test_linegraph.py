@@ -20,6 +20,7 @@ from bruteforce import (
     verify_vertex_labels,
     vertex_labels,
 )
+import pgcache
 from pgcache.linegraph import (
     CapacityError,
     ConstructionParams,
@@ -30,7 +31,7 @@ from pgcache.linegraph import (
     enumerate_transmission_cliques,
     verify_line_graph,
 )
-from pgcache.subspaces import contains, generating_set_counts, q_binomial
+from pgcache.subspaces import canonicalize, contains, generating_set_counts, q_binomial
 
 
 def fano_graph():
@@ -70,18 +71,20 @@ def test_closed_forms_on_fano():
 def test_fano_universe_counts():
     uni = build_universe(ConstructionParams(3, 1, 1, 2))
     assert uni.num_users == 7
-    assert len(uni.sum_spaces) == 7
+    assert len(bf.sum_spaces(uni)) == 7
     assert uni.subpacketization == 21           # all pairs of distinct points
-    assert uni.subfile_sets == sorted(uni.subfile_sets)
-    assert len(set(uni.subfile_sets)) == 21
+    subfile_sets = list(map(tuple, uni.subfile_array.tolist()))
+    assert subfile_sets == sorted(subfile_sets)
+    assert len(set(subfile_sets)) == 21
 
 
 def test_universe_member_counts_match_root_containment():
     uni = build_universe(ConstructionParams(4, 1, 2, 2))
     assert uni.num_users == q_binomial(3, 1, 2) == 7
-    for span_idx, member_ids in enumerate(uni.members):
-        p = uni.sum_spaces[span_idx]
-        direct = {i for i, v in enumerate(uni.user_spaces) if contains(p, v)}
+    spaces = bf.sum_spaces(uni)
+    for span_idx, member_ids in enumerate(bf.members(uni)):
+        p = spaces[span_idx]
+        direct = {i for i, v in enumerate(bf.user_spaces(uni)) if contains(p, v)}
         assert set(member_ids) == direct
 
 
@@ -91,7 +94,7 @@ def test_universe_against_bruteforce_oracle():
         oracle = bf.oracle_universe_counts(q, k, m, t)
         assert uni.num_users == oracle["K"]
         assert uni.subpacketization == oracle["total_subfiles"]
-        assert len(uni.sum_spaces) == oracle["num_spans"]
+        assert len(bf.sum_spaces(uni)) == oracle["num_spans"]
         g = generating_set_counts(q, m, t).subspace_sets
         assert set(oracle["per_span_counts"]) == {g}
 
@@ -101,21 +104,21 @@ def test_per_span_subfile_count_equals_generating_count():
         uni = build_universe(cp)
         g = generating_set_counts(cp.q, cp.m, cp.t).subspace_sets
         counts = {}
-        for s in uni.subfile_span:
+        for s in bf.subfile_span(uni):
             counts[s] = counts.get(s, 0) + 1
         assert set(counts.values()) == {g}
-        assert len(counts) == len(uni.sum_spaces)
+        assert len(counts) == len(bf.sum_spaces(uni))
 
 
 def test_subfile_sets_sum_to_their_span():
     uni = build_universe(ConstructionParams(4, 1, 2, 2))
-    from pgcache.subspaces import canonicalize
     f = uni.params.field
-    for xs, span_idx in zip(uni.subfile_sets, uni.subfile_span):
+    spaces, users = bf.sum_spaces(uni), bf.user_spaces(uni)
+    for xs, span_idx in zip(uni.subfile_array.tolist(), bf.subfile_span(uni)):
         rows = []
         for v in xs:
-            rows.extend(uni.user_spaces[v].rows)
-        assert canonicalize(f, 4, rows) == uni.sum_spaces[span_idx]
+            rows.extend(users[v].rows)
+        assert canonicalize(f, 4, rows) == spaces[span_idx]
 
 
 def test_capacity_cap_reports_prediction():
@@ -131,14 +134,21 @@ def test_capacity_cap_reports_prediction():
 
 def test_fano_line_graph_sizes():
     g = fano_graph()
-    assert g.subfile_clique_size == 4
-    assert g.user_clique_size == 12
+    assert {len(users) for users in g.subfile_cliques} == {4}
+    assert {len(xs) for xs in g.user_cliques} == {12}
     assert g.vertex_count == 84
     # every user misses a subfile iff its space is outside the sum
-    for x, users in enumerate(g.subfile_cliques):
-        p = subfile_sum_space(g.universe, x)
+    spaces = bf.user_spaces(g)
+    for x in range(g.subpacketization):
+        p = subfile_sum_space(g, x)
         for v in range(g.num_users):
-            assert has_vertex(g, v, x) == (not contains(p, g.universe.user_spaces[v]))
+            assert has_vertex(g, v, x) == (not contains(p, spaces[v]))
+
+
+def test_the_line_graph_is_the_universe():
+    uni = build_universe(ConstructionParams(3, 1, 1, 2))
+    assert build_line_graph(uni) is uni
+    assert not hasattr(pgcache, "CachingLineGraph")
 
 
 def test_empty_graph_rejected():
@@ -186,7 +196,7 @@ def test_mask_report_matches_label_report(kmtq, data):
     """verify_line_graph on a corrupted mask reports, field by field and
     message by message, what verify_vertex_labels reports on its labels."""
     g = graph_of(kmtq)
-    mask = g.vertex_mask.copy()   # the graph's own mask is read-only
+    mask = g.outside_mask.copy()   # the universe's own mask is read-only
     f, k = mask.shape
     cells = st.tuples(st.integers(0, f - 1), st.integers(0, k - 1))
     for x, u in data.draw(st.lists(cells, max_size=20), label="flipped"):
@@ -195,7 +205,7 @@ def test_mask_report_matches_label_report(kmtq, data):
         mask[x] = False
     for u in data.draw(st.lists(st.integers(0, k - 1), max_size=2), label="cleared columns"):
         mask[:, u] = False
-    corrupted = dataclasses.replace(g, vertex_mask=mask)
+    corrupted = dataclasses.replace(g, outside_mask=mask)
     expected = verify_vertex_labels(vertex_labels(corrupted), g.num_users, g.subpacketization)
     assert verify_line_graph(corrupted) == expected
 
@@ -249,11 +259,9 @@ def test_clique_lookup_refuses_a_missing_subfile(drop):
     keep = np.arange(uni.subpacketization) != drop % uni.subpacketization
     torn = dataclasses.replace(uni, subfile_array=uni.subfile_array[keep].copy(),
                                outside_mask=uni.outside_mask[keep].copy())
-    graph = dataclasses.replace(build_line_graph(uni), universe=torn,
-                                vertex_mask=torn.outside_mask)
     with pytest.raises(InvariantError, match="^enumerate_transmission_cliques: every "
                                              "clique minus one member is a subfile$"):
-        enumerate_transmission_cliques(graph)
+        enumerate_transmission_cliques(torn)
 
 
 def test_cover_counts_on_other_instances():
@@ -269,7 +277,7 @@ def test_degenerate_m0_instance_works_end_to_end():
         cp = ConstructionParams(3, 0, 1, 2)
     uni = build_universe(cp)
     g = build_line_graph(uni)
-    assert g.subfile_clique_size == cp.num_users - 1
+    assert {len(users) for users in g.subfile_cliques} == {cp.num_users - 1}
     assert verify_line_graph(g).ok
     cover = enumerate_transmission_cliques(g)
     assert cover.group_size == 2
@@ -286,13 +294,13 @@ def test_subfiles_and_cliques_match_bruteforce(kmtq):
     k, m, t, q = kmtq
     uni = build_universe(ConstructionParams(k, m, t, q))
     cover = enumerate_transmission_cliques(build_line_graph(uni))
-    spaces = [bf.span_of(uni.user_spaces[u].rows, k, q) for u in range(uni.num_users)]
+    spaces = [bf.span_of(space.rows, k, q) for space in bf.user_spaces(uni)]
 
     oracle_users, spans = bf.subfile_sets_by_span(q, k, m, t)
     assert set(spaces) == set(oracle_users)
     want_subfiles = {frozenset(oracle_users[i] for i in combo)
                      for hits in spans.values() for combo in hits}
-    got_subfiles = [frozenset(spaces[u] for u in xs) for xs in uni.subfile_sets]
+    got_subfiles = [frozenset(spaces[u] for u in xs) for xs in uni.subfile_array.tolist()]
     assert len(set(got_subfiles)) == len(got_subfiles)
     assert set(got_subfiles) == want_subfiles
 

@@ -123,7 +123,7 @@ def test_placement_total_ones():
 
 def test_one_read_only_table_backs_universe_graph_and_placement():
     g = build_line_graph(build_universe(ConstructionParams(4, 1, 2, 2)))
-    tables = [g.universe.outside_mask, g.vertex_mask, build_placement(g).matrix]
+    tables = [g.outside_mask, build_placement(g).matrix]
     assert all(np.shares_memory(tables[0], t) for t in tables[1:])
     for t in tables:
         with pytest.raises(ValueError):
@@ -589,8 +589,7 @@ def test_serialize_roundtrip_byte_identical(fano):
     again = deserialize(text)
     assert serialize(again) == text
     assert again.params == fano.params
-    assert again.subfile_sets == fano.subfile_sets
-    assert isinstance(again.subfile_sets, tuple) and isinstance(again.subfile_sets[0], tuple)
+    assert np.array_equal(again.universe.subfile_array, fano.universe.subfile_array)
     assert (again.placement.matrix == fano.placement.matrix).all()
     assert (again.delivery.users == fano.delivery.users).all()
 
@@ -779,7 +778,7 @@ def test_documents_are_byte_identical(kmtq, digest, length):
 def _subfiles_by_binary_search(graph, users):
     """Each clique member's subfile, by binary search on the subfiles'
     radix-K keys: the lookup the colex-rank table replaced."""
-    subfiles = graph.universe.subfile_array
+    subfiles = graph.subfile_array
     weights = graph.num_users ** np.arange(subfiles.shape[1] - 1, -1, -1, dtype=np.int64)
     keys = subfiles @ weights
     found = []
