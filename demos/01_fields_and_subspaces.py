@@ -1,64 +1,60 @@
 #!/usr/bin/env python3
-"""Tour of the algebra layer: finite fields, canonical subspaces, counts.
+"""Tour of the algebra the construction uses: field tables, projective
+points as integer codes, and the closed-form counts.
 
 Run: python demos/01_fields_and_subspaces.py
 """
 
+import numpy as np
+
 from pgcache import (
-    canonicalize,
-    contains,
-    enumerate_superspaces,
+    ConstructionParams,
+    build_universe,
     field,
     generating_set_counts,
     q_binomial,
-    subspace_sum,
 )
-from pgcache.subspaces import standard_prefix_subspace, zero_subspace
 
 # ----------------------------------------------------------------------
-# Fields: elements are plain ints, tables make the arithmetic fast
+# Fields: elements are plain ints, log/antilog tables multiply arrays
 # ----------------------------------------------------------------------
 
 f4 = field(4)
 print("GF(4) uses modulus coefficients (low to high):", f4.modulus)
-print("x * x in GF(4):", f4.mul(2, 2), "(encodes x + 1)")
-print("inverses in GF(7):", [field(7).inv(a) for a in range(1, 7)])
+print("x * x in GF(4):", f4.mul_array(2, 2), "(encodes x + 1)")
+
+f7 = field(7)
+nonzero = np.arange(1, 7)
+products = f7.mul_array(nonzero[:, None], nonzero[None, :])
+print("inverses in GF(7):", nonzero[np.argmax(products == 1, axis=1)].tolist())
 
 f9 = field(9)
+corner = np.arange(4)
 print("GF(9) multiplication table corner:")
-for a in range(4):
-    print([f9.mul(a, b) for b in range(4)])
+print(f9.mul_array(corner[:, None], corner[None, :]))
 
 # ----------------------------------------------------------------------
-# Subspaces: reduced-row-echelon bases are canonical names
+# Points: a user of (k, m, t, q) is a point of PG(k-t, q), held as one
+# radix-q code of its normalized vector (first nonzero coordinate 1)
 # ----------------------------------------------------------------------
 
-f2 = field(2)
-span_a = canonicalize(f2, 3, [(1, 1, 0), (0, 1, 1)])
-span_b = canonicalize(f2, 3, [(1, 0, 1), (1, 1, 0), (0, 1, 1)])  # same plane
-print("\ntwo spanning sets, one canonical basis:", span_a == span_b)
-print("basis rows:", span_a.rows)
-
-line = canonicalize(f2, 3, [(1, 1, 1)])
-print("plane contains the diagonal line:", contains(span_a, line))
-print("line + plane =", subspace_sum(span_a, line).dim, "dimensional")
-
-# ----------------------------------------------------------------------
-# Counting: q-binomials vs explicit enumeration
-# ----------------------------------------------------------------------
-
-zero = zero_subspace(f2, 3)
-points = enumerate_superspaces(zero, 1)
-print("\npoints of the projective plane over GF(2):", len(points),
+uni = build_universe(ConstructionParams(3, 1, 1, 2))
+print("\npoints of the projective plane over GF(2):", len(uni.points),
       "= [3 choose 1]_2 =", q_binomial(3, 1, 2))
+for code in uni.points.tolist():
+    print(f"  code {code}: vector {np.binary_repr(code, width=3)}")
+print("subfiles (pairs of points, each pair spans a line):",
+      uni.subpacketization, "=", q_binomial(3, 2, 2), "lines x",
+      generating_set_counts(2, 1, 1).subspace_sets, "pairs per line")
 
-w = standard_prefix_subspace(f2, 4, 1)
-planes_over_w = enumerate_superspaces(w, 2)
-print("2-dim spaces over a fixed line in GF(2)^4:", len(planes_over_w),
-      "= [3 choose 1]_2 =", q_binomial(3, 1, 2))
+# ----------------------------------------------------------------------
+# Counting: closed forms behind the construction's invariant checks
+# ----------------------------------------------------------------------
 
+print("\n2-dim spaces over a fixed line in GF(2)^4: [3 choose 1]_2 =",
+      q_binomial(3, 1, 2))
 g = generating_set_counts(2, 1, 1)
-print("\npairs of points spanning a fixed plane (q=2, m=1, t=1):",
+print("pairs of points spanning a fixed plane (q=2, m=1, t=1):",
       g.subspace_sets)
 g2 = generating_set_counts(2, 3, 2)
 print("4-sets of 2-spaces spanning a fixed 5-space over a line:",

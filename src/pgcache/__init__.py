@@ -7,17 +7,7 @@ reference comparison tables.
 """
 
 from .gf import GF, field, field_new
-from .subspaces import (
-    SubspaceBasis,
-    canonicalize,
-    contains,
-    count_generating_sets,
-    count_intersecting,
-    enumerate_superspaces,
-    generating_set_counts,
-    q_binomial,
-    subspace_sum,
-)
+from .subspaces import count_intersecting, generating_set_counts, q_binomial
 from .linegraph import (
     CapacityError,
     ConstructionParams,

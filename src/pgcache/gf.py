@@ -3,7 +3,9 @@
 Field elements are plain integers in [0, q).  The integer encodes the
 coefficients of the element in the polynomial basis, written base p:
 ``value = sum(c_i * p**i)`` stands for the polynomial ``sum(c_i * x**i)``.
-For prime fields (n = 1) this is ordinary arithmetic mod p.
+For prime fields (n = 1) this is ordinary arithmetic mod p.  Addition
+is digitwise mod p, which the line graph does on whole vectors at once
+(see linegraph._Points.add), so this module only multiplies.
 
 Extension fields reduce modulo a fixed monic irreducible polynomial of
 degree n.  The modulus is chosen deterministically as the monic
@@ -11,8 +13,9 @@ irreducible with the smallest base-p integer encoding, so GF(4) always
 uses x^2 + x + 1 and serialized data built on a field is reproducible
 across runs.
 
-Multiplication and inversion run on precomputed log/antilog tables.  The
-generator behind them is the least element whose powers by (q-1)/r, for
+Multiplication runs elementwise on numpy arrays of elements, through
+precomputed int64 log/antilog tables (GF.mul_array).  The generator
+behind them is the least element whose powers by (q-1)/r, for
 the prime factors r of q-1, are all not 1; it is found once when the
 field is built, and the antilog table is filled in O(log q) numpy steps
 (see GF._powers).  Fields up to 2^16 elements are allowed.
@@ -177,13 +180,12 @@ class GF:
         self.q = q
         self.modulus = _find_modulus(p, n)
 
-        # Antilog table of length 2(q-1) so mul never needs a reduction.
+        # Antilog table of length 2(q-1) so mul_array never needs a reduction.
         exp = self._powers(self._find_generator(), q - 1)
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        self._exp: list[int] = exp.tolist() * 2
-        self._log: list[int] = log.tolist()
-        self._log_exp_arrays = None
+        self._log = np.zeros(q, dtype=np.int64)
+        self._log[exp] = np.arange(q - 1)
+        self._exp = np.concatenate((exp, exp))
+        self._log.flags.writeable = self._exp.flags.writeable = False  # shared by field()
 
     # -- bootstrap arithmetic (table-free) ------------------------------
 
@@ -237,72 +239,11 @@ class GF:
 
     # -- public operations ----------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.n == 1:
-            return (a + b) % self.p
-        out = 0
-        mult = 1
-        for _ in range(self.n):
-            out += ((a + b) % self.p) * mult
-            a //= self.p
-            b //= self.p
-            mult *= self.p
-        return out
-
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.n == 1:
-            return (-a) % self.p
-        out = 0
-        mult = 1
-        for _ in range(self.n):
-            out += ((-a) % self.p) * mult
-            a //= self.p
-            mult *= self.p
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
-
     def mul_array(self, a, b):
         """Elementwise products of two broadcastable integer numpy arrays."""
-        if self._log_exp_arrays is None:
-            self._log_exp_arrays = (np.array(self._log, dtype=np.int64),
-                                    np.array(self._exp, dtype=np.int64))
-        log, exp = self._log_exp_arrays
         a = np.asarray(a)
         b = np.asarray(b)
-        return np.where((a == 0) | (b == 0), 0, exp[log[a] + log[b]])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no inverse in {self!r}")
-        return self._exp[(self.q - 1) - self._log[a]]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("0 to a negative power")
-            return 0
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
-
-    def elements(self) -> range:
-        return range(self.q)
+        return np.where((a == 0) | (b == 0), 0, self._exp[self._log[a] + self._log[b]])
 
     # -- identity ---------------------------------------------------------
 

@@ -332,6 +332,10 @@ class FileStore:
         """The bytes of default_rng(seed).integers(0, 256, dtype=uint8), which
         numpy takes from the little-endian bytes of the generator's 64-bit
         outputs; drawn here as those outputs, eight bytes at a time."""
+        if subfile_len < 0:
+            raise ValueError(f"subfile_len must be >= 0, got {subfile_len}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         shape = (num_files, num_subfiles, subfile_len)
         size = math.prod(shape)
         words = np.random.default_rng(seed).integers(0, 2 ** 64, size=-(-size // 8),
@@ -594,6 +598,8 @@ def run_trials(instance: SchemeInstance, trials: int, seed: int,
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if subfile_len < 1:  # empty subfiles would make every decode vacuous
+        raise ValueError(f"subfile_len must be >= 1, got {subfile_len}")
     k = instance.params.users
     n = num_files if num_files is not None else k
     if n < 1:

@@ -8,13 +8,15 @@ subspaces are grown one dimension at a time by closing a known element
 set over one new vector.
 
 The last two sections read a built universe.  The first gives its
-subspace views in the package's canonical RREF algebra, a path apart
-from the point codes that the universe is built on: the user spaces,
-the sum spaces with their members, and each subfile's sum space.  The
-second reads the line graph, the universe's outside mask, by (user,
-subfile) label: the vertex test, the complement-square edge test and
-the line-graph conditions checked label by label, the references that
-the package's mask-based checks are compared with.
+subspace views as element sets spanned by its lifted user matrices, a
+path apart from the point codes that the universe is built on: the
+user spaces, the sum spaces with their members, and each subfile's sum
+space.  Like the rest of the oracle they need a prime q.  The second
+reads the line graph, the universe's outside mask, by (user, subfile)
+label: the vertex test, the complement-square edge test and the
+line-graph conditions checked label by label, the references that the
+package's mask-based checks are compared with.  The only name taken
+from the package is the report type those checks return.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from itertools import combinations, product
 import numpy as np
 
 from pgcache.linegraph import LineGraphReport
-from pgcache.subspaces import SubspaceBasis, canonicalize
 
 Vec = tuple[int, ...]
 Space = frozenset  # of Vec
@@ -191,13 +192,13 @@ def oracle_candidate_sets(q: int, k: int, m: int, t: int) -> int:
 # Subspace views of a built universe
 # ----------------------------------------------------------------------
 
-def user_spaces(universe) -> list[SubspaceBasis]:
-    """Each user's t-dim space, from its lifted user matrix."""
-    f, k = universe.params.field, universe.params.k
-    return [SubspaceBasis(f, k, rows) for rows in universe.user_matrices]
+def user_spaces(universe) -> list[Space]:
+    """Each user's t-dim space, spanned by its lifted user matrix."""
+    k, q = universe.params.k, universe.params.q
+    return [span_of(rows, k, q) for rows in universe.user_matrices]
 
 
-def _spans(universe) -> tuple[list[SubspaceBasis], list[tuple[int, ...]], list[int]]:
+def _spans(universe) -> tuple[list[Space], list[tuple[int, ...]], list[int]]:
     """Sum spaces in canonical order, their members, and each subfile's
     sum space; subfiles share a sum space exactly when their masks
     agree."""
@@ -205,19 +206,19 @@ def _spans(universe) -> tuple[list[SubspaceBasis], list[tuple[int, ...]], list[i
     mask = universe.outside_mask
     _, first, inverse = np.unique(np.packbits(mask, axis=1), axis=0,
                                   return_index=True, return_inverse=True)
-    bases = [
-        canonicalize(cp.field, cp.k, [row for u in universe.subfile_array[x].tolist()
-                                      for row in universe.user_matrices[u]])
+    spaces = [
+        span_of([row for u in universe.subfile_array[x].tolist()
+                 for row in universe.user_matrices[u]], cp.k, cp.q)
         for x in first.tolist()
     ]
-    order = sorted(range(len(bases)), key=lambda i: bases[i].key())
+    order = sorted(range(len(spaces)), key=lambda i: sorted(spaces[i]))
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
     members = [tuple(np.nonzero(~mask[first[i]])[0].tolist()) for i in order]
-    return [bases[i] for i in order], members, rank[inverse.reshape(-1)].tolist()
+    return [spaces[i] for i in order], members, rank[inverse.reshape(-1)].tolist()
 
 
-def sum_spaces(universe) -> list[SubspaceBasis]:
+def sum_spaces(universe) -> list[Space]:
     """The distinct (m+t)-dim spans of the subfiles, in canonical order."""
     return _spans(universe)[0]
 
@@ -232,7 +233,7 @@ def subfile_span(universe) -> list[int]:
     return _spans(universe)[2]
 
 
-def subfile_sum_space(universe, x: int) -> SubspaceBasis:
+def subfile_sum_space(universe, x: int) -> Space:
     spaces, _, span_of_subfile = _spans(universe)
     return spaces[span_of_subfile[x]]
 

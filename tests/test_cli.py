@@ -175,6 +175,75 @@ def test_simulate_rejects_bad_counts(tmp_path, capsys, flags, message):
     assert err == f"error: {message}\n"
 
 
+# Every integer flag at 0 and -1, and a seed past 64 bits: the exit code
+# and a fragment of what the CLI prints.  Each case refuses before any
+# large allocation, through the closed forms or the cap.
+_EDGE_CASES = [
+    ("params", "-k", 0, 2, "need m + t <= k, got m=1, t=1, k=0"),
+    ("params", "-k", -1, 2, "need m + t <= k, got m=1, t=1, k=-1"),
+    ("params", "-m", 0, 0, "K (users)               = 7"),
+    ("params", "-m", -1, 2, "m must be >= 0, got -1"),
+    ("params", "-t", 0, 2, "t must be >= 1, got 0"),
+    ("params", "-t", -1, 2, "t must be >= 1, got -1"),
+    ("params", "-q", 0, 2, "q must be at least 2, got 0"),
+    ("params", "-q", -1, 2, "q must be at least 2, got -1"),
+    ("construct", "-k", 0, 2, "need m + t <= k, got m=1, t=1, k=0"),
+    ("construct", "-k", -1, 2, "need m + t <= k, got m=1, t=1, k=-1"),
+    ("construct", "-m", 0, 0, "K=7 F=7 D=6 c=6 d=2 R=3 packets=21"),
+    ("construct", "-m", -1, 2, "m must be >= 0, got -1"),
+    ("construct", "-t", 0, 2, "t must be >= 1, got 0"),
+    ("construct", "-t", -1, 2, "t must be >= 1, got -1"),
+    ("construct", "-q", 0, 2, "q must be at least 2, got 0"),
+    ("construct", "-q", -1, 2, "q must be at least 2, got -1"),
+    ("construct", "--cap", 0, 3, "predicted 84 vertices (K=7, D=12, F=21) exceed cap 0"),
+    ("construct", "--cap", -1, 3, "predicted 84 vertices (K=7, D=12, F=21) exceed cap -1"),
+    ("simulate", "--trials", 0, 0, "decode success  = 0/0 user-rounds"),
+    ("simulate", "--trials", -1, 2, "trials must be >= 0, got -1"),
+    ("simulate", "--seed", 0, 0, "decode success  = 7/7 user-rounds"),
+    ("simulate", "--seed", -1, 2, "seed must be >= 0, got -1"),
+    ("simulate", "--seed", 2 ** 64, 0, "decode success  = 7/7 user-rounds"),
+    ("simulate", "--files", 0, 2, "num_files must be >= 1, got 0"),
+    ("simulate", "--files", -1, 2, "num_files must be >= 1, got -1"),
+    ("simulate", "--subfile-len", 0, 2, "subfile_len must be >= 1, got 0"),
+    ("simulate", "--subfile-len", -1, 2, "subfile_len must be >= 1, got -1"),
+    ("bounds", "-K", 0, 2, "need at least one user"),
+    ("bounds", "-K", -1, 2, "need at least one user"),
+    ("bounds", "-F", 0, 2, "need 0 < D <= F"),
+    ("bounds", "-F", -1, 2, "need 0 < D <= F"),
+    ("bounds", "-D", 0, 2, "need 0 < D <= F"),
+    ("bounds", "-D", -1, 2, "need 0 < D <= F"),
+    ("sweep", "-q", 0, 2, "q must be at least 2, got 0"),
+    ("sweep", "-q", -1, 2, "q must be at least 2, got -1"),
+    ("sweep", "--alpha", 0, 2, "alpha must be at least 1 (alpha = 0 is degenerate)"),
+    ("sweep", "--alpha", -1, 2, "alpha must be at least 1 (alpha = 0 is degenerate)"),
+    ("sweep", "--start", 0, 2, "k-t = 0 with alpha = 1 leaves m = -1 < 1"),
+    ("sweep", "--start", -1, 2, "k-t = -1 with alpha = 1 leaves m = -2 < 1"),
+    ("sweep", "--end", 0, 0, "all checks pass: True"),
+    ("sweep", "--end", -1, 0, "all checks pass: True"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value,code,fragment", _EDGE_CASES,
+                         ids=[f"{c}{f}={v}" for c, f, v, _, _ in _EDGE_CASES])
+def test_integer_flag_edge_values(tmp_path, capsys, command, flag, value, code, fragment):
+    fano = ["-k", "3", "-m", "1", "-t", "1", "-q", "2"]
+    base = {
+        "params": ["params", *fano],
+        "construct": ["construct", *fano, "-o", str(tmp_path / "out.json")],
+        "simulate": ["simulate", str(tmp_path / "fano.json"), "--trials", "1"],
+        "bounds": ["bounds", "-K", "7", "-F", "42", "-D", "24"],
+        "sweep": ["sweep", "-q", "2", "--alpha", "1", "--start", "3", "--end", "4"],
+    }[command]
+    if command == "simulate":
+        run(capsys, "construct", *fano, "-o", base[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # m = 0 is degenerate
+        # argparse keeps the last value of a repeated flag
+        got, out, err = run(capsys, *base, flag, str(value))
+    assert got == code
+    assert fragment in (out if code == 0 else err)
+
+
 def test_simulate_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "simulate", str(tmp_path / "nope.json"))
     assert code == 4

@@ -149,6 +149,13 @@ def test_random_store_is_numpy_uint8_draws(shape, seed):
     assert (got == want).all()
 
 
+def test_random_store_refuses_negative_lengths_and_seeds():
+    with pytest.raises(ValueError, match="subfile_len must be >= 0, got -1"):
+        FileStore.random(1, 1, subfile_len=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+        FileStore.random(1, 1, seed=-5)
+
+
 # ----------------------------------------------------------------------
 # Encode
 # ----------------------------------------------------------------------

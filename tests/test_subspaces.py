@@ -1,24 +1,9 @@
-"""Subspace algebra against the element-set brute-force oracle."""
-
-import random
+"""Closed-form subspace counts against the element-set brute-force oracle."""
 
 import pytest
 
 import bruteforce as bf
-from pgcache.gf import field
-from pgcache.subspaces import (
-    SubspaceBasis,
-    canonicalize,
-    contains,
-    count_generating_sets,
-    count_intersecting,
-    enumerate_superspaces,
-    generating_set_counts,
-    q_binomial,
-    standard_prefix_subspace,
-    subspace_sum,
-    zero_subspace,
-)
+from pgcache.subspaces import count_intersecting, generating_set_counts, q_binomial
 
 
 # ----------------------------------------------------------------------
@@ -62,124 +47,6 @@ def test_q_binomial_rejects_negatives():
         q_binomial(3, -2, 2)
     with pytest.raises(ValueError):
         q_binomial(3, 1, 1)
-
-
-# ----------------------------------------------------------------------
-# Canonical form
-# ----------------------------------------------------------------------
-
-def test_canonicalize_worked_examples():
-    f2 = field(2)
-    b = canonicalize(f2, 3, [(1, 1, 0), (0, 1, 1)])
-    assert b.rows == ((1, 0, 1), (0, 1, 1))
-    assert b.dim == 2
-
-    f3 = field(3)
-    b3 = canonicalize(f3, 2, [(2, 0), (1, 0)])
-    assert b3.rows == ((1, 0),)
-
-    empty = canonicalize(f2, 3, [])
-    assert empty.dim == 0 and empty.rows == ()
-
-
-def test_canonicalize_idempotent_and_unique():
-    f3 = field(3)
-    rng = random.Random(2024)
-    base = canonicalize(f3, 4, [(1, 2, 0, 1), (0, 1, 1, 2)])
-    seen = set()
-    trials = 0
-    while trials < 1000:
-        # random spanning sets of the same subspace: random combinations
-        # of the basis rows, kept only when the span has full dimension
-        rows = []
-        for _ in range(base.dim + 2):
-            acc = [0, 0, 0, 0]
-            for row in base.rows:
-                c = rng.randrange(3)
-                acc = [f3.add(a, f3.mul(c, x)) for a, x in zip(acc, row)]
-            rows.append(tuple(acc))
-        cand = canonicalize(f3, 4, rows)
-        if cand.dim != base.dim:
-            continue
-        trials += 1
-        seen.add(cand.rows)
-        assert canonicalize(f3, 4, cand.rows) == cand
-    assert seen == {base.rows}
-
-
-def test_sum_and_containment():
-    f2 = field(2)
-    e1 = canonicalize(f2, 3, [(1, 0, 0)])
-    e2 = canonicalize(f2, 3, [(0, 1, 0)])
-    plane = subspace_sum(e1, e2)
-    assert plane.dim == 2
-    diag = canonicalize(f2, 3, [(1, 1, 0)])
-    assert contains(plane, diag)
-    assert not contains(e1, e2)
-    assert contains(plane, zero_subspace(f2, 3))
-    with pytest.raises(ValueError):
-        subspace_sum(e1, canonicalize(f2, 4, [(1, 0, 0, 0)]))
-
-
-def test_vectors_enumerates_the_span():
-    f3 = field(3)
-    b = canonicalize(f3, 3, [(1, 0, 2), (0, 1, 1)])
-    vecs = set(b.vectors())
-    assert len(vecs) == 9
-    oracle = bf.span_of([(1, 0, 2), (0, 1, 1)], 3, 3)
-    assert vecs == set(oracle)
-
-
-# ----------------------------------------------------------------------
-# Superspace enumeration
-# ----------------------------------------------------------------------
-
-def test_superspace_worked_examples():
-    f2 = field(2)
-    zero = zero_subspace(f2, 3)
-    points = enumerate_superspaces(zero, 1)
-    assert len(points) == 7
-    whole = enumerate_superspaces(zero, 3)
-    assert len(whole) == 1 and whole[0].dim == 3
-
-    e1 = standard_prefix_subspace(f2, 3, 1)
-    planes = enumerate_superspaces(e1, 2)
-    assert len(planes) == 3  # frozen from the element-set oracle
-    assert all(contains(p, e1) for p in planes)
-
-
-def test_superspace_counts_and_order():
-    for q in (2, 3):
-        f = field(q)
-        for k in range(1, 6):
-            for w_dim in range(0, k + 1):
-                w = standard_prefix_subspace(f, k, w_dim)
-                for d in range(w_dim, k + 1):
-                    sups = enumerate_superspaces(w, d)
-                    assert len(sups) == q_binomial(k - w_dim, d - w_dim, q)
-                    keys = [s.key() for s in sups]
-                    assert keys == sorted(keys)
-                    assert len(set(keys)) == len(keys)
-
-
-def test_superspaces_match_oracle_membership():
-    w_oracle = bf.span_of([(1, 0, 0)], 3, 2)
-    expected = {frozenset(s) for s in bf.superspaces_of(2, 3, w_oracle, 2)}
-    f2 = field(2)
-    got = {
-        frozenset(s.vectors())
-        for s in enumerate_superspaces(standard_prefix_subspace(f2, 3, 1), 2)
-    }
-    assert got == expected
-
-
-def test_superspace_dimension_bounds():
-    f2 = field(2)
-    w = standard_prefix_subspace(f2, 3, 2)
-    with pytest.raises(ValueError):
-        enumerate_superspaces(w, 1)
-    with pytest.raises(ValueError):
-        enumerate_superspaces(w, 4)
 
 
 # ----------------------------------------------------------------------
@@ -239,14 +106,3 @@ def test_generating_counts_match_oracle():
         per_span = {len(hits) for hits in spans.values()}
         assert per_span == {generating_set_counts(q, m, t).subspace_sets}, (q, k, m, t)
 
-
-def test_count_generating_sets_reads_dimensions():
-    f2 = field(2)
-    w = standard_prefix_subspace(f2, 4, 1)
-    p = standard_prefix_subspace(f2, 4, 3)
-    counts = count_generating_sets(p, w, 1)
-    assert counts.subspace_sets == 3
-    with pytest.raises(ValueError):
-        count_generating_sets(p, w, 2)      # dimension mismatch
-    with pytest.raises(ValueError):
-        count_generating_sets(w, p, 1)      # w not inside p
