@@ -6,7 +6,7 @@ simulator, and computes subpacketization-aware lower bounds and the
 reference comparison tables.
 """
 
-from .gf import GF, field, field_new
+from .gf import GF, field
 from .subspaces import count_intersecting, generating_set_counts, q_binomial
 from .linegraph import (
     CapacityError,

@@ -13,11 +13,9 @@ user) this module computes:
                       pick users k_1, k_2, ... and sum the sizes of the
                       common neighbourhoods N(k_1) ∩ ... ∩ N(k_j).
 
-For bound_generic the default "shared" mode counts subfiles missing at
-every chosen user so far, which is the quantity the bi-regular bound's
-pigeonhole argument tracks; with that reading a greedy ordering always
-dominates bound_biregular.  A "fresh" mode (subfiles newly covered by each
-user) is available for tightness experiments.
+bound_generic counts the subfiles missing at every chosen user so far,
+which is the quantity the bi-regular bound's pigeonhole argument tracks;
+with that reading a greedy ordering always dominates bound_biregular.
 """
 
 from __future__ import annotations
@@ -150,86 +148,49 @@ class OrderingTrace:
         return sum(self.rhos)
 
 
-def _selection(ids: Sequence[int] | None, total: int, what: str) -> list[int]:
-    """The sorted ids of a restriction to users or subfiles, all of them
-    for None; each id must lie in [0, total) and appear once."""
-    chosen = sorted(range(total) if ids is None else ids)
-    for end in chosen[:1] + chosen[-1:]:
-        if not 0 <= end < total:
-            raise ValueError(f"{what} {end} is outside [0, {total})")
-    if len(set(chosen)) != len(chosen):
-        raise ValueError(f"{what}s repeat an id")
-    return chosen
-
-
 class _OrderingWalk:
-    """The ordering bound's step on one placement, over the selected users
-    (`pool`, sorted) and subfiles.  The state is a bitmask of subfiles: in
-    "shared" mode those missing at every user so far, starting from all;
-    in "fresh" mode those missing at any user so far, starting from none.
-    """
+    """The ordering bound's walk on one placement.  The state is a bitmask
+    of the subfiles missing at every user so far, starting from all."""
 
-    def __init__(self, placement, users: Sequence[int] | None,
-                 subfiles: Sequence[int] | None, mode: str) -> None:
-        if mode not in ("shared", "fresh"):
-            raise ValueError(f"unknown mode {mode!r}")
+    def __init__(self, placement) -> None:
         matrix = placement.matrix if hasattr(placement, "matrix") else np.asarray(placement)
         total_k, total_f = matrix.shape
-        self.pool = _selection(users, total_k, "user")
-        if subfiles is not None and not len(subfiles):
-            raise ValueError("subfiles selects no subfile")
-        rows = matrix if subfiles is None else matrix[:, _selection(subfiles, total_f, "subfile")]
-        packed = np.packbits(rows.astype(np.uint8), axis=1, bitorder="little")
+        packed = np.packbits(matrix.astype(np.uint8), axis=1, bitorder="little")
         self.masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
         degrees = set(matrix.sum(axis=1).tolist())
         if len(degrees) != 1:
             raise ValueError("placement is not left-regular")
         # floor of K(1-M/N)
-        self.n_prime = min(len(self.pool), total_k * int(degrees.pop()) // total_f)
-        self.shared = mode == "shared"
-        self.start = (1 << rows.shape[1]) - 1 if self.shared else 0
-
-    def step(self, state: int, user: int) -> tuple[int, int]:
-        mask = self.masks[user]
-        if self.shared:
-            state &= mask
-            return state.bit_count(), state
-        return (mask & ~state).bit_count(), state | mask
+        self.n_prime = total_k * int(degrees.pop()) // total_f
+        self.start = (1 << total_f) - 1
 
     def terms(self, ordering: Sequence[int]) -> list[int]:
         state = self.start
         out = []
         for user in ordering:
-            term, state = self.step(state, user)
-            out.append(term)
+            state &= self.masks[user]
+            out.append(state.bit_count())
         return out
 
 
-def bound_generic_trace(placement, ordering: Sequence[int],
-                        users: Sequence[int] | None = None,
-                        subfiles: Sequence[int] | None = None,
-                        mode: str = "shared") -> OrderingTrace:
-    """Ordering bound with the per-step sizes exposed.
-
-    mode "shared": rho_j = subfiles adjacent to every one of the first j
-    users (monotone intersections, matching the bi-regular recursion).
-    mode "fresh": rho_j = subfiles seen at user j for the first time.
-    """
-    walk = _OrderingWalk(placement, users, subfiles, mode)
+def bound_generic_trace(placement, ordering: Sequence[int]) -> OrderingTrace:
+    """Ordering bound with the per-step sizes exposed: rho_j counts the
+    subfiles missing at every one of the first j users (monotone
+    intersections, matching the bi-regular recursion)."""
+    walk = _OrderingWalk(placement)
     ordering = tuple(ordering)
     if len(set(ordering)) != len(ordering):
         raise ValueError("ordering repeats a user")
-    if not set(ordering) <= set(walk.pool):
-        raise ValueError("ordering contains users outside the selection")
+    total_k = len(walk.masks)
+    for user in ordering:
+        if not 0 <= user < total_k:
+            raise ValueError(f"user {user} is outside [0, {total_k})")
     ordering = ordering[:walk.n_prime]
     return OrderingTrace(ordering=ordering, rhos=walk.terms(ordering), n_prime=walk.n_prime)
 
 
-def bound_generic(placement, ordering: Sequence[int],
-                  users: Sequence[int] | None = None,
-                  subfiles: Sequence[int] | None = None,
-                  mode: str = "shared") -> int:
-    return bound_generic_trace(placement, ordering, users, subfiles, mode).value
+def bound_generic(placement, ordering: Sequence[int]) -> int:
+    return bound_generic_trace(placement, ordering).value
 
 
 @dataclass
@@ -239,30 +200,27 @@ class OrderingSearchResult:
     exhaustive: bool
 
 
-def bound_generic_max(placement,
-                      users: Sequence[int] | None = None,
-                      subfiles: Sequence[int] | None = None,
-                      mode: str = "shared",
-                      exhaustive_limit: int = 8) -> OrderingSearchResult:
+def bound_generic_max(placement, exhaustive_limit: int = 8) -> OrderingSearchResult:
     """Best ordering bound over user orderings.
 
-    Exact (all orderings of length N') when at most exhaustive_limit users
-    are in play, greedy max-intersection otherwise.  Ties break to the
+    Exact (all orderings of length N') when the placement has at most
+    exhaustive_limit users, greedy max-intersection otherwise.  Ties break to the
     lexicographically least ordering in both cases.
     """
-    walk = _OrderingWalk(placement, users, subfiles, mode)
-    if len(walk.pool) <= exhaustive_limit:
-        # permutations of the sorted pool come in lexicographic order, and
-        # max keeps the first maximum
-        best = max(permutations(walk.pool, walk.n_prime), key=lambda o: sum(walk.terms(o)))
+    walk = _OrderingWalk(placement)
+    users = range(len(walk.masks))
+    if len(users) <= exhaustive_limit:
+        # permutations of the ascending users come in lexicographic order,
+        # and max keeps the first maximum
+        best = max(permutations(users, walk.n_prime), key=lambda o: sum(walk.terms(o)))
         return OrderingSearchResult(sum(walk.terms(best)), best, exhaustive=True)
 
     chosen: list[int] = []
-    remaining = list(walk.pool)
+    remaining = list(users)
     state = walk.start
     for _ in range(walk.n_prime):
-        user = max(remaining, key=lambda u: walk.step(state, u)[0])
-        state = walk.step(state, user)[1]
+        user = max(remaining, key=lambda u: (state & walk.masks[u]).bit_count())
+        state &= walk.masks[user]
         chosen.append(user)
         remaining.remove(user)
     return OrderingSearchResult(sum(walk.terms(chosen)), tuple(chosen), exhaustive=False)
@@ -282,7 +240,6 @@ class BoundsReport:
     pda_bound: int
     cutset_bound: int                  # ceil of the exact value
     cutset_exact: Fraction
-    ordering_bound: OrderingSearchResult | None = None
 
     def as_dict(self) -> dict:
         out = {
@@ -296,22 +253,16 @@ class BoundsReport:
         }
         if self.biregular_note:
             out["biregular_note"] = self.biregular_note
-        if self.ordering_bound is not None:
-            out["ordering_bound"] = self.ordering_bound.value
-            out["ordering_exhaustive"] = self.ordering_bound.exhaustive
         return out
 
 
-def bounds_report(st: SystemTriple, placement=None) -> BoundsReport:
+def bounds_report(st: SystemTriple) -> BoundsReport:
     if st.is_biregular and st.uncached_users >= 1:
         biregular = bound_biregular(st)
         note = None
     else:
         biregular = None
         note = f"K*D/F = {st.uncached_users_exact} is not a positive integer"
-    ordering = None
-    if placement is not None:
-        ordering = bound_generic_max(placement)
     return BoundsReport(
         triple=st,
         biregular_bound=biregular,
@@ -319,5 +270,4 @@ def bounds_report(st: SystemTriple, placement=None) -> BoundsReport:
         pda_bound=bound_pda(st),
         cutset_bound=bound_cutset_reported(st),
         cutset_exact=bound_cutset(st),
-        ordering_bound=ordering,
     )

@@ -42,7 +42,10 @@ EXIT_VALIDATION = 5
 def _default_cap() -> int:
     env = os.environ.get("PGCACHE_CAP")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"PGCACHE_CAP must be an integer, got {env!r}") from None
     return DEFAULT_VERTEX_CAP
 
 

@@ -353,4 +353,6 @@ def asymptotic_sweep(q: int, alpha: int, kt_values) -> SweepReport:
             log_band_ok=log_band, rate_identity_ok=rate_identity,
             packing_bound_ok=packing, growth_ratio=ratio,
         ))
+    if not rows:
+        raise ValueError("no k-t values to sweep")
     return SweepReport(q=q, alpha=alpha, rows=tuple(rows))

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-DEFAULT_MAX_ORDER = 1 << 16
+MAX_ORDER = 1 << 16
 
 
 # Miller-Rabin with the first thirteen primes as bases is exact below
@@ -167,14 +167,14 @@ class GF:
     threads.  Elements are ints in [0, q); no wrapping class is used.
     """
 
-    def __init__(self, p: int, n: int, max_order: int = DEFAULT_MAX_ORDER) -> None:
+    def __init__(self, p: int, n: int) -> None:
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if n < 1:
             raise ValueError(f"extension degree must be >= 1, got {n}")
         q = p ** n
-        if q > max_order:
-            raise ValueError(f"field size {q} exceeds limit {max_order}")
+        if q > MAX_ORDER:
+            raise ValueError(f"field size {q} exceeds limit {MAX_ORDER}")
         self.p = p
         self.n = n
         self.q = q
@@ -249,22 +249,6 @@ class GF:
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GF)
-            and self.p == other.p
-            and self.n == other.n
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.n, self.modulus))
-
-
-def field_new(p: int, n: int, max_order: int = DEFAULT_MAX_ORDER) -> GF:
-    """Build GF(p^n) with the deterministic modulus choice."""
-    return GF(p, n, max_order=max_order)
 
 
 @lru_cache(maxsize=None)

@@ -342,11 +342,6 @@ class FileStore:
                                                      dtype="<u8")
         return cls(data=words.view(np.uint8)[:size].reshape(shape))
 
-    @classmethod
-    def zeros(cls, num_files: int, num_subfiles: int,
-              subfile_len: int = DEFAULT_SUBFILE_LEN) -> "FileStore":
-        return cls(data=np.zeros((num_files, num_subfiles, subfile_len), dtype=np.uint8))
-
     @property
     def num_files(self) -> int:
         return self.data.shape[0]

@@ -124,31 +124,16 @@ def test_ordering_bound_edge_cases(fano_placement):
     assert bound_generic(fano_placement, [0]) == 12     # first term is the degree
     with pytest.raises(ValueError):
         bound_generic(fano_placement, [0, 0])
-    with pytest.raises(ValueError):
-        bound_generic(fano_placement, [0, 1], users=[0, 2])
-    with pytest.raises(ValueError):
-        bound_generic(fano_placement, [0, 1], mode="sideways")
-    with pytest.raises(ValueError):
-        bound_generic_max(fano_placement, mode="sideways")
 
 
-@pytest.mark.parametrize("restriction,why", [
-    ({"users": [0, 9]}, "user 9 is outside"),
-    ({"users": [-1, 0]}, "user -1 is outside"),
-    ({"users": [0, 0]}, "users repeat"),
-    ({"subfiles": [0, 21]}, "subfile 21 is outside"),
-    ({"subfiles": [-2, 3]}, "subfile -2 is outside"),
-    ({"subfiles": [3, 3]}, "subfiles repeat"),
-    ({"subfiles": []}, "no subfile"),
-], ids=repr)
-def test_ordering_bound_refuses_restrictions_outside_the_placement(fano_placement,
-                                                                   restriction, why):
-    """A restriction names users and subfiles of the 7 x 21 placement, each
-    once; a negative id would wrap to the last row or column."""
-    with pytest.raises(ValueError, match=why):
-        bound_generic(fano_placement, [0], **restriction)
-    with pytest.raises(ValueError, match=why):
-        bound_generic_max(fano_placement, **restriction)
+@pytest.mark.parametrize("user", [7, -1])
+def test_ordering_refuses_users_outside_the_placement(fano_placement, user):
+    """The 7 x 21 placement has users 0..6; a negative id would otherwise
+    wrap to the last row."""
+    with pytest.raises(ValueError, match=f"user {user} is outside"):
+        bound_generic(fano_placement, [0, user])
+    with pytest.raises(ValueError, match=f"user {user} is outside"):
+        bound_generic_trace(fano_placement, [user])
 
 
 def test_ordering_bound_truncates_at_n_prime(fano_placement):
@@ -164,8 +149,6 @@ def test_fano_exhaustive_ordering_values(fano_placement):
     assert shared.exhaustive
     assert shared.value == 24            # 12 + 6 + 3 + 3, frozen by full search
     assert shared.ordering == (0, 1, 3, 6)
-    fresh = bound_generic_max(fano_placement, mode="fresh")
-    assert fresh.value == 21             # the whole subfile set gets covered
     greedy = bound_generic_max(fano_placement, exhaustive_limit=2)
     assert not greedy.exhaustive
     assert greedy.value == 24            # greedy reaches the optimum here
@@ -192,22 +175,6 @@ def test_ordering_bound_consistency_on_constructions():
         assert rf >= search.value
 
 
-def test_bounds_report_with_placement(fano_placement):
-    rep = bounds_report(SystemTriple(7, 21, 12), placement=fano_placement)
-    assert rep.ordering_bound is not None
-    assert rep.ordering_bound.value == 24
-    assert rep.ordering_bound.exhaustive
-    d = rep.as_dict()
-    assert d["ordering_bound"] == 24 and d["ordering_exhaustive"]
-
-
-def test_restrictions_shrink_the_bound(fano_placement):
-    full = bound_generic(fano_placement, [0, 1, 3, 6])
-    some_subfiles = list(range(10))
-    restricted = bound_generic(fano_placement, [0, 1, 3, 6], subfiles=some_subfiles)
-    assert restricted <= full
-
-
 def test_scheme_rf_exceeds_reference_bounds():
     # rows of the reference table that the construction actually achieves
     for triple, cp in [((7, 42, 24), ConstructionParams(3, 1, 1, 2)),
@@ -222,7 +189,7 @@ def test_scheme_rf_exceeds_reference_bounds():
 
 # ----------------------------------------------------------------------
 # Reference: the ordering loops and nested ceilings as first written, one
-# loop per mode and per search, kept to check the shared walker against.
+# loop per search, kept to check the walker against.
 # ----------------------------------------------------------------------
 
 def _ceil_div(a, b):
@@ -250,63 +217,49 @@ def _reference_pda(st):
     return total
 
 
-def _reference_masks(matrix, users, subfiles):
-    masks = {}
-    cols = None if subfiles is None else np.asarray(sorted(subfiles))
-    for u in users:
-        row = matrix[u] if cols is None else matrix[u][cols]
+def _reference_masks(matrix):
+    masks = []
+    for row in matrix:
         packed = np.packbits(row.astype(np.uint8), bitorder="little").tobytes()
-        masks[u] = int.from_bytes(packed, "little")
+        masks.append(int.from_bytes(packed, "little"))
     return masks
 
 
-def _reference_n_prime(matrix, num_selected_users):
+def _reference_n_prime(matrix):
     total_k, total_f = matrix.shape
     degrees = matrix.sum(axis=1)
     if len(set(degrees.tolist())) != 1:
         raise ValueError("placement is not left-regular")
-    ku = Fraction(int(total_k) * int(degrees[0]), int(total_f))
-    return min(num_selected_users, int(ku))
+    return int(Fraction(int(total_k) * int(degrees[0]), int(total_f)))
 
 
-def _reference_trace(matrix, ordering, users, subfiles, mode):
+def _reference_trace(matrix, ordering):
     """(ordering, rhos, n_prime) of bound_generic_trace."""
-    all_users = range(matrix.shape[0]) if users is None else users
     ordering = tuple(ordering)
-    masks = _reference_masks(matrix, ordering, subfiles)
-    n_prime = _reference_n_prime(matrix, len(all_users))
+    masks = _reference_masks(matrix)
+    n_prime = _reference_n_prime(matrix)
     rhos = []
     cur = None
-    seen = 0
     for u in ordering[:n_prime]:
-        if mode == "shared":
-            cur = masks[u] if cur is None else (cur & masks[u])
-            rhos.append(cur.bit_count())
-        else:
-            rhos.append((masks[u] & ~seen).bit_count())
-            seen |= masks[u]
+        cur = masks[u] if cur is None else (cur & masks[u])
+        rhos.append(cur.bit_count())
     return ordering[:n_prime], rhos, n_prime
 
 
-def _reference_max(matrix, users, subfiles, mode, exhaustive_limit):
+def _reference_max(matrix, exhaustive_limit):
     """(value, ordering, exhaustive) of bound_generic_max."""
-    pool = sorted(range(matrix.shape[0]) if users is None else users)
-    masks = _reference_masks(matrix, pool, subfiles)
-    n_prime = _reference_n_prime(matrix, len(pool))
+    pool = list(range(matrix.shape[0]))
+    masks = _reference_masks(matrix)
+    n_prime = _reference_n_prime(matrix)
     if len(pool) <= exhaustive_limit:
         best_val = -1
         best_ord = ()
         for order in permutations(pool, n_prime):
             cur = None
-            seen = 0
             total = 0
             for u in order:
-                if mode == "shared":
-                    cur = masks[u] if cur is None else (cur & masks[u])
-                    total += cur.bit_count()
-                else:
-                    total += (masks[u] & ~seen).bit_count()
-                    seen |= masks[u]
+                cur = masks[u] if cur is None else (cur & masks[u])
+                total += cur.bit_count()
             if total > best_val:
                 best_val = total
                 best_ord = order
@@ -314,25 +267,18 @@ def _reference_max(matrix, users, subfiles, mode, exhaustive_limit):
     chosen = []
     remaining = list(pool)
     cur = None
-    seen = 0
     total = 0
     for _ in range(n_prime):
         best_u = None
         best_gain = -1
         for u in remaining:
-            if mode == "shared":
-                gain = (masks[u] if cur is None else (cur & masks[u])).bit_count()
-            else:
-                gain = (masks[u] & ~seen).bit_count()
+            gain = (masks[u] if cur is None else (cur & masks[u])).bit_count()
             if gain > best_gain:
                 best_gain = gain
                 best_u = u
         chosen.append(best_u)
         remaining.remove(best_u)
-        if mode == "shared":
-            cur = masks[best_u] if cur is None else (cur & masks[best_u])
-        else:
-            seen |= masks[best_u]
+        cur = masks[best_u] if cur is None else (cur & masks[best_u])
         total += best_gain
     return total, tuple(chosen), False
 
@@ -350,27 +296,20 @@ def _left_regular_placements(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(matrix=_left_regular_placements(), mode=hst.sampled_from(["shared", "fresh"]),
-       data=hst.data())
-def test_ordering_walker_matches_reference_loops(matrix, mode, data):
-    k, f = matrix.shape
-    users = data.draw(hst.none() | hst.lists(hst.integers(0, k - 1), unique=True), "users")
-    subfiles = data.draw(hst.none() | hst.lists(hst.integers(0, f - 1), min_size=1,
-                                                unique=True), "subfiles")
-    pool = sorted(range(k) if users is None else users)
-    ordering = data.draw(hst.permutations(pool), "ordering")
-    ordering = ordering[:data.draw(hst.integers(0, len(pool)), "length")]
-    trace = bound_generic_trace(matrix, ordering, users, subfiles, mode)
-    assert (trace.ordering, trace.rhos, trace.n_prime) == _reference_trace(
-        matrix, ordering, users, subfiles, mode)
+@given(matrix=_left_regular_placements(), data=hst.data())
+def test_ordering_walker_matches_reference_loops(matrix, data):
+    k = matrix.shape[0]
+    ordering = data.draw(hst.permutations(range(k)), "ordering")
+    ordering = ordering[:data.draw(hst.integers(0, k), "length")]
+    trace = bound_generic_trace(matrix, ordering)
+    assert (trace.ordering, trace.rhos, trace.n_prime) == _reference_trace(matrix, ordering)
 
-    # Below len(pool) the search is greedy, at or above it exhaustive.
-    limit = data.draw(hst.integers(max(0, len(pool) - 2), len(pool) + 1), "limit")
+    # Below K the search is greedy, at or above it exhaustive.
+    limit = data.draw(hst.integers(max(0, k - 2), k + 1), "limit")
     # keeps each exhaustive search at most P(9, 4) orderings long
-    assume(len(pool) > limit or perm(len(pool), trace.n_prime) <= 3024)
-    got = bound_generic_max(matrix, users, subfiles, mode, exhaustive_limit=limit)
-    assert (got.value, got.ordering, got.exhaustive) == _reference_max(
-        matrix, users, subfiles, mode, limit)
+    assume(k > limit or perm(k, trace.n_prime) <= 3024)
+    got = bound_generic_max(matrix, exhaustive_limit=limit)
+    assert (got.value, got.ordering, got.exhaustive) == _reference_max(matrix, limit)
 
 
 @given(users=hst.integers(1, 60), data=hst.data())

@@ -161,6 +161,15 @@ def test_cap_env_override(tmp_path, capsys, monkeypatch):
     assert "exceed cap 10" in err
 
 
+def test_cap_env_must_be_an_integer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PGCACHE_CAP", "abc")
+    code, out, err = run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2",
+                         "-o", str(tmp_path / "fano.json"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: PGCACHE_CAP must be an integer, got 'abc'\n"
+
+
 @pytest.mark.parametrize("flags,message", [
     (("--trials", "-3"), "trials must be >= 0, got -3"),
     (("--files", "0"), "num_files must be >= 1, got 0"),
@@ -218,8 +227,8 @@ _EDGE_CASES = [
     ("sweep", "--alpha", -1, 2, "alpha must be at least 1 (alpha = 0 is degenerate)"),
     ("sweep", "--start", 0, 2, "k-t = 0 with alpha = 1 leaves m = -1 < 1"),
     ("sweep", "--start", -1, 2, "k-t = -1 with alpha = 1 leaves m = -2 < 1"),
-    ("sweep", "--end", 0, 0, "all checks pass: True"),
-    ("sweep", "--end", -1, 0, "all checks pass: True"),
+    ("sweep", "--end", 0, 2, "no k-t values to sweep"),
+    ("sweep", "--end", -1, 2, "no k-t values to sweep"),
 ]
 
 

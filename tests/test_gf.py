@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from pgcache.gf import factor_prime_power, field, field_new
+from pgcache.gf import GF, MAX_ORDER, factor_prime_power, field
 from pgcache.linegraph import _Points
 
 
@@ -132,10 +132,10 @@ def test_antilog_table_is_the_generator_powers(q):
 
 
 def test_modulus_choices_are_deterministic():
-    assert field_new(2, 1).modulus == (0, 1)          # plain x for prime fields
-    assert field_new(2, 2).modulus == (1, 1, 1)       # x^2 + x + 1
-    assert field_new(2, 3).modulus == (1, 1, 0, 1)    # x^3 + x + 1
-    assert field_new(3, 2).modulus == (1, 0, 1)       # x^2 + 1 over GF(3)
+    assert GF(2, 1).modulus == (0, 1)          # plain x for prime fields
+    assert GF(2, 2).modulus == (1, 1, 1)       # x^2 + x + 1
+    assert GF(2, 3).modulus == (1, 1, 0, 1)    # x^3 + x + 1
+    assert GF(3, 2).modulus == (1, 0, 1)       # x^2 + 1 over GF(3)
     assert field(4) is field(4)  # cached, so identity is stable
 
 
@@ -148,13 +148,13 @@ def test_worked_products():
 
 def test_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        field_new(4, 1)           # p not prime
+        GF(4, 1)           # p not prime
     with pytest.raises(ValueError):
-        field_new(6, 2)
+        GF(6, 2)
     with pytest.raises(ValueError):
-        field_new(2, 0)
+        GF(2, 0)
     with pytest.raises(ValueError):
-        field_new(2, 17)          # 2^17 over the default limit
+        GF(2, 17)          # 2^17 over MAX_ORDER
     with pytest.raises(ValueError):
         field(12)                 # not a prime power
 
@@ -190,7 +190,7 @@ def test_exp_tables_are_unchanged(q):
     assert all(element_order(f, g) < q - 1 for g in range(2, generator))
 
 
-def test_larger_field_under_custom_limit():
-    f = field_new(2, 17, max_order=1 << 17)
-    assert f.q == 1 << 17
+def test_largest_field_under_the_limit():
+    f = GF(2, 16)
+    assert f.q == MAX_ORDER
     assert (f.mul_array(3, np.arange(f.q)) == 1).sum() == 1   # 3 has one reciprocal

@@ -171,7 +171,7 @@ def test_single_clique_toy_xor():
 
 
 def test_zero_store_gives_zero_packets(fano):
-    store = FileStore.zeros(7, 21, subfile_len=4)
+    store = FileStore(data=np.zeros((7, 21, 4), dtype=np.uint8))
     packets = run_round(fano, store, [0] * 7)
     assert len(packets) == 28
     assert all(not p.payload.any() for p in packets)
@@ -735,7 +735,7 @@ def test_round_zero_trace_is_byte_identical(kmtq, subfile_len, digest):
 
 
 def test_coded_packet_header(fano):
-    store = FileStore.zeros(7, 21, subfile_len=4)
+    store = FileStore(data=np.zeros((7, 21, 4), dtype=np.uint8))
     packets = run_round(fano, store, [0] * 7)
     assert [p.clique_id for p in packets] == list(range(28))
     assert isinstance(packets[0], CodedPacket)
