@@ -218,14 +218,19 @@ def delivery_violation(plan: DeliveryPlan, placement: PlacementMap) -> str | Non
 
 def _bit_words(mask: np.ndarray) -> np.ndarray:
     """An (R, K) bool mask as a (ceil(K / 64), R) table of uint64 words:
-    bit u % 64 of word [u // 64, r] is set where mask[r, u].  Packed
-    block by block, one row of words per 64 users."""
+    bit u % 64 of word [u // 64, r] is set where mask[r, u].  Block by
+    block, the rows are copied into a buffer zero-padded to whole words,
+    which one flat packbits turns into the rows' words."""
     rows, k = mask.shape
-    packed = np.zeros((rows, -(-k // 64) * 8), dtype=np.uint8)
+    width = -(-k // 64) * 64
+    packed = np.empty(rows * width // 8, dtype=np.uint8)
+    padded = np.zeros((min(rows, _XOR_CLIQUES), width), dtype=bool)
     for lo in range(0, rows, _XOR_CLIQUES):
-        packed[lo:lo + _XOR_CLIQUES, :-(-k // 8)] = np.packbits(
-            mask[lo:lo + _XOR_CLIQUES], axis=1, bitorder="little")
-    return np.ascontiguousarray(packed.view("<u8").T)
+        block = padded[:len(mask[lo:lo + _XOR_CLIQUES])]
+        block[:, :k] = mask[lo:lo + _XOR_CLIQUES]
+        packed[lo * width // 8:(lo + len(block)) * width // 8] = np.packbits(
+            block, axis=None, bitorder="little")
+    return np.ascontiguousarray(packed.view("<u8").reshape(rows, width // 64).T)
 
 
 def _cells(users: np.ndarray, subfiles: np.ndarray, k: int) -> np.ndarray:
@@ -444,15 +449,17 @@ def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> l
     leave a zero residual.  Each block of cliques takes its packets from
     the batch by clique id, the last packet naming a clique winning, and
     XORs its members' subfiles into them; no (C, L) residual is kept.
-    Raises DecodeError when a packet id is not an integer or names no
-    clique, a clique has no packet, or a payload is not bytes of the
-    subfile length.
+    Raises DecodeError when the packet ids are not a flat sequence of
+    integers, one per payload, an id names no clique, a clique has no
+    packet, or a payload is not bytes of the subfile length.
     """
     demands = _demand_vector(store, demands)
     num, length = plan.num_cliques, store.subfile_len
     ids = np.asarray(packets.ids)
     if ids.dtype.kind not in "iu":
         raise DecodeError(f"packet clique ids are {ids.dtype}, not integers")
+    if ids.ndim != 1:
+        raise DecodeError(f"packet clique ids have shape {ids.shape}, not one id per packet")
     ids = ids.astype(np.int64, copy=False)
     bad = (ids < 0) | (ids >= num)
     if bad.any():
@@ -462,6 +469,8 @@ def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> l
     if packets.payloads.shape[1:] != (length,):
         raise DecodeError(f"packet payloads have shape {packets.payloads.shape[1:]}, "
                           f"subfiles are {length} bytes")
+    if len(packets.payloads) != len(ids):
+        raise DecodeError(f"{len(packets.payloads)} packet payloads for {len(ids)} clique ids")
     packet_of = np.full(num, -1, dtype=np.int64)
     packet_of[ids] = np.arange(len(ids), dtype=np.int64)
     if num and packet_of.min() < 0:
@@ -679,9 +688,9 @@ def _json_int_blocks(*columns: np.ndarray) -> Iterator[bytes]:
     of an entry's leading digit is written as NUL, which no JSON text
     holds: dropping the NULs compresses the block.  When every slot fits
     in 8 bytes and the array holds more entries than its largest value,
-    a slot is one uint64 word, the OR of its punctuation and the value's
-    digits taken from a table; else the digits are written one decimal
-    place at a time.
+    a slot is one uint64 word, the value's digits with its punctuation,
+    taken from a table; else the digits are written one decimal place at
+    a time.
     """
     a = columns[0]
     for c in columns:
@@ -709,7 +718,7 @@ def _json_int_blocks(*columns: np.ndarray) -> Iterator[bytes]:
     tops = [int(c.max()) for c in columns]
     widths = [len(str(tops[e % len(columns)])) for e in range(entries)]
     if max(tops) < rows * entries and all(len(p) + w <= 8 for p, w in zip(prefixes, widths)):
-        blocks = _table_rows(columns, prefixes, max(tops))
+        blocks = _table_rows(columns, prefixes, tops)
     else:
         blocks = _digit_rows(columns, prefixes, max(tops))
     yield b"["
@@ -731,18 +740,36 @@ def _digit_words(top: int) -> np.ndarray:
     return (head[:, None] | ones).reshape(-1)[:top + 1]
 
 
-def _table_rows(columns, prefixes, top) -> Iterator[bytes]:
+def _table_rows(columns, prefixes, tops) -> Iterator[bytes]:
     """The rows of _json_int_blocks block by block, one 8-byte slot per
-    entry: the prefix in the low bytes, the digits from the table in the
-    high bytes."""
-    table = _digit_words(top)
-    template = np.array([int.from_bytes(p, "little") for p in prefixes], dtype="<u8")
-    for lo in range(0, len(columns[0]), _RENDER_ROWS):
-        words = [table[c[lo:lo + _RENDER_ROWS]] for c in columns]
-        words = words[0] if len(words) == 1 else np.stack(words, axis=-1)
-        slots = words.reshape(len(words), -1)
-        slots |= template
-        yield slots.tobytes().translate(None, b"\0")
+    entry: the prefix in the low bytes, the digits in the high bytes.
+    Each distinct prefix is ORed into its own copy of the digit table, cut
+    after the largest value that follows the prefix (the delivery plan's
+    user prefixes take K words, its subfile prefix F), so entry e of a row
+    is slot at[e] + value and a block's slots are one gather of int32
+    indexes."""
+    table = _digit_words(max(tops))
+    reach: dict[bytes, int] = {}  # prefix -> largest value after it
+    for e, p in enumerate(prefixes):
+        reach[p] = max(reach.get(p, 0), tops[e % len(columns)])
+    baked = np.concatenate([table[:top + 1] | np.uint64(int.from_bytes(p, "little"))
+                            for p, top in reach.items()])
+    start = dict(zip(reach, np.cumsum([0] + [top + 1 for top in reach.values()]).tolist()))
+    at = np.array([start[p] for p in prefixes], dtype=np.int32)
+    rows, entries = len(columns[0]), len(prefixes)
+    index = np.empty((min(rows, _RENDER_ROWS), entries), dtype=np.int32)
+    # index viewed with the columns as its last axis, to write them in place.
+    by_column = index.reshape(len(index), -1, len(columns))
+    slots = np.empty(index.shape, dtype="<u8")
+    for lo in range(0, rows, _RENDER_ROWS):
+        n = len(columns[0][lo:lo + _RENDER_ROWS])
+        for j, c in enumerate(columns):
+            by_column[:n, :, j] = c[lo:lo + n].reshape(n, -1)
+        np.add(index[:n], at, out=index[:n])
+        # Every index is in range (0 <= value <= reach of its prefix), and
+        # "clip" lets take write to out without the buffer of "raise" mode.
+        yield np.take(baked, index[:n], out=slots[:n], mode="clip").tobytes().translate(
+            None, b"\0")
 
 
 def _digit_rows(columns, prefixes, top) -> Iterator[bytes]:
@@ -1112,11 +1139,14 @@ def _trace_record(length: int) -> np.dtype:
 def packet_trace_bytes(packets: Packets) -> bytes:
     """Binary packet dump: magic, u32 count, then (u32 id, u32 len, payload)."""
     count, length = packets.payloads.shape
-    records = np.empty(count, dtype=_trace_record(length))
+    # The header and the records are filled in one buffer, copied once.
+    trace = np.empty(8 + count * (8 + length), dtype=np.uint8)
+    trace[:8] = np.frombuffer(TRACE_MAGIC + count.to_bytes(4, "little"), dtype=np.uint8)
+    records = trace[8:].view(_trace_record(length))
     records["id"] = packets.ids
     records["len"] = length
     records["payload"] = packets.payloads
-    return TRACE_MAGIC + count.to_bytes(4, "little") + records.tobytes()
+    return trace.tobytes()
 
 
 def parse_packet_trace(blob: bytes) -> Packets:

@@ -107,6 +107,31 @@ def test_field_laws_exhaustive(q):
     assert ((mul[1:] == 1).sum(axis=1) == 1).all()
 
 
+def _reference_code_sum(a: int, b: int, p: int, digits: int) -> int:
+    """The sum of two codes of GF(q)^n, written out one base-p digit at a time."""
+    total, weight = 0, 1
+    for _ in range(digits):
+        total += (a // weight % p + b // weight % p) % p * weight
+        weight *= p
+    return total
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in PRIME_POWERS_64 for n in (1, 2, 3)]
+                         + [(257, 1), (257, 2)])
+def test_point_code_sums_match_digitwise_reference(q, n):
+    """_Points.add, by XOR, digit-group tables or single digits, against a
+    pure-Python base-p sum, on up to 40 x 40 codes broadcast against each
+    other, the smallest and largest codes among them."""
+    f = field(q)
+    size = q ** n
+    rng = np.random.default_rng(q * 10 + n)
+    a, b = ([0, size - 1] + rng.integers(0, size, 38).tolist() if size > 40
+            else list(range(size)) for _ in range(2))
+    got = _Points(f, n).add(np.array(a)[:, None], np.array(b)[None, :])
+    want = [[_reference_code_sum(x, y, f.p, n * f.n) for y in b] for x in a]
+    assert got.tolist() == want
+
+
 @pytest.mark.parametrize("q", PRIME_POWERS_64)
 def test_multiplicative_group_order(q):
     f = field(q)

@@ -281,6 +281,24 @@ def test_decode_rejects_payloads_of_another_length(fano):
         decode_round(fano, store, demands, short)
 
 
+def test_decode_refuses_a_payload_short_of_the_ids(fano):
+    store = FileStore.random(7, 21, subfile_len=8, seed=5)
+    demands = [0, 1, 2, 3, 4, 5, 6]
+    packets = run_round(fano, store, demands)
+    short = Packets(packets.ids, packets.payloads[:-1])
+    with pytest.raises(DecodeError, match="27 packet payloads for 28 clique ids"):
+        decode(fano.delivery, store, demands, short)
+
+
+def test_decode_refuses_ids_that_are_not_flat(fano):
+    store = FileStore.random(7, 21, subfile_len=8, seed=6)
+    demands = [6, 5, 4, 3, 2, 1, 0]
+    packets = run_round(fano, store, demands)
+    column = Packets(packets.ids[:, None], packets.payloads)
+    with pytest.raises(DecodeError, match=r"shape \(28, 1\)"):
+        decode(fano.delivery, store, demands, column)
+
+
 def _xor_by_file_and_subfile(plan, store, demands):
     """The packets as XOR-ed before the blocked row gathers: one gather
     store.data[file, subfile] with two index arrays per member."""
@@ -377,6 +395,24 @@ def test_plan_guards_hold_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["delivery plan names a subfile outside the store"] * 2 \
         + ["delivery plan names a negative user"] * 2, proc.stdout
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 31, 63, 64, 65, 121, 130])
+def test_bit_words_match_row_by_row_packing(k):
+    """_bit_words, packed flat block by block, against np.packbits of each
+    row alone, on row counts around its block of _XOR_CLIQUES rows."""
+    block = scheme_module._XOR_CLIQUES
+    rng = np.random.default_rng(k)
+    for rows in [0, 1, block - 1, block, block + 1]:
+        mask = rng.random((rows, k)) < 0.5
+        words = -(-k // 64)
+        packed = np.zeros((rows, words * 8), dtype=np.uint8)
+        for r in range(rows):
+            row = np.packbits(mask[r], bitorder="little")
+            packed[r, :len(row)] = row
+        got = scheme_module._bit_words(mask)
+        assert got.dtype == np.dtype("<u8") and got.shape == (words, rows)
+        assert np.array_equal(got, packed.view("<u8").T)
 
 
 def test_encode_and_decode_peak_near_one_packet_array():
@@ -628,6 +664,27 @@ def test_leading_nul_bytes_are_refused(fano):
     for at in range(4):
         with pytest.raises(SchemaError):
             deserialize(text[:at] + "\x00" + text[at + 1:])
+
+
+def test_packet_trace_peaks_near_two_trace_sizes():
+    """The trace is filled in one buffer and copied once into bytes: no
+    third trace-sized copy is alive on the way."""
+    count, length = 20000, 64
+    rng = np.random.default_rng(7)
+    packets = Packets(ids=rng.permutation(count).astype(np.int64),
+                      payloads=rng.integers(0, 256, (count, length), dtype=np.uint8))
+    size = 8 + count * (8 + length)
+    tracemalloc.start()
+    try:
+        blob = packet_trace_bytes(packets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blob) == size
+    assert peak <= 2 * size + 64 * 1024
+    again = parse_packet_trace(blob)
+    assert np.array_equal(again.ids, packets.ids)
+    assert np.array_equal(again.payloads, packets.payloads)
 
 
 def test_packet_trace_roundtrip(fano):
