@@ -5,8 +5,8 @@ coefficients of the element in the polynomial basis, written base p:
 ``value = sum(c_i * p**i)`` stands for the polynomial ``sum(c_i * x**i)``.
 For prime fields (n = 1) this is ordinary arithmetic mod p.  Addition
 is digitwise mod p, which the line graph does on whole vectors at once,
-by XOR or by digit-group sum tables (see linegraph._Points.add), so this
-module only multiplies.
+by XOR, by one code-pair sum table or digit by digit (see
+linegraph._Points.add), so this module only multiplies.
 
 Extension fields reduce modulo a fixed monic irreducible polynomial of
 degree n.  The modulus is chosen deterministically as the monic

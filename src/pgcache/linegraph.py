@@ -24,17 +24,19 @@ as rows e_0..e_{t-2} followed by (0^{t-1}, direction).
 A point is a normalized vector of GF(q)^n (first nonzero coordinate 1),
 held as one integer code in radix q with coordinate 0 most significant;
 ascending codes give the user order.  Codes add digitwise mod p: by XOR
-when p = 2, else by gathers from a table of the sums of two groups of
-base-p digits, built once per field and dimension.  Independent point
-sets are enumerated level by level in numpy.  Every set carries a mask
-of the points outside its span and, below the subfile level, the list
-of its span's vectors.  A point extends a set when it lies outside the
-span and after the set's last point, and np.nonzero over that candidate
-mask lists the next level already in lexicographic order.  The subfile
-level's mask is the one read-only (F, K) table of the universe: it is
-the line graph, whose vertices are its set cells, and the placement.
-Its row and column counts are taken once per mask; build_line_graph
-checks them against the closed forms and verify_line_graph reads them.
+when p = 2, by one gather from a table of the sums of every code pair
+when a code has at most 256 values, else one digit at a time.  The
+table is built once per _Points, that is once per build_universe call.
+Independent point sets are enumerated level by level in numpy.  Every
+set carries a mask of the points outside its span and, below the
+subfile level, the list of its span's vectors.  A point extends a set
+when it lies outside the span and after the set's last point, and
+np.nonzero over that candidate mask lists the next level already in
+lexicographic order.  The subfile level's mask is the one read-only
+(F, K) table of the universe: it is the line graph, whose vertices are
+its set cells, and the placement.  Its row and column counts are taken
+once per universe; build_line_graph checks them against the closed
+forms and verify_line_graph reads them.
 One more level gives the cliques.
 """
 
@@ -43,7 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -166,45 +168,29 @@ class _Points:
         self.point_of = np.full(q ** n, -1, dtype=np.int64)
         self.point_of[self.multiples[:, 1:]] = np.arange(len(self.codes))[:, None]
         self._digits = n * f.n  # base-p digits of a code
-        # For odd p <= 256: a code's digits split into the fewest groups of
-        # at most 256 values, `_groups` groups of g digits, and the table of
-        # the sums of two groups, (p^g)^2 <= 2^16 entries.
+        # For odd p with p^digits <= 256 a code is one group of digits, and
+        # two codes add by one gather from the table of all code-pair sums,
+        # p^(2 digits) <= 2^16 entries.
         p = f.p
         self._sums = None
-        if 2 < p <= 256:
-            most = 1
-            while p ** (most + 1) <= 256:
-                most += 1
-            self._groups = -(-self._digits // most)
-            g = -(-self._digits // self._groups)
-            self._radix = p ** g
-            group = np.arange(self._radix, dtype=np.int64)
-            self._sums = _digit_sums(group[:, None], group[None, :], p, g).ravel()
+        if p > 2 and p ** self._digits <= 256:
+            group = np.arange(p ** self._digits, dtype=np.int64)
+            self._sums = _digit_sums(group[:, None], group[None, :], p, self._digits).ravel()
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vector sums of two broadcastable arrays of codes.
 
         Field addition is carry-free addition of base-p digits, so a code
-        sum is the digitwise sum mod p: an XOR when p = 2.  For odd p up
-        to 256 the digits go in groups of g, with p^g <= 256, each group
-        pair summed by one gather from the table of p^(2g) sums; a code of
-        one group, as for GF(3)^5, takes one gather in all.  Larger p adds
-        one digit at a time.
+        sum is the digitwise sum mod p: an XOR when p = 2.  For odd p with
+        p^digits <= 256, as for GF(3)^5, it is one gather from the table
+        of the sums of every code pair; else the digits add one at a time.
         """
         p = self.f.p
         if p == 2:
             return a ^ b
         if self._sums is None:
             return _digit_sums(a, b, p, self._digits)
-        radix = self._radix
-        if self._groups == 1:
-            return np.take(self._sums, a * radix + b)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        weight = 1
-        for _ in range(self._groups):
-            out += np.take(self._sums, a // weight % radix * radix + b // weight % radix) * weight
-            weight *= radix
-        return out
+        return np.take(self._sums, a * p ** self._digits + b)
 
 
 def _extensions(sets: np.ndarray, outside: np.ndarray) -> np.ndarray:
@@ -236,18 +222,13 @@ class Universe:
     points: np.ndarray         # (K,) int64 codes
     subfile_array: np.ndarray  # (F, m+1) int64
     outside_mask: np.ndarray   # (F, K) bool, read-only
-    _counts: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def mask_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """The outside mask's row and column counts: the users of each
-        subfile clique and the subfiles of each user clique.  They are
-        taken once per mask: a universe given another mask counts it anew."""
+        subfile clique and the subfiles of each user clique."""
         mask = self.outside_mask
-        if self._counts is None or self._counts[0] is not mask:
-            self._counts = (mask, np.count_nonzero(mask, axis=1),
-                            np.count_nonzero(mask, axis=0))
-        return self._counts[1], self._counts[2]
+        return np.count_nonzero(mask, axis=1), np.count_nonzero(mask, axis=0)
 
     @property
     def num_users(self) -> int:

@@ -688,9 +688,9 @@ def _json_int_blocks(*columns: np.ndarray) -> Iterator[bytes]:
     of an entry's leading digit is written as NUL, which no JSON text
     holds: dropping the NULs compresses the block.  When every slot fits
     in 8 bytes and the array holds more entries than its largest value,
-    a slot is one uint64 word, the value's digits with its punctuation,
-    taken from a table; else the digits are written one decimal place at
-    a time.
+    a slot is one uint64 word, the OR of its punctuation and the value's
+    digits taken from a table; else the digits are written one decimal
+    place at a time.
     """
     a = columns[0]
     for c in columns:
@@ -718,7 +718,7 @@ def _json_int_blocks(*columns: np.ndarray) -> Iterator[bytes]:
     tops = [int(c.max()) for c in columns]
     widths = [len(str(tops[e % len(columns)])) for e in range(entries)]
     if max(tops) < rows * entries and all(len(p) + w <= 8 for p, w in zip(prefixes, widths)):
-        blocks = _table_rows(columns, prefixes, tops)
+        blocks = _table_rows(columns, prefixes, max(tops))
     else:
         blocks = _digit_rows(columns, prefixes, max(tops))
     yield b"["
@@ -740,36 +740,18 @@ def _digit_words(top: int) -> np.ndarray:
     return (head[:, None] | ones).reshape(-1)[:top + 1]
 
 
-def _table_rows(columns, prefixes, tops) -> Iterator[bytes]:
+def _table_rows(columns, prefixes, top) -> Iterator[bytes]:
     """The rows of _json_int_blocks block by block, one 8-byte slot per
-    entry: the prefix in the low bytes, the digits in the high bytes.
-    Each distinct prefix is ORed into its own copy of the digit table, cut
-    after the largest value that follows the prefix (the delivery plan's
-    user prefixes take K words, its subfile prefix F), so entry e of a row
-    is slot at[e] + value and a block's slots are one gather of int32
-    indexes."""
-    table = _digit_words(max(tops))
-    reach: dict[bytes, int] = {}  # prefix -> largest value after it
-    for e, p in enumerate(prefixes):
-        reach[p] = max(reach.get(p, 0), tops[e % len(columns)])
-    baked = np.concatenate([table[:top + 1] | np.uint64(int.from_bytes(p, "little"))
-                            for p, top in reach.items()])
-    start = dict(zip(reach, np.cumsum([0] + [top + 1 for top in reach.values()]).tolist()))
-    at = np.array([start[p] for p in prefixes], dtype=np.int32)
-    rows, entries = len(columns[0]), len(prefixes)
-    index = np.empty((min(rows, _RENDER_ROWS), entries), dtype=np.int32)
-    # index viewed with the columns as its last axis, to write them in place.
-    by_column = index.reshape(len(index), -1, len(columns))
-    slots = np.empty(index.shape, dtype="<u8")
-    for lo in range(0, rows, _RENDER_ROWS):
-        n = len(columns[0][lo:lo + _RENDER_ROWS])
-        for j, c in enumerate(columns):
-            by_column[:n, :, j] = c[lo:lo + n].reshape(n, -1)
-        np.add(index[:n], at, out=index[:n])
-        # Every index is in range (0 <= value <= reach of its prefix), and
-        # "clip" lets take write to out without the buffer of "raise" mode.
-        yield np.take(baked, index[:n], out=slots[:n], mode="clip").tobytes().translate(
-            None, b"\0")
+    entry: the prefix in the low bytes, the digits from the table in the
+    high bytes."""
+    table = _digit_words(top)
+    template = np.array([int.from_bytes(p, "little") for p in prefixes], dtype="<u8")
+    for lo in range(0, len(columns[0]), _RENDER_ROWS):
+        words = [table[c[lo:lo + _RENDER_ROWS]] for c in columns]
+        words = words[0] if len(words) == 1 else np.stack(words, axis=-1)
+        slots = words.reshape(len(words), -1)
+        slots |= template
+        yield slots.tobytes().translate(None, b"\0")
 
 
 def _digit_rows(columns, prefixes, top) -> Iterator[bytes]:

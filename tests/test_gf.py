@@ -119,7 +119,7 @@ def _reference_code_sum(a: int, b: int, p: int, digits: int) -> int:
 @pytest.mark.parametrize("q,n", [(q, n) for q in PRIME_POWERS_64 for n in (1, 2, 3)]
                          + [(257, 1), (257, 2)])
 def test_point_code_sums_match_digitwise_reference(q, n):
-    """_Points.add, by XOR, digit-group tables or single digits, against a
+    """_Points.add, by XOR, one sum table or single digits, against a
     pure-Python base-p sum, on up to 40 x 40 codes broadcast against each
     other, the smallest and largest codes among them."""
     f = field(q)
