@@ -2,8 +2,10 @@
 
 Subcommands: params, construct, simulate, bounds, tables, sweep.  Exit
 codes: 0 success, 2 bad input, 3 enumeration cap exceeded, 4 file I/O,
-5 validation or schema failure.  PGCACHE_CAP overrides the default cap
-of 10^7 line-graph vertices.
+5 validation or schema failure, a broken invariant included.  PGCACHE_CAP
+overrides the default cap of 10^7 line-graph vertices.  construct writes
+its document to a temporary file beside the target and renames it into
+place after the last chunk, so a failed build or render leaves none.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import mmap
 import os
 import stat
 import sys
+import tempfile
 from fractions import Fraction
 
 from .bounds import SystemTriple, bounds_report
@@ -31,6 +34,7 @@ from .scheme import (
     params_from,
     run_trials,
 )
+from .subspaces import InvariantError
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -82,12 +86,35 @@ def cmd_params(args) -> int:
     return EXIT_OK
 
 
+def _write_atomically(path: str, chunks) -> None:
+    """Write the chunks to a temporary file beside `path`, then rename it
+    onto `path`: a failure part way leaves no partial file and keeps an
+    existing one.  A path that is not a regular file, such as /dev/stdout
+    or a pipe, is written in place."""
+    path = os.path.realpath(path)  # through a symlink to the file it names
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+        return
+    umask = os.umask(0)
+    os.umask(umask)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
+                               prefix=f".{os.path.basename(path)}.", suffix=".tmp")
+    try:
+        with open(fd, "wb") as fh:
+            os.fchmod(fd, 0o666 & ~umask)  # mkstemp's 0600, made what open() gives
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def cmd_construct(args) -> int:
     cp = ConstructionParams(k=args.k, m=args.m, t=args.t, q=args.q)
     cap = args.cap if args.cap is not None else _default_cap()
     instance = build_scheme(cp, max_vertices=cap)
-    with open(args.output, "wb") as fh:
-        fh.writelines(document_chunks(instance))
+    _write_atomically(args.output, document_chunks(instance))
     p = instance.params
     print(f"wrote {args.output}: K={p.users} F={p.subpacketization} "
           f"D={p.missing_per_user} c={p.missing_per_subfile} d={p.group_size} "
@@ -234,7 +261,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, DecodeError) as exc:
+    except (SchemaError, DecodeError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except CapacityError as exc:

@@ -337,8 +337,10 @@ class FileStore:
         """The bytes of default_rng(seed).integers(0, 256, dtype=uint8), which
         numpy takes from the little-endian bytes of the generator's 64-bit
         outputs; drawn here as those outputs, eight bytes at a time."""
-        if subfile_len < 0:
-            raise ValueError(f"subfile_len must be >= 0, got {subfile_len}")
+        for name, value in (("num_files", num_files), ("num_subfiles", num_subfiles),
+                            ("subfile_len", subfile_len)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
         shape = (num_files, num_subfiles, subfile_len)
@@ -743,13 +745,24 @@ def _digit_words(top: int) -> np.ndarray:
 def _table_rows(columns, prefixes, top) -> Iterator[bytes]:
     """The rows of _json_int_blocks block by block, one 8-byte slot per
     entry: the prefix in the low bytes, the digits from the table in the
-    high bytes."""
+    high bytes.  One slot buffer serves every block.  Each column of a
+    block is gathered from the table into one reused contiguous buffer
+    (np.take into the strided slots would go through a temporary) and
+    copied into its slots [..., i].  The gathers clip nothing: every
+    entry lies in 0..top."""
     table = _digit_words(top)
     template = np.array([int.from_bytes(p, "little") for p in prefixes], dtype="<u8")
-    for lo in range(0, len(columns[0]), _RENDER_ROWS):
-        words = [table[c[lo:lo + _RENDER_ROWS]] for c in columns]
-        words = words[0] if len(words) == 1 else np.stack(words, axis=-1)
-        slots = words.reshape(len(words), -1)
+    rows = len(columns[0])
+    shape = (min(rows, _RENDER_ROWS), *columns[0].shape[1:])
+    slot_buffer = np.empty((*shape, len(columns)), dtype="<u8")
+    gather_buffer = np.empty(shape, dtype="<u8")
+    for lo in range(0, rows, _RENDER_ROWS):
+        block = slot_buffer[:min(_RENDER_ROWS, rows - lo)]
+        gathered = gather_buffer[:len(block)]
+        for i, c in enumerate(columns):
+            np.take(table, c[lo:lo + _RENDER_ROWS], out=gathered, mode="clip")
+            block[..., i] = gathered
+        slots = block.reshape(len(block), -1)
         slots |= template
         yield slots.tobytes().translate(None, b"\0")
 

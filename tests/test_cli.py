@@ -7,7 +7,9 @@ import warnings
 
 import pytest
 
+from pgcache import cli
 from pgcache.cli import main
+from pgcache.subspaces import InvariantError
 from test_scheme import DOCUMENT_LADDER
 
 
@@ -76,6 +78,77 @@ def test_construct_and_simulate_roundtrip(tmp_path, capsys):
     assert "27" in out                      # 25 random + all-equal + all-distinct
     assert "packets/round   = 28" in out
     assert "189/189" in out                 # 27 rounds x 7 users
+
+
+def test_construct_exits_5_on_a_broken_invariant(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantError("build_scheme: every clique minus one member is a subfile")
+
+    monkeypatch.setattr(cli, "build_scheme", broken)
+    doc = tmp_path / "fano.json"
+    code, out, err = run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2",
+                         "-o", str(doc))
+    assert code == 5
+    assert out == ""
+    assert err == "error: build_scheme: every clique minus one member is a subfile\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("error,code", [
+    (InvariantError("_json_ints: entries are non-negative, found -1"), 5),
+    (OSError(28, "No space left on device"), 4),
+])
+@pytest.mark.parametrize("existing", [None, b"an earlier document"])
+def test_a_failed_render_leaves_no_partial_document(tmp_path, capsys, monkeypatch, error,
+                                                    code, existing):
+    """A render that fails after its first chunk leaves the directory as it
+    was: no new file, no temporary file, an existing target unchanged."""
+    real_chunks = cli.document_chunks
+
+    def failing(instance):
+        chunks = real_chunks(instance)
+        yield next(chunks)
+        raise error
+
+    monkeypatch.setattr(cli, "document_chunks", failing)
+    doc = tmp_path / "fano.json"
+    if existing is not None:
+        doc.write_bytes(existing)
+    got, _, err = run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2",
+                      "-o", str(doc))
+    assert got == code
+    assert err.startswith("error: ")
+    if existing is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == [doc]
+        assert doc.read_bytes() == existing
+
+
+def test_construct_replaces_a_document_with_the_mode_open_gives(tmp_path, capsys):
+    made = tmp_path / "made.json"
+    made.write_bytes(b"")
+    doc = tmp_path / "fano.json"
+    doc.write_bytes(b"an earlier document")
+    code, _, _ = run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2",
+                     "-o", str(doc))
+    assert code == 0
+    assert doc.read_bytes()[:1] == b"{"
+    assert doc.stat().st_mode == made.stat().st_mode
+    assert sorted(tmp_path.iterdir()) == [doc, made]
+
+
+def test_construct_writes_through_a_symlink(tmp_path, capsys):
+    target = tmp_path / "fano.json"
+    target.write_bytes(b"an earlier document")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, _, _ = run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2",
+                     "-o", str(link))
+    assert code == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes()[:1] == b"{"
+    assert sorted(tmp_path.iterdir()) == [target, link]
 
 
 _SMALL_LADDER = [row for row in DOCUMENT_LADDER if row[2] < 10 ** 6]

@@ -330,6 +330,25 @@ def test_subfiles_and_cliques_match_bruteforce(kmtq):
     assert got_groups == set(groups)
 
 
+def test_universe_past_one_block_of_rows_matches_bruteforce():
+    """(5,2,1,2) has 4340 subfiles, more than one 4096-row block: they
+    come in lexicographic order, and each mask row holds the users
+    outside the subfile's span."""
+    k, m, t, q = 5, 2, 1, 2
+    uni = build_universe(ConstructionParams(k, m, t, q))
+    spaces = bf.user_spaces(uni)
+    point = {space: u for u, space in enumerate(spaces)}
+    oracle_users, spans = bf.subfile_sets_by_span(q, k, m, t)
+    span_of_subfile = {tuple(sorted(point[oracle_users[i]] for i in combo)): span
+                       for span, hits in spans.items() for combo in hits}
+    got = [tuple(xs) for xs in uni.subfile_array.tolist()]
+    assert len(got) > 4096
+    assert got == sorted(span_of_subfile)
+    for x, xs in enumerate(got):
+        span = span_of_subfile[xs]
+        assert uni.outside_mask[x].tolist() == [not space <= span for space in spaces]
+
+
 def test_invariants_are_checked_under_optimize():
     script = (
         "import sys\n"

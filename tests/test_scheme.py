@@ -156,6 +156,18 @@ def test_random_store_refuses_negative_lengths_and_seeds():
         FileStore.random(1, 1, seed=-5)
 
 
+@pytest.mark.parametrize("shape,message", [
+    ((-1, 1, 1), "num_files must be >= 0, got -1"),
+    ((1, -3, 1), "num_subfiles must be >= 0, got -3"),
+    ((-2, -2, 1), "num_files must be >= 0, got -2"),
+    ((1, -1, -1), "num_subfiles must be >= 0, got -1"),
+    ((1, 1, -4), "subfile_len must be >= 0, got -4"),
+])
+def test_random_store_names_the_negative_argument(shape, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FileStore.random(*shape)
+
+
 # ----------------------------------------------------------------------
 # Encode
 # ----------------------------------------------------------------------
