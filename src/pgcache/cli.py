@@ -11,6 +11,7 @@ place after the last chunk, so a failed build or render leaves none.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import mmap
 import os
@@ -89,22 +90,39 @@ def cmd_params(args) -> int:
 def _write_atomically(path: str, chunks) -> None:
     """Write the chunks to a temporary file beside `path`, then rename it
     onto `path`: a failure part way leaves no partial file and keeps an
-    existing one.  A path that is not a regular file, such as /dev/stdout
-    or a pipe, is written in place."""
-    path = os.path.realpath(path)  # through a symlink to the file it names
-    if os.path.exists(path) and not os.path.isfile(path):
+    existing one.  A path that names no regular file, such as /dev/stdout
+    or a pipe, is written in place.  A replaced file keeps its mode, and a
+    file this process may not write is refused as open() refuses it; the
+    replacement is a new file, so hard links to the old one keep the old
+    bytes."""
+    try:
+        st = os.stat(path)  # through symlinks and /dev/fd links to what they name
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
         with open(path, "wb") as fh:
             fh.writelines(chunks)
         return
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                               prefix=f".{os.path.basename(path)}.", suffix=".tmp")
+    if st is None:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask  # what open() gives a new file
+    elif os.access(path, os.W_OK):
+        mode = stat.S_IMODE(st.st_mode)
+    else:
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    real = os.path.realpath(path)  # the file a symlink names is the one replaced
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real),
+                                   prefix=f".{os.path.basename(real)}.", suffix=".tmp")
+    except OSError as exc:
+        exc.filename = path  # name the target, not the temporary file
+        raise
     try:
         with open(fd, "wb") as fh:
-            os.fchmod(fd, 0o666 & ~umask)  # mkstemp's 0600, made what open() gives
+            os.fchmod(fd, mode)
             fh.writelines(chunks)
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         os.unlink(tmp)
         raise

@@ -32,13 +32,11 @@ set carries a mask of the points outside its span and, below the
 subfile level, the list of its span's vectors.  A point extends a set
 when it lies outside the span and after the set's last point, and
 np.nonzero over that candidate mask lists the next level already in
-lexicographic order.  The rows extended are copied with np.take, and the
-points a new point brings into the span are cleared from the copied mask
-through their flat indexes row * K + point.  The subfile level's mask is
-the one read-only (F, K) table of the universe: it is the line graph,
-whose vertices are its set cells, and the placement.  Its row and column
-counts are taken once per universe; build_line_graph checks them
-against the closed forms and verify_line_graph reads them.
+lexicographic order.  The subfile level's mask is the one read-only
+(F, K) table of the universe: it is the line graph, whose vertices are
+its set cells, and the placement.  Its row and column counts are taken
+once per universe; build_line_graph checks them against the closed
+forms and verify_line_graph reads them.
 One more level gives the cliques.
 """
 
@@ -306,14 +304,12 @@ def build_universe(params: ConstructionParams, max_vertices: int | None = DEFAUL
     vectors = pts.multiples
     for level in range(1, cp.m + 1):
         rows, new = np.divmod(_extensions(sets, outside), k_users)
-        base = np.take(vectors, rows, axis=0)  # span vectors of the set being extended
-        sets = np.column_stack((np.take(sets, rows, axis=0), new))
-        outside = np.take(outside, rows, axis=0)
-        # The points gained are those of v + new over the old span's vectors
-        # v, cleared through their flat indexes row * K + point.
+        base = vectors[rows]                 # span vectors of the set being extended
+        sets = np.column_stack((sets[rows], new))
+        outside = outside[rows]
+        # The points gained are those of v + new over the old span's vectors v.
         gained = pts.point_of[pts.add(base, pts.multiples[new, 1:2])]
-        gained += np.arange(0, len(rows) * k_users, k_users)[:, None]
-        outside.reshape(-1)[gained] = False
+        outside[np.arange(len(rows))[:, None], gained] = False
         if level < cp.m:
             vectors = pts.add(base[:, :, None], pts.multiples[new][:, None, :]
                               ).reshape(len(rows), -1)

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import stat
+import threading
 import time
 import warnings
 
@@ -125,17 +128,74 @@ def test_a_failed_render_leaves_no_partial_document(tmp_path, capsys, monkeypatc
         assert doc.read_bytes() == existing
 
 
-def test_construct_replaces_a_document_with_the_mode_open_gives(tmp_path, capsys):
+def test_construct_gives_a_new_document_the_mode_open_gives(tmp_path, capsys):
     made = tmp_path / "made.json"
     made.write_bytes(b"")
     doc = tmp_path / "fano.json"
-    doc.write_bytes(b"an earlier document")
     code, _, _ = run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2",
                      "-o", str(doc))
     assert code == 0
     assert doc.read_bytes()[:1] == b"{"
     assert doc.stat().st_mode == made.stat().st_mode
     assert sorted(tmp_path.iterdir()) == [doc, made]
+
+
+def test_construct_keeps_the_mode_of_a_replaced_document(tmp_path, capsys):
+    doc = tmp_path / "fano.json"
+    doc.write_bytes(b"an earlier document")
+    doc.chmod(0o600)
+    code, _, _ = run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2",
+                     "-o", str(doc))
+    assert code == 0
+    assert doc.read_bytes()[:1] == b"{"
+    assert stat.S_IMODE(doc.stat().st_mode) == 0o600
+    assert list(tmp_path.iterdir()) == [doc]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_construct_refuses_a_read_only_document(tmp_path, capsys):
+    doc = tmp_path / "fano.json"
+    doc.write_bytes(b"an earlier document")
+    doc.chmod(0o444)
+    code, out, err = run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2",
+                         "-o", str(doc))
+    assert code == 4
+    assert out == "" and err.startswith("error: ")
+    assert doc.read_bytes() == b"an earlier document"
+    assert list(tmp_path.iterdir()) == [doc]
+
+
+def test_construct_into_a_missing_directory_names_the_target(tmp_path, capsys):
+    doc = tmp_path / "missing" / "fano.json"
+    code, out, err = run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2",
+                         "-o", str(doc))
+    assert code == 4
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{doc}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_construct_writes_in_place_to_a_pipe(tmp_path, capsys):
+    want = tmp_path / "fano.json"
+    assert run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2",
+               "-o", str(want))[0] == 0
+    r, w = os.pipe()
+    got = []
+
+    def drain():
+        with open(r, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=drain)
+    reader.start()
+    try:
+        code, _, err = run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2",
+                           "-o", f"/dev/fd/{w}")
+    finally:
+        os.close(w)
+        reader.join()
+    assert (code, err) == (0, "")
+    assert got == [want.read_bytes()]
 
 
 def test_construct_writes_through_a_symlink(tmp_path, capsys):

@@ -303,8 +303,10 @@ def test_degenerate_m0_instance_works_end_to_end():
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("kmtq", [(3, 1, 1, 2), (4, 1, 2, 2), (4, 2, 1, 2),
-                                  (3, 1, 1, 3), (4, 1, 2, 3)])
+                                  (3, 1, 1, 3), (4, 1, 2, 3), (5, 2, 1, 2)])
 def test_subfiles_and_cliques_match_bruteforce(kmtq):
+    """Subfiles come in lexicographic order, each mask row holds the users
+    outside its subfile's span, and the cliques are the oracle's groups."""
     k, m, t, q = kmtq
     uni = build_universe(ConstructionParams(k, m, t, q))
     cover = enumerate_transmission_cliques(build_line_graph(uni))
@@ -312,11 +314,14 @@ def test_subfiles_and_cliques_match_bruteforce(kmtq):
 
     oracle_users, spans = bf.subfile_sets_by_span(q, k, m, t)
     assert set(spaces) == set(oracle_users)
-    want_subfiles = {frozenset(oracle_users[i] for i in combo)
-                     for hits in spans.values() for combo in hits}
-    got_subfiles = [frozenset(spaces[u] for u in xs) for xs in uni.subfile_array.tolist()]
-    assert len(set(got_subfiles)) == len(got_subfiles)
-    assert set(got_subfiles) == want_subfiles
+    point = {space: u for u, space in enumerate(spaces)}
+    span_of = {tuple(sorted(point[oracle_users[i]] for i in combo)): span
+               for span, hits in spans.items() for combo in hits}
+    got = [tuple(xs) for xs in uni.subfile_array.tolist()]
+    assert got == sorted(span_of)
+    for x, xs in enumerate(got):
+        assert uni.outside_mask[x].tolist() == [not space <= span_of[xs] for space in spaces]
+    got_subfiles = [frozenset(spaces[u] for u in xs) for xs in got]
 
     _, groups = bf.transmission_groups(q, k, m, t)
     got_groups = set()
@@ -328,25 +333,6 @@ def test_subfiles_and_cliques_match_bruteforce(kmtq):
         got_groups.add(group)
     assert cover.num_cliques == len(got_groups)
     assert got_groups == set(groups)
-
-
-def test_universe_past_one_block_of_rows_matches_bruteforce():
-    """(5,2,1,2) has 4340 subfiles, more than one 4096-row block: they
-    come in lexicographic order, and each mask row holds the users
-    outside the subfile's span."""
-    k, m, t, q = 5, 2, 1, 2
-    uni = build_universe(ConstructionParams(k, m, t, q))
-    spaces = bf.user_spaces(uni)
-    point = {space: u for u, space in enumerate(spaces)}
-    oracle_users, spans = bf.subfile_sets_by_span(q, k, m, t)
-    span_of_subfile = {tuple(sorted(point[oracle_users[i]] for i in combo)): span
-                       for span, hits in spans.items() for combo in hits}
-    got = [tuple(xs) for xs in uni.subfile_array.tolist()]
-    assert len(got) > 4096
-    assert got == sorted(span_of_subfile)
-    for x, xs in enumerate(got):
-        span = span_of_subfile[xs]
-        assert uni.outside_mask[x].tolist() == [not space <= span for space in spaces]
 
 
 def test_invariants_are_checked_under_optimize():
