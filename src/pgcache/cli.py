@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: params, construct, simulate, bounds, tables, sweep.  Exit
-codes: 0 success, 2 bad input, 3 enumeration cap exceeded, 4 file I/O,
-5 validation or schema failure, a broken invariant included.  PGCACHE_CAP
-overrides the default cap of 10^7 line-graph vertices.  construct writes
-its document to a temporary file beside the target and renames it into
-place after the last chunk, so a failed build or render leaves none.
+codes: 0 success, 2 bad input, 3 enumeration cap exceeded or a size that
+does not fit in memory, 4 file I/O, 5 validation or schema failure, a
+broken invariant included.  PGCACHE_CAP overrides the default cap of
+10^7 line-graph vertices.  construct writes its document to a temporary
+file beside the target and renames it into place after the last chunk,
+so a failed build or render leaves none.
 """
 
 from __future__ import annotations
@@ -284,6 +285,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError as exc:  # numpy names the size it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAP
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

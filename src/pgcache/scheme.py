@@ -23,14 +23,18 @@ The in-memory simulator stores N files of F equal subfiles (numpy uint8
 payloads) and encodes a round as one (C, L) array whose row i is the XOR
 of clique i's members' demanded subfiles.  Both encode and decode make
 one pass over the plan in cache-sized blocks of cliques, range-checking
-each block's users and subfiles and taking each member's subfiles by one
-row gather from the store seen as N*F rows of L bytes.  Decoding takes a
-block's packets from the batch by clique id and XORs all d member
-subfiles back into them, so it keeps no (C, L) residual.  Member j
-recovers the packet XOR the other members' subfiles, which differs from
-its own subfile by exactly the residual, the packet XOR all d subfiles.
-So a user decodes its file exactly when every clique that contains it
+each block's users and subfiles and gathering each member's subfiles
+from the store, seen as N*F rows of L bytes, into a buffer reused
+across blocks.  Decoding XORs a block's packets and its d members'
+subfiles into one residual buffer, so it keeps no (C, L) residual;
+packets in clique order, as encode sends them, are the batch's rows,
+and any other order is taken by clique id.  Member j recovers the
+packet XOR the other members' subfiles, which differs from its own
+subfile by exactly the residual, the packet XOR all d subfiles.  So a
+user decodes its file exactly when every clique that contains it
 leaves a zero residual; its cached subfiles are exact by construction.
+With more files than users, run_trials draws each round's demanded
+files alone, jumping ahead in the generator, and never holds all N.
 
 Scheme documents serialize to JSON (format tag "pgcache/1") with the
 field spec, the canonical user matrices, subfile sets, base64 row bitmaps
@@ -349,6 +353,28 @@ class FileStore:
                                                      dtype="<u8")
         return cls(data=words.view(np.uint8)[:size].reshape(shape))
 
+    @classmethod
+    def drawn(cls, files, num_subfiles: int, subfile_len: int = DEFAULT_SUBFILE_LEN,
+              seed: int = 0) -> "FileStore":
+        """The files numbered `files` of FileStore.random(N, F, L, seed), for
+        any N past them, in that order, each drawn on its own.  File n
+        starts at byte n*F*L of the generator's output, so the generator
+        jumps to its 64-bit output n*F*L // 8 (PCG64 advances in O(log n)
+        steps) and the leading bytes of that word are dropped."""
+        if min(files, default=0) < 0:
+            raise ValueError(f"files must be >= 0, got {min(files)}")
+        size = num_subfiles * subfile_len
+        rng = np.random.default_rng(seed)
+        start = rng.bit_generator.state
+        data = np.empty((len(files), size), dtype=np.uint8)
+        for i, n in enumerate(files):
+            word, skip = divmod(int(n) * size, 8)
+            rng.bit_generator.state = start
+            rng.bit_generator.advance(word)
+            words = rng.integers(0, 2 ** 64, size=-(-(skip + size) // 8), dtype="<u8")
+            data[i] = words.view(np.uint8)[skip:skip + size]
+        return cls(data=data.reshape(len(files), num_subfiles, subfile_len))
+
     @property
     def num_files(self) -> int:
         return self.data.shape[0]
@@ -385,24 +411,25 @@ class Packets:
         return CodedPacket(int(self.ids[i]), self.payloads[i])
 
 
-def _demand_vector(store: FileStore, demands) -> np.ndarray:
+def _demand_vector(num_files: int, demands) -> np.ndarray:
     demands = np.asarray(demands, dtype=np.int64)
     if demands.ndim != 1:
         raise ValueError("demands must be a flat sequence, one file per user")
-    if demands.size and (demands.min() < 0 or demands.max() >= store.num_files):
+    if demands.size and (demands.min() < 0 or demands.max() >= num_files):
         raise ValueError("demand indexes a file outside the store")
     return demands
 
 
 def _member_rows(plan: DeliveryPlan, store: FileStore,
                  demands: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """For each block of cliques, its slice of the plan and the (B, d) int64
+    """For each block of cliques, its slice of the plan and the (d, B) int64
     rows demands[users] * F + subfiles of its members' demanded subfiles in
-    the store read as N*F rows of L bytes.
+    the store read as N*F rows of L bytes, one contiguous row per member.
 
     Each block's users and subfiles are range-checked while in cache: a
     negative user would wrap to another user's demand, and a subfile past
-    F would name a row of the next file.
+    F would name a row of the next file.  With the demands already in
+    [0, N), every row is then in [0, N*F).
     """
     f = store.num_subfiles
     offsets = demands * f
@@ -413,12 +440,21 @@ def _member_rows(plan: DeliveryPlan, store: FileStore,
             raise ValueError("demand vector shorter than the user count")
         if subfiles.min() < 0 or subfiles.max() >= f:
             raise ValueError("delivery plan names a subfile outside the store")
-        yield block, np.take(offsets, users) + subfiles
+        at = np.take(offsets, users.T)
+        at += subfiles.T
+        yield block, at
 
 
 def _store_rows(store: FileStore) -> np.ndarray:
     # reshape(-1, L) cannot infer the row count when L = 0.
     return store.data.reshape(store.num_files * store.num_subfiles, store.subfile_len)
+
+
+def _gather(rows: np.ndarray, at: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rows[at] written into `out`.  Every index is already in range, so
+    mode="clip" never clips; it is there because numpy gathers into a
+    temporary first, then copies, when out= comes with mode="raise"."""
+    return np.take(rows, at, axis=0, out=out, mode="clip")
 
 
 def encode(plan: DeliveryPlan, store: FileStore, demands) -> Packets:
@@ -427,18 +463,28 @@ def encode(plan: DeliveryPlan, store: FileStore, demands) -> Packets:
     Each block of cliques takes one row gather per member from the store
     read as N*F rows: np.take copies each row in one step, where
     data[file, subfile] with two index arrays goes through numpy's generic
-    fancy-index iterator.
+    fancy-index iterator.  Member 0 is gathered straight into the block's
+    payload rows, and every other member into one (B, L) buffer reused
+    across blocks, which is XOR-ed into them.
     """
-    demands = _demand_vector(store, demands)
+    demands = _demand_vector(store.num_files, demands)
     rows = _store_rows(store)
     payloads = np.empty((plan.num_cliques, store.subfile_len), dtype=np.uint8)
+    member = np.empty((min(plan.num_cliques, _XOR_CLIQUES), store.subfile_len), dtype=np.uint8)
     for block, at in _member_rows(plan, store, demands):
-        acc = payloads[block]
-        acc[...] = np.take(rows, at[:, 0], axis=0)
+        acc = _gather(rows, at[0], payloads[block])
+        other = member[:len(acc)]
         for j in range(1, plan.group_size):
-            acc ^= np.take(rows, at[:, j], axis=0)
-    at = None  # frees the last block's rows before the (C,) ids are allocated
+            acc ^= _gather(rows, at[j], other)
     return Packets(ids=np.arange(plan.num_cliques, dtype=np.int64), payloads=payloads)
+
+
+def _in_order(ids: np.ndarray, num: int) -> bool:
+    """Whether ids is arange(num), compared a block at a time so that no
+    (C,) array is made."""
+    return len(ids) == num and all(
+        np.array_equal(ids[lo:lo + _XOR_CLIQUES], np.arange(lo, min(lo + _XOR_CLIQUES, num)))
+        for lo in range(0, num, _XOR_CLIQUES))
 
 
 def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> list[bool]:
@@ -448,14 +494,17 @@ def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> l
     The plan must pass `delivery_violation`.  Then each clique's residual,
     its packet XOR all d members' subfiles, is what every member's
     recovered subfile differs by, so a user is exact when all its cliques
-    leave a zero residual.  Each block of cliques takes its packets from
-    the batch by clique id, the last packet naming a clique winning, and
-    XORs its members' subfiles into them; no (C, L) residual is kept.
+    leave a zero residual.  Each block's residual is built in one buffer
+    reused across blocks, so no (C, L) residual is kept.  When the ids are
+    0, 1, ..., C-1, as encode sends them, the block's packets are its rows
+    of the batch, XOR-ed into its member 0 subfiles.  Any other order takes
+    them by clique id, the last packet naming a clique winning, through a
+    (C,) table of each clique's packet.
     Raises DecodeError when the packet ids are not a flat sequence of
     integers, one per payload, an id names no clique, a clique has no
     packet, or a payload is not bytes of the subfile length.
     """
-    demands = _demand_vector(store, demands)
+    demands = _demand_vector(store.num_files, demands)
     num, length = plan.num_cliques, store.subfile_len
     ids = np.asarray(packets.ids)
     if ids.dtype.kind not in "iu":
@@ -473,17 +522,29 @@ def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> l
                           f"subfiles are {length} bytes")
     if len(packets.payloads) != len(ids):
         raise DecodeError(f"{len(packets.payloads)} packet payloads for {len(ids)} clique ids")
-    packet_of = np.full(num, -1, dtype=np.int64)
-    packet_of[ids] = np.arange(len(ids), dtype=np.int64)
-    if num and packet_of.min() < 0:
-        lost = np.flatnonzero(packet_of < 0)
-        raise DecodeError(f"no packet for clique {lost[:5].tolist()}")
+    packet_of = None
+    if not _in_order(ids, num):
+        packet_of = np.full(num, -1, dtype=np.int64)
+        packet_of[ids] = np.arange(len(ids), dtype=np.int64)
+        if num and packet_of.min() < 0:
+            lost = np.flatnonzero(packet_of < 0)
+            raise DecodeError(f"no packet for clique {lost[:5].tolist()}")
     rows = _store_rows(store)
     exact = np.ones(len(demands), dtype=bool)
+    residuals = np.empty((min(num, _XOR_CLIQUES), length), dtype=np.uint8)
+    member = np.empty_like(residuals)
     for block, at in _member_rows(plan, store, demands):
-        residual = np.take(packets.payloads, packet_of[block], axis=0)
-        for j in range(plan.group_size):
-            residual ^= np.take(rows, at[:, j], axis=0)
+        residual = residuals[:at.shape[1]]
+        other = member[:at.shape[1]]
+        if packet_of is None:
+            _gather(rows, at[0], residual)
+            residual ^= packets.payloads[block]
+            first = 1
+        else:
+            _gather(packets.payloads, packet_of[block], residual)
+            first = 0
+        for j in range(first, plan.group_size):
+            residual ^= _gather(rows, at[j], other)
         if residual.any():
             exact[plan.users[block][residual.any(axis=1)]] = False
     return exact.tolist()
@@ -598,6 +659,12 @@ def run_trials(instance: SchemeInstance, trials: int, seed: int,
                keep_round0: bool = False) -> SimulationReport:
     """Seeded random demand rounds (plus any explicit extra rounds).
 
+    The store is FileStore.random(N, F, subfile_len, seed).  With N <= K
+    it is drawn once.  With more files than users, a round reads at most
+    K of them, so each round draws only its distinct demanded files
+    (FileStore.drawn), byte for byte the same, and its demands are
+    renumbered into them; no N*F*L store is ever held.
+
     With keep_round0 the report keeps the packets of round 0, the first
     demand vector of the seed's stream, as `simulate --trace` writes
     them; with no random rounds that round is encoded for this alone.
@@ -610,27 +677,39 @@ def run_trials(instance: SchemeInstance, trials: int, seed: int,
     n = num_files if num_files is not None else k
     if n < 1:
         raise ValueError(f"num_files must be >= 1, got {n}")
-    store = FileStore.random(n, instance.params.subpacketization, subfile_len, seed=seed)
+    f = instance.params.subpacketization
+    store = FileStore.random(n, f, subfile_len, seed=seed) if n <= k else None
+
+    def store_for(demands) -> tuple[FileStore, object]:
+        """The round's store and its demands as indexes into it."""
+        if store is not None:
+            return store, demands
+        _check_round(instance, demands)
+        files, demands = np.unique(_demand_vector(n, demands), return_inverse=True)
+        return FileStore.drawn(files, f, subfile_len, seed=seed), demands
+
     stream = demand_stream(seed, k, n)
     vectors = [next(stream) for _ in range(trials)]
     round0 = None
     if keep_round0 and not trials:
-        round0 = run_round(instance, store, next(stream))
+        round0 = run_round(instance, *store_for(next(stream)))
     if extra_demands:
         vectors.extend(extra_demands)
     per_user = [0] * k
     failures = 0
     packet_count = instance.delivery.num_cliques
     for demands in vectors:
-        packets = run_round(instance, store, demands)
+        round_store, demands = store_for(demands)
+        packets = run_round(instance, round_store, demands)
         if len(packets) != packet_count:
             raise InvariantError(f"run_trials: {len(packets)} packets, expected {packet_count}")
         if keep_round0 and round0 is None:
             round0 = packets
-        for user, ok in enumerate(decode_round(instance, store, demands, packets)):
+        for user, ok in enumerate(decode_round(instance, round_store, demands, packets)):
             if not ok:
                 failures += 1
                 per_user[user] += 1
+        round_store = None  # so that two rounds' files are never held at once
     return SimulationReport(
         trials=len(vectors),
         users=k,

@@ -12,6 +12,7 @@ import pytest
 
 from pgcache import cli
 from pgcache.cli import main
+from pgcache.scheme import FileStore
 from pgcache.subspaces import InvariantError
 from test_scheme import DOCUMENT_LADDER
 
@@ -267,6 +268,15 @@ def test_simulate_trace_is_reproducible(tmp_path, capsys):
     (["--trials", "3", "--seed", "6", "--fixed-demands", "--files", "3",
       "--subfile-len", "5"],
      "ffd42f5431d9ae396e05fd18e142bad4084f70c479e468eeb794c48a9cb6066c"),
+    # More files than users: each round draws its demanded files alone;
+    # these are the digests of the whole store drawn once.
+    (["--trials", "2", "--seed", "4", "--files", "1000"],
+     "420dfece65a1976748a43d2b7bef7af01f108cb773b9b689c942d63dd6faacfb"),
+    (["--trials", "0", "--seed", "5", "--fixed-demands", "--files", "1000"],
+     "70dad990e198903206c0afd4e8ad7b4b97caa6b71b6e2b199d02a2125d11f182"),
+    (["--trials", "3", "--seed", "6", "--fixed-demands", "--files", "1000",
+      "--subfile-len", "5"],
+     "8be1e00fb4f948aba035a82a104aa2ea27287d3d3b30416cb4278ecc2b6933f1"),
 ])
 def test_simulate_trace_bytes_are_unchanged(tmp_path, capsys, flags, digest):
     doc = tmp_path / "fano.json"
@@ -276,6 +286,27 @@ def test_simulate_trace_bytes_are_unchanged(tmp_path, capsys, flags, digest):
     assert code == 0
     assert "(28 packets)" in out
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("message,printed", [
+    ("Unable to allocate 13.4 TiB for an array with shape (1837500000000,) and data type "
+     "uint64", None),
+    ("", "out of memory"),
+])
+def test_simulate_exits_3_on_a_store_too_large_for_memory(tmp_path, capsys, monkeypatch,
+                                                          message, printed):
+    doc = tmp_path / "fano.json"
+    run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2", "-o", str(doc))
+
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(FileStore, "random", too_large)
+    code, out, err = run(capsys, "simulate", str(doc), "--subfile-len", "100000000000",
+                         "--trials", "1")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {printed or message}\n"
 
 
 def test_construct_respects_cap(tmp_path, capsys):

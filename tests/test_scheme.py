@@ -168,6 +168,25 @@ def test_random_store_names_the_negative_argument(shape, message):
         FileStore.random(*shape)
 
 
+# (N, F, L): F*L of 1344 bytes, whole 64-bit words, and of 105 and 9
+# bytes, where a file starts part way into a word.
+@pytest.mark.parametrize("shape", [(9, 21, 64), (9, 21, 5), (9, 3, 3)])
+@pytest.mark.parametrize("seed", [0, 2 ** 32])
+def test_files_drawn_alone_match_the_random_store(shape, seed):
+    n = shape[0]
+    whole = FileStore.random(*shape, seed=seed).data
+    files = [0, 1, n // 2, n - 1]
+    alone = FileStore.drawn(files, *shape[1:], seed=seed).data
+    assert alone.dtype == np.uint8 and alone.shape == (len(files),) + shape[1:]
+    assert (alone == whole[files]).all()
+    assert (FileStore.drawn(files[::-1], *shape[1:], seed=seed).data == whole[files[::-1]]).all()
+
+
+def test_drawn_store_refuses_a_negative_file():
+    with pytest.raises(ValueError, match="^files must be >= 0, got -1$"):
+        FileStore.drawn([0, -1], 3, 3)
+
+
 # ----------------------------------------------------------------------
 # Encode
 # ----------------------------------------------------------------------
@@ -331,6 +350,8 @@ def small_schemes(fano):
 @pytest.mark.parametrize("name", ["3,1,1,2", "4,1,1,3"])
 def test_blocked_xor_matches_file_and_subfile_gathers(small_schemes, name, length, block,
                                                       monkeypatch):
+    """Encode against the two-index reference, and decode of its packets
+    in clique order, which decode takes as the batch's rows."""
     inst = small_schemes[name]
     plan = inst.delivery
     if block != "default":
@@ -341,6 +362,7 @@ def test_blocked_xor_matches_file_and_subfile_gathers(small_schemes, name, lengt
     store = FileStore.random(k + 3, f, length, seed=length)
     demands = next(demand_stream(length, k, k + 3))
     packets = encode(plan, store, demands)
+    assert (packets.ids == np.arange(plan.num_cliques)).all()
     assert (packets.payloads == _xor_by_file_and_subfile(plan, store, demands)).all()
     assert decode(plan, store, demands, packets) == [True] * k
     # Clique 0 is in the first block; the last clique ends the last one,
@@ -349,6 +371,44 @@ def test_blocked_xor_matches_file_and_subfile_gathers(small_schemes, name, lengt
         bad = Packets(packets.ids, packets.payloads.copy())
         bad.payloads[clique, length // 2] ^= 0x5A
         results = decode(plan, store, demands, bad)
+        assert [u for u, ok in enumerate(results) if not ok] == sorted(plan.users[clique])
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled", "one id twice", "one id missing"])
+@pytest.mark.parametrize("block", [1, 7, "default", "above C"])
+@pytest.mark.parametrize("name", ["3,1,1,2", "4,1,1,3"])
+def test_decode_takes_packets_out_of_order_by_clique_id(small_schemes, name, block, order,
+                                                        monkeypatch):
+    """Packets sent in another order than encode's are taken by clique id,
+    the last packet naming a clique winning; the reference packets are
+    the two-index XOR."""
+    inst = small_schemes[name]
+    plan = inst.delivery
+    num, length = plan.num_cliques, 5
+    if block != "default":
+        monkeypatch.setattr(scheme_module, "_XOR_CLIQUES", num + 1 if block == "above C" else block)
+    k, f = inst.params.users, inst.params.subpacketization
+    store = FileStore.random(k + 3, f, length, seed=num)
+    demands = next(demand_stream(num, k, k + 3))
+    reference = _xor_by_file_and_subfile(plan, store, demands)
+    sent = {"reversed": np.arange(num)[::-1],
+            "shuffled": np.random.default_rng(num).permutation(num),
+            "one id twice": np.append(np.arange(num), num // 2),
+            "one id missing": np.delete(np.arange(num), num // 2)}[order]
+    ids, payloads = sent.astype(np.int64), reference[sent]
+    if order == "one id missing":
+        with pytest.raises(DecodeError, match=rf"no packet for clique \[{num // 2}\]"):
+            decode(plan, store, demands, Packets(ids, payloads))
+        return
+    assert decode(plan, store, demands, Packets(ids, payloads)) == [True] * k
+    if order == "one id twice":  # the earlier packet of the clique is not read
+        spoiled = payloads.copy()
+        spoiled[num // 2] ^= 0xFF
+        assert decode(plan, store, demands, Packets(ids, spoiled)) == [True] * k
+    for clique in (0, num // 2, num - 1):
+        bad = payloads.copy()
+        bad[np.flatnonzero(ids == clique)[-1], length // 2] ^= 0x5A
+        results = decode(plan, store, demands, Packets(ids, bad))
         assert [u for u, ok in enumerate(results) if not ok] == sorted(plan.users[clique])
 
 
@@ -428,9 +488,11 @@ def test_bit_words_match_row_by_row_packing(k):
 
 
 def test_encode_and_decode_peak_near_one_packet_array():
-    """Encode holds one (C, L) payload array plus block-sized temporaries;
-    decode holds no (C, L) array at all, only two (C,) int64 index arrays
-    plus block-sized temporaries."""
+    """Encode holds one (C, L) payload array plus block-sized buffers;
+    decode holds no (C, L) array at all, only block-sized buffers and,
+    for packets in clique order as encode sends them, no (C,) index
+    array either.  The budget also covers the two (C,) int64 index
+    arrays that packets in another order take."""
     inst = build_scheme(ConstructionParams(6, 3, 2, 2))
     k, f, length = inst.params.users, inst.params.subpacketization, 64
     store = FileStore.random(k, f, length, seed=0)
@@ -615,6 +677,35 @@ def test_decodability_at_sixty_three_users():
                      extra_demands=[[0] * 63, list(range(63))])
     assert rep.failures == 0
     assert rep.packet_count == inst.params.transmissions
+
+
+def test_run_trials_holds_no_store_of_every_file(fano):
+    """With more files than users, a round holds at most K of them; the
+    whole store would be 10^4 * F * L bytes."""
+    k, f, length = 7, 21, 64
+    tracemalloc.start()
+    try:
+        rep = run_trials(fano, trials=3, seed=8, num_files=10_000, subfile_len=length,
+                         extra_demands=[list(range(k))])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.trials == 4 and rep.failures == 0
+    assert peak < k * f * length + 2 ** 20
+
+
+def test_run_trials_drops_a_round_s_files_before_the_next_is_drawn(fano):
+    """A round holds one store of its K files, its packets and the block
+    buffers, a peak of about 1.87 * K*F*L here; holding the last round's
+    files while drawing the next peaks at about 2.77 * K*F*L."""
+    k, f, length = 7, 21, 2 ** 14
+    tracemalloc.start()
+    try:
+        run_trials(fano, trials=3, seed=8, num_files=10_000, subfile_len=length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * k * f * length
 
 
 def test_run_trials_report(fano):
