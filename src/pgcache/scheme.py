@@ -33,8 +33,8 @@ packet XOR the other members' subfiles, which differs from its own
 subfile by exactly the residual, the packet XOR all d subfiles.  So a
 user decodes its file exactly when every clique that contains it
 leaves a zero residual; its cached subfiles are exact by construction.
-With more files than users, run_trials draws each round's demanded
-files alone, jumping ahead in the generator, and never holds all N.
+run_trials holds at most K files, in a cache of slots that a round
+fills in place, jumping ahead in the generator, only with files it lacks.
 
 Scheme documents serialize to JSON (format tag "pgcache/1") with the
 field spec, the canonical user matrices, subfile sets, base64 row bitmaps
@@ -58,6 +58,7 @@ above, as int64, before it is narrowed to int32.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import math
 import re
@@ -353,27 +354,23 @@ class FileStore:
                                                      dtype="<u8")
         return cls(data=words.view(np.uint8)[:size].reshape(shape))
 
-    @classmethod
-    def drawn(cls, files, num_subfiles: int, subfile_len: int = DEFAULT_SUBFILE_LEN,
-              seed: int = 0) -> "FileStore":
-        """The files numbered `files` of FileStore.random(N, F, L, seed), for
-        any N past them, in that order, each drawn on its own.  File n
-        starts at byte n*F*L of the generator's output, so the generator
-        jumps to its 64-bit output n*F*L // 8 (PCG64 advances in O(log n)
-        steps) and the leading bytes of that word are dropped."""
+    def draw(self, slots, files, seed: int = 0) -> None:
+        """Fill slot slots[i] with file files[i] of FileStore.random(N, F, L,
+        seed), for any N past it, each drawn on its own.  File n starts at
+        byte n*F*L of the generator's output, so the generator jumps to its
+        64-bit output n*F*L // 8 (PCG64 advances in O(log n) steps) and the
+        leading bytes of that word are dropped."""
         if min(files, default=0) < 0:
             raise ValueError(f"files must be >= 0, got {min(files)}")
-        size = num_subfiles * subfile_len
+        size = self.num_subfiles * self.subfile_len
         rng = np.random.default_rng(seed)
         start = rng.bit_generator.state
-        data = np.empty((len(files), size), dtype=np.uint8)
-        for i, n in enumerate(files):
+        for slot, n in zip(slots, files):
             word, skip = divmod(int(n) * size, 8)
             rng.bit_generator.state = start
             rng.bit_generator.advance(word)
             words = rng.integers(0, 2 ** 64, size=-(-(skip + size) // 8), dtype="<u8")
-            data[i] = words.view(np.uint8)[skip:skip + size]
-        return cls(data=data.reshape(len(files), num_subfiles, subfile_len))
+            self.data[slot] = words.view(np.uint8)[skip:skip + size].reshape(self.data.shape[1:])
 
     @property
     def num_files(self) -> int:
@@ -400,7 +397,7 @@ class CodedPacket:
 class Packets:
     """One round's XOR transmissions: payloads[i] is the packet of clique ids[i]."""
 
-    ids: np.ndarray       # (C,) int64
+    ids: np.ndarray       # (C,) integers; int32 from encode
     payloads: np.ndarray  # (C, L) uint8
 
     def __len__(self) -> int:
@@ -476,7 +473,7 @@ def encode(plan: DeliveryPlan, store: FileStore, demands) -> Packets:
         other = member[:len(acc)]
         for j in range(1, plan.group_size):
             acc ^= _gather(rows, at[j], other)
-    return Packets(ids=np.arange(plan.num_cliques, dtype=np.int64), payloads=payloads)
+    return Packets(ids=np.arange(plan.num_cliques, dtype=np.int32), payloads=payloads)
 
 
 def _in_order(ids: np.ndarray, num: int) -> bool:
@@ -511,9 +508,8 @@ def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> l
         raise DecodeError(f"packet clique ids are {ids.dtype}, not integers")
     if ids.ndim != 1:
         raise DecodeError(f"packet clique ids have shape {ids.shape}, not one id per packet")
-    ids = ids.astype(np.int64, copy=False)
-    bad = (ids < 0) | (ids >= num)
-    if bad.any():
+    if ids.size and (ids.min() < 0 or ids.max() >= num):
+        bad = (ids < 0) | (ids >= num)
         raise DecodeError(f"packet clique id {int(ids[bad][0])} is outside [0, {num})")
     if packets.payloads.dtype != np.uint8:
         raise DecodeError(f"packet payloads are {packets.payloads.dtype}, not bytes")
@@ -659,11 +655,13 @@ def run_trials(instance: SchemeInstance, trials: int, seed: int,
                keep_round0: bool = False) -> SimulationReport:
     """Seeded random demand rounds (plus any explicit extra rounds).
 
-    The store is FileStore.random(N, F, subfile_len, seed).  With N <= K
-    it is drawn once.  With more files than users, a round reads at most
-    K of them, so each round draws only its distinct demanded files
-    (FileStore.drawn), byte for byte the same, and its demands are
-    renumbered into them; no N*F*L store is ever held.
+    The files are those of FileStore.random(N, F, subfile_len, seed), held
+    in a cache of min(N, K) slots, since a round demands at most K distinct
+    files.  A round draws only the demanded files the cache lacks
+    (FileStore.draw), byte for byte the same, into empty slots first and
+    then into slots of files it does not demand, and its demands are
+    renumbered into slots; no N*F*L store is ever held.  Each demand
+    vector is drawn from the seed's stream as its round starts.
 
     With keep_round0 the report keeps the packets of round 0, the first
     demand vector of the seed's stream, as `simulate --trace` writes
@@ -671,6 +669,8 @@ def run_trials(instance: SchemeInstance, trials: int, seed: int,
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if subfile_len < 1:  # empty subfiles would make every decode vacuous
         raise ValueError(f"subfile_len must be >= 1, got {subfile_len}")
     k = instance.params.users
@@ -678,40 +678,43 @@ def run_trials(instance: SchemeInstance, trials: int, seed: int,
     if n < 1:
         raise ValueError(f"num_files must be >= 1, got {n}")
     f = instance.params.subpacketization
-    store = FileStore.random(n, f, subfile_len, seed=seed) if n <= k else None
+    cache = FileStore(np.empty((min(n, k), f, subfile_len), dtype=np.uint8))
+    slot_of: dict[int, int] = {}  # file -> slot, oldest first
 
-    def store_for(demands) -> tuple[FileStore, object]:
-        """The round's store and its demands as indexes into it."""
-        if store is not None:
-            return store, demands
+    def slots_for(demands) -> list[int]:
+        """The round's demands as cache slots, after drawing what is missing."""
         _check_round(instance, demands)
-        files, demands = np.unique(_demand_vector(n, demands), return_inverse=True)
-        return FileStore.drawn(files, f, subfile_len, seed=seed), demands
+        demands = _demand_vector(n, demands).tolist()
+        wanted = set(demands)
+        missing = list(wanted - slot_of.keys())
+        if missing:
+            slots = list(range(len(slot_of), cache.num_files)[:len(missing)])
+            stale = [x for x in slot_of if x not in wanted][:len(missing) - len(slots)]
+            slots += [slot_of.pop(x) for x in stale]
+            cache.draw(slots, missing, seed)
+            slot_of.update(zip(missing, slots))
+        return [slot_of[x] for x in demands]
 
     stream = demand_stream(seed, k, n)
-    vectors = [next(stream) for _ in range(trials)]
     round0 = None
     if keep_round0 and not trials:
-        round0 = run_round(instance, *store_for(next(stream)))
-    if extra_demands:
-        vectors.extend(extra_demands)
+        round0 = run_round(instance, cache, slots_for(next(stream)))
     per_user = [0] * k
     failures = 0
     packet_count = instance.delivery.num_cliques
-    for demands in vectors:
-        round_store, demands = store_for(demands)
-        packets = run_round(instance, round_store, demands)
+    for demands in itertools.chain(itertools.islice(stream, trials), extra_demands or ()):
+        demands = slots_for(demands)
+        packets = run_round(instance, cache, demands)
         if len(packets) != packet_count:
             raise InvariantError(f"run_trials: {len(packets)} packets, expected {packet_count}")
         if keep_round0 and round0 is None:
             round0 = packets
-        for user, ok in enumerate(decode_round(instance, round_store, demands, packets)):
+        for user, ok in enumerate(decode_round(instance, cache, demands, packets)):
             if not ok:
                 failures += 1
                 per_user[user] += 1
-        round_store = None  # so that two rounds' files are never held at once
     return SimulationReport(
-        trials=len(vectors),
+        trials=trials + len(extra_demands or ()),
         users=k,
         packet_count=packet_count,
         measured_rf=Fraction(packet_count, instance.params.subpacketization),

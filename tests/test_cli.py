@@ -8,11 +8,11 @@ import threading
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from pgcache import cli
 from pgcache.cli import main
-from pgcache.scheme import FileStore
 from pgcache.subspaces import InvariantError
 from test_scheme import DOCUMENT_LADDER
 
@@ -298,10 +298,14 @@ def test_simulate_exits_3_on_a_store_too_large_for_memory(tmp_path, capsys, monk
     doc = tmp_path / "fano.json"
     run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2", "-o", str(doc))
 
-    def too_large(*args, **kwargs):
-        raise MemoryError(message)
+    empty = np.empty
 
-    monkeypatch.setattr(FileStore, "random", too_large)
+    def too_large(shape, *args, **kwargs):
+        if shape == (7, 21, 100000000000):  # run_trials' file cache
+            raise MemoryError(message)
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", too_large)
     code, out, err = run(capsys, "simulate", str(doc), "--subfile-len", "100000000000",
                          "--trials", "1")
     assert code == 3
@@ -375,6 +379,8 @@ _EDGE_CASES = [
     ("simulate", "--seed", 0, 0, "decode success  = 7/7 user-rounds"),
     ("simulate", "--seed", -1, 2, "seed must be >= 0, got -1"),
     ("simulate", "--seed", 2 ** 64, 0, "decode success  = 7/7 user-rounds"),
+    ("simulate --files 1000 --trials 0", "--seed", -1, 2, "seed must be >= 0, got -1"),
+    ("simulate --files 1000 --trials 1", "--seed", -1, 2, "seed must be >= 0, got -1"),
     ("simulate", "--files", 0, 2, "num_files must be >= 1, got 0"),
     ("simulate", "--files", -1, 2, "num_files must be >= 1, got -1"),
     ("simulate", "--subfile-len", 0, 2, "subfile_len must be >= 1, got 0"),
@@ -406,8 +412,8 @@ def test_integer_flag_edge_values(tmp_path, capsys, command, flag, value, code, 
         "simulate": ["simulate", str(tmp_path / "fano.json"), "--trials", "1"],
         "bounds": ["bounds", "-K", "7", "-F", "42", "-D", "24"],
         "sweep": ["sweep", "-q", "2", "--alpha", "1", "--start", "3", "--end", "4"],
-    }[command]
-    if command == "simulate":
+    }[command.split()[0]] + command.split()[1:]
+    if base[0] == "simulate":
         run(capsys, "construct", *fano, "-o", base[1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # m = 0 is degenerate

@@ -176,15 +176,21 @@ def test_files_drawn_alone_match_the_random_store(shape, seed):
     n = shape[0]
     whole = FileStore.random(*shape, seed=seed).data
     files = [0, 1, n // 2, n - 1]
-    alone = FileStore.drawn(files, *shape[1:], seed=seed).data
-    assert alone.dtype == np.uint8 and alone.shape == (len(files),) + shape[1:]
-    assert (alone == whole[files]).all()
-    assert (FileStore.drawn(files[::-1], *shape[1:], seed=seed).data == whole[files[::-1]]).all()
+    alone = FileStore(np.zeros((len(files),) + shape[1:], dtype=np.uint8))
+    alone.draw(range(len(files)), files, seed=seed)
+    assert alone.data.dtype == np.uint8 and alone.data.shape == (len(files),) + shape[1:]
+    assert (alone.data == whole[files]).all()
+    alone.draw(range(len(files))[::-1], files, seed=seed)
+    assert (alone.data == whole[files[::-1]]).all()
+    # Only the named slots are written.
+    alone.data[:] = 0
+    alone.draw([2], [n - 1], seed=seed)
+    assert (alone.data[2] == whole[n - 1]).all() and not alone.data[[0, 1, 3]].any()
 
 
 def test_drawn_store_refuses_a_negative_file():
     with pytest.raises(ValueError, match="^files must be >= 0, got -1$"):
-        FileStore.drawn([0, -1], 3, 3)
+        FileStore(np.zeros((2, 3, 3), dtype=np.uint8)).draw([0, 1], [0, -1])
 
 
 # ----------------------------------------------------------------------
@@ -695,7 +701,7 @@ def test_run_trials_holds_no_store_of_every_file(fano):
 
 
 def test_run_trials_drops_a_round_s_files_before_the_next_is_drawn(fano):
-    """A round holds one store of its K files, its packets and the block
+    """A round holds the cache of K files, its packets and the block
     buffers, a peak of about 1.87 * K*F*L here; holding the last round's
     files while drawing the next peaks at about 2.77 * K*F*L."""
     k, f, length = 7, 21, 2 ** 14
@@ -706,6 +712,58 @@ def test_run_trials_drops_a_round_s_files_before_the_next_is_drawn(fano):
     finally:
         tracemalloc.stop()
     assert peak < 2 * k * f * length
+
+
+@pytest.mark.parametrize("num_files", [7, 12])
+def test_run_trials_draws_only_what_its_cache_lacks(fano, monkeypatch, num_files):
+    """With N <= K every file is drawn at most once; a round draws only
+    files it demands, and none that the round before demanded; and every
+    round's packets are those of the whole store drawn at once."""
+    trials, seed, length = 50, 21, 8
+    drawn, rounds = [], []
+    draw, run_round_ = FileStore.draw, scheme_module.run_round
+
+    def counted_draw(self, slots, files, seed=0):
+        drawn.extend(files)
+        draw(self, slots, files, seed)
+
+    def kept_round(*args):
+        packets = run_round_(*args)
+        rounds.append((len(drawn), packets.payloads.copy()))
+        return packets
+
+    monkeypatch.setattr(FileStore, "draw", counted_draw)
+    monkeypatch.setattr(scheme_module, "run_round", kept_round)
+    rep = run_trials(fano, trials=trials, seed=seed, num_files=num_files, subfile_len=length)
+    assert rep.failures == 0 and len(rounds) == trials
+    stream = demand_stream(seed, 7, num_files)
+    vectors = [next(stream) for _ in range(trials)]
+    ends = [0] + [end for end, _ in rounds]
+    per_round = [set(drawn[lo:hi]) for lo, hi in zip(ends, ends[1:])]
+    if num_files <= 7:
+        assert len(drawn) == len(set(drawn))
+    for vector, files in zip(vectors, per_round):
+        assert files <= set(vector)
+    for before, files in zip(vectors, per_round[1:]):
+        assert not files & set(before)
+    whole = FileStore.random(num_files, fano.params.subpacketization, length, seed=seed)
+    for vector, (_, payloads) in zip(vectors, rounds):
+        assert np.array_equal(payloads, encode(fano.delivery, whole, vector).payloads)
+
+
+def test_run_trials_peak_does_not_grow_with_the_trial_count(fano):
+    """Each demand vector is drawn as its round starts, so no list of them
+    grows with the trial count."""
+    run_trials(fano, trials=1, seed=5, subfile_len=8)  # first-call allocations
+    peaks = []
+    for trials in (100, 3000):
+        tracemalloc.start()
+        try:
+            run_trials(fano, trials=trials, seed=5, subfile_len=8)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 4096
 
 
 def test_run_trials_report(fano):
