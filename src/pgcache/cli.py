@@ -174,8 +174,9 @@ def cmd_simulate(args) -> int:
     print(f"trials          = {report.trials}")
     print(f"decode success  = {ok}/{report.trials * report.users} user-rounds")
     print(f"packets/round   = {report.packet_count}")
-    print(f"measured R*F    = {fraction_text(report.measured_rf * instance.params.subpacketization)}")
-    print(f"measured R      = {fraction_text(report.measured_rf)}")
+    print(f"measured R*F    = {report.packet_count}")
+    print(f"measured R      = "
+          f"{fraction_text(Fraction(report.packet_count, instance.params.subpacketization))}")
     if args.trace:
         with open(args.trace, "wb") as fh:
             fh.write(packet_trace_bytes(report.round0))

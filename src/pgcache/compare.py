@@ -97,16 +97,10 @@ def pda_scheme_params(m2: int, q2: int) -> ComparisonRow:
     """
     if q2 < 2 or m2 < 1:
         raise ValueError("need q' >= 2 and m' >= 1")
-    users = q2 * (m2 + 1)
-    uncached = Fraction(q2 - 1, q2)
-    gain_exact = users * uncached / (q2 - 1)
-    if gain_exact != m2 + 1:
-        raise InvariantError(
-            f"pda_scheme_params: gain K(1 - M/N)/(q' - 1) = {gain_exact} != m' + 1 = {m2 + 1}")
     return ComparisonRow(
         label=f"pda(m'={m2}, q'={q2})",
-        users=users,
-        uncached_fraction=uncached,
+        users=q2 * (m2 + 1),
+        uncached_fraction=Fraction(q2 - 1, q2),
         subpacketization=q2 ** m2,
         gain=m2 + 1,
         rate=Fraction(q2 - 1),
@@ -135,17 +129,15 @@ def binomial_scheme_params(users: int, cached_fraction: Fraction | int) -> Compa
 
 
 def subspace_scheme_row(cp: ConstructionParams) -> ComparisonRow:
-    """This construction's comparison row, via the closed-form parameters."""
+    """This construction's comparison row, via the closed-form parameters:
+    its gain is the group size d."""
     params = params_from(cp)
-    gain = params.gain
-    if gain.denominator != 1:
-        raise InvariantError(f"subspace_scheme_row: gain {gain} of {cp} is not an integer")
     return ComparisonRow(
         label=f"subspace(k={cp.k}, m={cp.m}, t={cp.t}, q={cp.q})",
         users=params.users,
         uncached_fraction=1 - params.cached_fraction,
         subpacketization=params.subpacketization,
-        gain=gain.numerator,
+        gain=params.group_size,
         rate=params.rate,
     )
 

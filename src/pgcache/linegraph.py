@@ -55,13 +55,19 @@ from .subspaces import InvariantError, generating_set_counts, q_binomial
 
 DEFAULT_VERTEX_CAP = 10 ** 7
 
+# Rows of a plan-sized array in one block, wherever such an array is walked
+# in blocks (a plan's cliques, mask rows packed into bit words, rows of a
+# rendered document array), so that a block's work buffers stay in cache.
+# Read at call time.
+BLOCK_ROWS = 4096
+
 
 class CapacityError(RuntimeError):
     """Predicted construction size exceeds the configured cap."""
 
 
 class DegenerateConstructionError(ValueError):
-    """Parameters produce an empty line graph (every subfile fully cached)."""
+    """m + t = k: every user caches every subfile, an empty line graph."""
 
 
 def _require(ok, step: str, invariant: str) -> None:
@@ -76,7 +82,12 @@ def _require(ok, step: str, invariant: str) -> None:
 
 @dataclass(frozen=True)
 class ConstructionParams:
-    """Construction knobs: ambient dim k, set size m+1, user dim t, field q."""
+    """Construction knobs: ambient dim k, set size m+1, user dim t, field q.
+
+    The scheme needs alpha = k - m - t >= 1: m + t > k is refused as a
+    ValueError and m + t = k, where every user caches every subfile, as a
+    DegenerateConstructionError, so later steps may take c > 0.
+    """
 
     k: int
     m: int
@@ -92,6 +103,11 @@ class ConstructionParams:
         if self.m + self.t > self.k:
             raise ValueError(
                 f"need m + t <= k, got m={self.m}, t={self.t}, k={self.k}"
+            )
+        if self.m + self.t == self.k:
+            raise DegenerateConstructionError(
+                f"m={self.m}, t={self.t}, k={self.k} caches every subfile at every "
+                f"user, an empty delivery problem: need m + t < k"
             )
         if self.m == 0:
             warnings.warn(
@@ -274,7 +290,8 @@ def build_universe(params: ConstructionParams, max_vertices: int | None = DEFAUL
     """Enumerate the points and the subfile sets for the parameters.
 
     Refuses up front when the closed-form vertex count K*D exceeds
-    max_vertices, reporting the predicted sizes.
+    max_vertices, reporting the predicted sizes.  With m + t < k, K*D is
+    at least q^n, the size of the point tables, so the cap bounds them too.
     """
     cp = params
     predicted_f = cp.subpacketization
@@ -286,13 +303,6 @@ def build_universe(params: ConstructionParams, max_vertices: int | None = DEFAUL
             f"exceed cap {max_vertices}"
         )
     n = cp.k - cp.t + 1
-    # q^n <= K*D whenever the line graph is not empty, so this only bounds
-    # the work tables of a degenerate (m + t = k) instance.
-    if max_vertices is not None and cp.q ** n > max_vertices:
-        raise CapacityError(
-            f"predicted {cp.q ** n} vectors in GF({cp.q})^{n} exceed cap {max_vertices}"
-        )
-
     pts = _Points(cp.field, n)
     k_users = len(pts.codes)
     _require(k_users == cp.num_users, "build_universe",
@@ -330,10 +340,6 @@ def build_line_graph(universe: Universe) -> Universe:
     user clique, and return the universe: its mask is the vertex set."""
     cp = universe.params
     clique_size = cp.subfile_clique_size
-    if clique_size == 0:
-        raise DegenerateConstructionError(
-            "m + t = k leaves every subfile cached at every user: empty line graph"
-        )
     per_subfile, per_user = universe.mask_counts
     _require((per_subfile == clique_size).all(), "build_line_graph",
              f"every subfile clique has c = {clique_size} users")
@@ -373,17 +379,12 @@ class DeliveryPlan:
     def clique(self, i: int) -> list[tuple[int, int]]:
         return list(zip(self.users[i].tolist(), self.subfiles[i].tolist()))
 
-    def blocks(self, size: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-        """The plan in consecutive blocks of at most `size` cliques: each
-        block's slice and its rows of users and subfiles, as views."""
-        for lo in range(0, self.num_cliques, size):
-            block = slice(lo, lo + size)
+    def blocks(self) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        """The plan in consecutive blocks of at most BLOCK_ROWS cliques:
+        each block's slice and its rows of users and subfiles, as views."""
+        for lo in range(0, self.num_cliques, BLOCK_ROWS):
+            block = slice(lo, lo + BLOCK_ROWS)
             yield block, self.users[block], self.subfiles[block]
-
-
-# Cliques that enumerate_transmission_cliques fills at a time, so that a
-# block's gathers stay in cache.
-_CLIQUE_BLOCK = 4096
 
 
 def enumerate_transmission_cliques(universe: Universe) -> DeliveryPlan:
@@ -418,7 +419,7 @@ def enumerate_transmission_cliques(universe: Universe) -> DeliveryPlan:
     cells = _extensions(subfiles, universe.outside_mask)
     plan = DeliveryPlan(users=np.empty((len(cells), d), dtype=np.int32),
                         subfiles=np.empty((len(cells), d), dtype=np.int32))
-    for block, users, subs in plan.blocks(_CLIQUE_BLOCK):
+    for block, users, subs in plan.blocks():
         x, new = np.divmod(cells[block], k)
         users[:, :-1] = np.take(subfiles, x, axis=0)
         users[:, -1] = new

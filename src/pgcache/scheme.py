@@ -70,6 +70,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import linegraph
 from .linegraph import (
     ConstructionParams,
     DEFAULT_VERTEX_CAP,
@@ -127,14 +128,9 @@ class SchemeParams:
 def params_from(cp: ConstructionParams) -> SchemeParams:
     """Closed-form scheme parameters for a construction.
 
-    Rejects m + t = k, where every subfile would be cached everywhere and
-    the delivery rate degenerates to 0/0.
+    ConstructionParams has refused m + t = k, so c > 0, and K*D = F*c
+    gives M/N = 1 - D/F and a gain K(1 - M/N)/R of exactly d.
     """
-    if cp.alpha < 1:
-        raise ValueError(
-            "m + t = k gives an empty delivery problem (every subfile cached); "
-            "need m + t < k"
-        )
     users = cp.num_users
     c = cp.subfile_clique_size
     d = cp.m + 2
@@ -144,7 +140,7 @@ def params_from(cp: ConstructionParams) -> SchemeParams:
         raise InvariantError(f"params_from: K*D = {users * big_d} != F*c = {big_f * c}")
     cached = 1 - Fraction(c, users)
     rate = Fraction(c, d)
-    params = SchemeParams(
+    return SchemeParams(
         users=users,
         subpacketization=big_f,
         missing_per_user=big_d,
@@ -153,11 +149,6 @@ def params_from(cp: ConstructionParams) -> SchemeParams:
         cached_fraction=cached,
         rate=rate,
     )
-    if params.cached_fraction != 1 - Fraction(big_d, big_f):
-        raise InvariantError(f"params_from: M/N = {params.cached_fraction} != 1 - D/F")
-    if params.gain != d:
-        raise InvariantError(f"params_from: gain {params.gain} != group size d = {d}")
-    return params
 
 
 # ----------------------------------------------------------------------
@@ -200,12 +191,6 @@ def build_placement(universe: Universe) -> PlacementMap:
 # Delivery plan check, file store and packets
 # ----------------------------------------------------------------------
 
-# Cliques that each pass over a plan here takes at a time (DeliveryPlan.blocks),
-# and mask rows that _bit_words packs at a time, so that a block's packets,
-# gathered subfiles and bit words stay in cache.
-_XOR_CLIQUES = 4096
-
-
 def delivery_violation(plan: DeliveryPlan, placement: PlacementMap) -> str | None:
     """Why the plan cannot deliver under the placement, or None if it can.
 
@@ -229,10 +214,11 @@ def _bit_words(mask: np.ndarray) -> np.ndarray:
     rows, k = mask.shape
     width = -(-k // 64) * 64
     packed = np.empty(rows * width // 8, dtype=np.uint8)
-    padded = np.zeros((min(rows, _XOR_CLIQUES), width), dtype=bool)
-    for lo in range(0, rows, _XOR_CLIQUES):
-        block = padded[:len(mask[lo:lo + _XOR_CLIQUES])]
-        block[:, :k] = mask[lo:lo + _XOR_CLIQUES]
+    size = linegraph.BLOCK_ROWS
+    padded = np.zeros((min(rows, size), width), dtype=bool)
+    for lo in range(0, rows, size):
+        block = padded[:len(mask[lo:lo + size])]
+        block[:, :k] = mask[lo:lo + size]
         packed[lo * width // 8:(lo + len(block)) * width // 8] = np.packbits(
             block, axis=None, bitorder="little")
     return np.ascontiguousarray(packed.view("<u8").reshape(rows, width // 64).T)
@@ -260,7 +246,7 @@ def _plan_fits(plan: DeliveryPlan, mat: np.ndarray) -> bool:
     words = _bit_words(mat.T)
     bits = _bit_words(np.eye(k, dtype=bool))
     covered = np.zeros(f * k, dtype=bool)
-    for _, users, subs in plan.blocks(_XOR_CLIQUES):
+    for _, users, subs in plan.blocks():
         if users.min() < 0 or users.max() >= k or subs.min() < 0 or subs.max() >= f:
             return False
         # (W, d, B): the block runs along the last axis, so that each step
@@ -293,17 +279,17 @@ def _first_violation(plan: DeliveryPlan, mat: np.ndarray) -> str | None:
         return (f"delivery clique {block.start + i} entry {j} "
                 f"{[int(users[i, j]), int(subs[i, j])]}")
 
-    for block, users, subs in plan.blocks(_XOR_CLIQUES):
+    for block, users, subs in plan.blocks():
         outside = (users < 0) | (users >= k) | (subs < 0) | (subs >= f)
         if outside.any():
             return (f"{first_entry(block, users, subs, outside)} is outside "
                     f"{k} users x {f} subfiles")
-    for block, users, subs in plan.blocks(_XOR_CLIQUES):
+    for block, users, subs in plan.blocks():
         not_vertex = flat[_cells(users, subs, k)] != 1
         if not_vertex.any():
             return f"{first_entry(block, users, subs, not_vertex)} is cached, not a vertex"
     covered = np.zeros(f * k, dtype=bool)
-    for block, users, subs in plan.blocks(_XOR_CLIQUES):
+    for block, users, subs in plan.blocks():
         cells = _cells(users, subs, k)
         again = covered[cells]
         _, first = np.unique(cells, return_index=True)
@@ -317,7 +303,7 @@ def _first_violation(plan: DeliveryPlan, mat: np.ndarray) -> str | None:
         u, x = np.argwhere((mat == 1) & ~covered.reshape(f, k).T)[0]
         return f"vertex ({u}, {x}) is in no delivery clique"
     for j in range(plan.group_size):
-        for block, users, subs in plan.blocks(_XOR_CLIQUES):
+        for block, users, subs in plan.blocks():
             # placement[u_j, x_j'] for the members j' of each clique: 1 at
             # j' = j (a vertex), 0 elsewhere (u_j caches the side information).
             side = flat[_cells(users[:, j:j + 1], subs, k)]
@@ -430,7 +416,7 @@ def _member_rows(plan: DeliveryPlan, store: FileStore,
     """
     f = store.num_subfiles
     offsets = demands * f
-    for block, users, subfiles in plan.blocks(_XOR_CLIQUES):
+    for block, users, subfiles in plan.blocks():
         if users.min() < 0:
             raise ValueError("delivery plan names a negative user")
         if users.max() >= len(demands):
@@ -467,7 +453,8 @@ def encode(plan: DeliveryPlan, store: FileStore, demands) -> Packets:
     demands = _demand_vector(store.num_files, demands)
     rows = _store_rows(store)
     payloads = np.empty((plan.num_cliques, store.subfile_len), dtype=np.uint8)
-    member = np.empty((min(plan.num_cliques, _XOR_CLIQUES), store.subfile_len), dtype=np.uint8)
+    member = np.empty((min(plan.num_cliques, linegraph.BLOCK_ROWS), store.subfile_len),
+                      dtype=np.uint8)
     for block, at in _member_rows(plan, store, demands):
         acc = _gather(rows, at[0], payloads[block])
         other = member[:len(acc)]
@@ -479,9 +466,10 @@ def encode(plan: DeliveryPlan, store: FileStore, demands) -> Packets:
 def _in_order(ids: np.ndarray, num: int) -> bool:
     """Whether ids is arange(num), compared a block at a time so that no
     (C,) array is made."""
+    size = linegraph.BLOCK_ROWS
     return len(ids) == num and all(
-        np.array_equal(ids[lo:lo + _XOR_CLIQUES], np.arange(lo, min(lo + _XOR_CLIQUES, num)))
-        for lo in range(0, num, _XOR_CLIQUES))
+        np.array_equal(ids[lo:lo + size], np.arange(lo, min(lo + size, num)))
+        for lo in range(0, num, size))
 
 
 def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> list[bool]:
@@ -527,7 +515,7 @@ def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> l
             raise DecodeError(f"no packet for clique {lost[:5].tolist()}")
     rows = _store_rows(store)
     exact = np.ones(len(demands), dtype=bool)
-    residuals = np.empty((min(num, _XOR_CLIQUES), length), dtype=np.uint8)
+    residuals = np.empty((min(num, linegraph.BLOCK_ROWS), length), dtype=np.uint8)
     member = np.empty_like(residuals)
     for block, at in _member_rows(plan, store, demands):
         residual = residuals[:at.shape[1]]
@@ -617,9 +605,6 @@ class SimulationReport:
     trials: int
     users: int
     packet_count: int
-    # Packets per subfile, the rate R, despite the name; `pgcache simulate`
-    # prints R*F by multiplying it by F.
-    measured_rf: Fraction
     failures: int
     per_user_failures: list[int]
     round0: Packets | None = None  # kept on request; see run_trials
@@ -717,7 +702,6 @@ def run_trials(instance: SchemeInstance, trials: int, seed: int,
         trials=trials + len(extra_demands or ()),
         users=k,
         packet_count=packet_count,
-        measured_rf=Fraction(packet_count, instance.params.subpacketization),
         failures=failures,
         per_user_failures=per_user,
         round0=round0,
@@ -752,11 +736,6 @@ def _header(instance: SchemeInstance) -> dict:
             instance.placement.row_base64(u) for u in range(pr.users)
         ],
     }
-
-
-# Leading-axis rows that _json_int_blocks renders at a time, so that its
-# work arrays take O(rows in a block) memory, not O(rows in the array).
-_RENDER_ROWS = 4096
 
 
 def _json_int_blocks(*columns: np.ndarray) -> Iterator[bytes]:
@@ -834,15 +813,15 @@ def _table_rows(columns, prefixes, top) -> Iterator[bytes]:
     entry lies in 0..top."""
     table = _digit_words(top)
     template = np.array([int.from_bytes(p, "little") for p in prefixes], dtype="<u8")
-    rows = len(columns[0])
-    shape = (min(rows, _RENDER_ROWS), *columns[0].shape[1:])
+    rows, size = len(columns[0]), linegraph.BLOCK_ROWS
+    shape = (min(rows, size), *columns[0].shape[1:])
     slot_buffer = np.empty((*shape, len(columns)), dtype="<u8")
     gather_buffer = np.empty(shape, dtype="<u8")
-    for lo in range(0, rows, _RENDER_ROWS):
-        block = slot_buffer[:min(_RENDER_ROWS, rows - lo)]
+    for lo in range(0, rows, size):
+        block = slot_buffer[:min(size, rows - lo)]
         gathered = gather_buffer[:len(block)]
         for i, c in enumerate(columns):
-            np.take(table, c[lo:lo + _RENDER_ROWS], out=gathered, mode="clip")
+            np.take(table, c[lo:lo + size], out=gathered, mode="clip")
             block[..., i] = gathered
         slots = block.reshape(len(block), -1)
         slots |= template
@@ -856,10 +835,10 @@ def _digit_rows(columns, prefixes, top) -> Iterator[bytes]:
     template = np.frombuffer(b"".join(p + b"\0" * width for p in prefixes), dtype=np.uint8)
     # ones_at[e] is the byte of entry e's last digit; its tens digit is one before.
     ones_at = np.cumsum([len(p) + width for p in prefixes]) - 1
-    rows = len(columns[0])
+    rows, size = len(columns[0]), linegraph.BLOCK_ROWS
     dtype = np.uint32 if top < 2 ** 32 else np.uint64
-    for lo in range(0, rows, _RENDER_ROWS):
-        block = [c[lo:lo + _RENDER_ROWS] for c in columns]
+    for lo in range(0, rows, size):
+        block = [c[lo:lo + size] for c in columns]
         v = block[0] if len(block) == 1 else np.stack(block, axis=-1)
         v = v.reshape(len(v), -1).astype(dtype)
         text = np.repeat(template[None], len(v), axis=0)
@@ -1066,7 +1045,7 @@ def _canonical_build(data) -> SchemeInstance | None:
         cp = ConstructionParams(k=k, m=m, t=t, q=q)
     except ValueError:
         return None
-    if cp.alpha < 1 or 2 * cp.num_users * t * k > size or 5 * cp.vertex_count > size:
+    if 2 * cp.num_users * t * k > size or 5 * cp.vertex_count > size:
         return None
     return build_scheme(cp, max_vertices=None)
 

@@ -49,6 +49,23 @@ def test_params_rejects_bad_shape(capsys):
     assert "m + t" in err
 
 
+_EMPTY_DELIVERY = ("error: m=2, t=1, k=3 caches every subfile at every user, "
+                   "an empty delivery problem: need m + t < k\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("params",),
+    ("construct", "-o", "out.json"),
+    ("construct", "-o", "out.json", "--cap", "1"),  # refused before the cap
+])
+def test_m_plus_t_equal_to_k_is_refused_up_front(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv[:1], "-k", "3", "-m", "2", "-t", "1", "-q", "2",
+                         *argv[1:])
+    assert (code, out, err) == (2, "", _EMPTY_DELIVERY)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_params_accepts_a_large_prime_order(capsys):
     q = 2 ** 61 - 1
     start = time.perf_counter()
@@ -162,6 +179,20 @@ def test_construct_refuses_a_read_only_document(tmp_path, capsys):
                          "-o", str(doc))
     assert code == 4
     assert out == "" and err.startswith("error: ")
+    assert doc.read_bytes() == b"an earlier document"
+    assert list(tmp_path.iterdir()) == [doc]
+
+
+def test_construct_refuses_a_document_it_may_not_write(tmp_path, monkeypatch, capsys):
+    """The read-only case above as root, who may write any file: the
+    target is refused as access() would refuse it to another user."""
+    doc = tmp_path / "fano.json"
+    doc.write_bytes(b"an earlier document")
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    code, out, err = run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2",
+                         "-o", str(doc))
+    assert code == 4
+    assert out == "" and err == f"error: [Errno 13] Permission denied: '{doc}'\n"
     assert doc.read_bytes() == b"an earlier document"
     assert list(tmp_path.iterdir()) == [doc]
 

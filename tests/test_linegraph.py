@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -41,6 +42,32 @@ def fano_graph():
 # ----------------------------------------------------------------------
 # Parameters
 # ----------------------------------------------------------------------
+
+def test_empty_graph_rejected():
+    """m + t = k is refused by the parameters, before any enumeration."""
+    for k, m, t, q in [(3, 2, 1, 2), (4, 2, 2, 2)]:
+        message = (f"m={m}, t={t}, k={k} caches every subfile at every user, "
+                   f"an empty delivery problem: need m + t < k")
+        with pytest.raises(DegenerateConstructionError, match=f"^{re.escape(message)}$"):
+            ConstructionParams(k, m, t, q)
+
+
+_PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+
+def test_vertex_count_bounds_the_point_tables():
+    """With m + t < k, K*D >= q^(k-t+1), so the vertex cap also bounds
+    the point tables of GF(q)^(k-t+1) that build_universe fills: every
+    construction with k <= 11 and q <= 16."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # m = 0
+        for q in _PRIME_POWERS:
+            for k in range(2, 12):
+                for t in range(1, k):
+                    for m in range(k - t):
+                        cp = ConstructionParams(k, m, t, q)
+                        assert q ** (k - t + 1) <= cp.vertex_count, cp
+
 
 def test_params_validation():
     with pytest.raises(ValueError):
@@ -146,14 +173,6 @@ def test_the_line_graph_is_the_universe():
     uni = build_universe(ConstructionParams(3, 1, 1, 2))
     assert build_line_graph(uni) is uni
     assert not hasattr(pgcache, "CachingLineGraph")
-
-
-def test_empty_graph_rejected():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        uni = build_universe(ConstructionParams(3, 2, 1, 2))  # m + t = k
-    with pytest.raises(DegenerateConstructionError):
-        build_line_graph(uni)
 
 
 def test_verify_passes_on_real_constructions():

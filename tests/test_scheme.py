@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pgcache import scheme as scheme_module
+from pgcache import linegraph as linegraph_module, scheme as scheme_module
 from pgcache.linegraph import (
     ConstructionParams,
     InvariantError,
@@ -361,7 +361,7 @@ def test_blocked_xor_matches_file_and_subfile_gathers(small_schemes, name, lengt
     inst = small_schemes[name]
     plan = inst.delivery
     if block != "default":
-        monkeypatch.setattr(scheme_module, "_XOR_CLIQUES",
+        monkeypatch.setattr(linegraph_module, "BLOCK_ROWS",
                             plan.num_cliques + 1 if block == "above C" else block)
     k, f = inst.params.users, inst.params.subpacketization
     # More files than users, so that a row index mixing up files shows.
@@ -392,7 +392,8 @@ def test_decode_takes_packets_out_of_order_by_clique_id(small_schemes, name, blo
     plan = inst.delivery
     num, length = plan.num_cliques, 5
     if block != "default":
-        monkeypatch.setattr(scheme_module, "_XOR_CLIQUES", num + 1 if block == "above C" else block)
+        monkeypatch.setattr(linegraph_module, "BLOCK_ROWS",
+                            num + 1 if block == "above C" else block)
     k, f = inst.params.users, inst.params.subpacketization
     store = FileStore.random(k + 3, f, length, seed=num)
     demands = next(demand_stream(num, k, k + 3))
@@ -446,6 +447,12 @@ def test_negative_users_are_refused():
         decode(plan, store, [1, 0], packets)
 
 
+def test_encode_refuses_nested_demands(fano):
+    store = FileStore.random(7, 21, subfile_len=4, seed=0)
+    with pytest.raises(ValueError, match="^demands must be a flat sequence, one file per user$"):
+        encode(fano.delivery, store, [[0] * 7])
+
+
 def test_plan_guards_hold_under_optimize():
     """The plan's range checks raise under -O, so they are not asserts."""
     script = (
@@ -478,8 +485,8 @@ def test_plan_guards_hold_under_optimize():
 @pytest.mark.parametrize("k", [1, 7, 8, 31, 63, 64, 65, 121, 130])
 def test_bit_words_match_row_by_row_packing(k):
     """_bit_words, packed flat block by block, against np.packbits of each
-    row alone, on row counts around its block of _XOR_CLIQUES rows."""
-    block = scheme_module._XOR_CLIQUES
+    row alone, on row counts around its block of BLOCK_ROWS rows."""
+    block = linegraph_module.BLOCK_ROWS
     rng = np.random.default_rng(k)
     for rows in [0, 1, block - 1, block, block + 1]:
         mask = rng.random((rows, k)) < 0.5
@@ -571,7 +578,8 @@ _PLAN_DAMAGE = ["swap subfiles", "swap a user's subfiles", "repeat a user", "dro
 
 @settings(max_examples=300, deadline=None)
 @given(name=st.sampled_from(["3,1,1,2", "4,1,1,3"]), data=st.data(),
-       wide=st.booleans(), block=st.sampled_from([5, 64, 1000, scheme_module._XOR_CLIQUES]))
+       wide=st.booleans(),
+       block=st.sampled_from([5, 64, 1000, linegraph_module.BLOCK_ROWS]))
 def test_delivery_violation_matches_the_whole_plan_reference(small_schemes, name, data,
                                                              wide, block):
     """On plans damaged one to three times, the blocked check returns what
@@ -619,7 +627,7 @@ def test_delivery_violation_matches_the_whole_plan_reference(small_schemes, name
                 users, subs = users.astype(np.int64), subs.astype(np.int64)
                 (users if target is users else subs)[i, j] = 2 ** 31 + 1
     plan = DeliveryPlan(users=users, subfiles=subs)
-    with mock.patch.object(scheme_module, "_XOR_CLIQUES", block):
+    with mock.patch.object(linegraph_module, "BLOCK_ROWS", block):
         found = delivery_violation(plan, inst.placement)
     assert found == _reference_delivery_violation(plan, inst.placement)
 
@@ -772,7 +780,7 @@ def test_run_trials_report(fano):
     assert rep.trials == 11
     assert rep.failures == 0
     assert rep.packet_count == 28
-    assert rep.measured_rf == Fraction(4, 3)
+    assert Fraction(rep.packet_count, fano.params.subpacketization) == Fraction(4, 3)
 
 
 def test_splitmix_stream_is_deterministic():
@@ -1052,7 +1060,7 @@ def test_json_ints_keeps_inner_and_trailing_zeros(value, block):
     """Each value as the widest entry and padded by wider ones."""
     cases = [np.array([value]), np.array([[value, 0], [1, value], [value, 10]]),
              np.array([[[value, 7]], [[0, 10 ** 12 + 10]]])]
-    with mock.patch.object(scheme_module, "_RENDER_ROWS", block):
+    with mock.patch.object(linegraph_module, "BLOCK_ROWS", block):
         for a in cases:
             assert scheme_module._json_ints(a) == json.dumps(a.tolist(),
                                                              separators=(",", ":"))
@@ -1065,7 +1073,7 @@ _INT_ARRAYS = hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=3, min_
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=_INT_ARRAYS, block=st.sampled_from([1, 7, scheme_module._RENDER_ROWS]),
+@given(a=_INT_ARRAYS, block=st.sampled_from([1, 7, linegraph_module.BLOCK_ROWS]),
        data=st.data())
 @example(a=np.array(_WIDTH_EDGES), block=7, data=None)
 @example(a=np.zeros((15, 1), dtype=np.int64), block=7, data=None)      # m = 0 subfiles
@@ -1076,7 +1084,7 @@ _INT_ARRAYS = hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=3, min_
 def test_json_ints_matches_json_dumps(a, block, data):
     """_json_ints writes what json.dumps writes, and _parse_ints reads
     that text back as the same array."""
-    with mock.patch.object(scheme_module, "_RENDER_ROWS", block):
+    with mock.patch.object(linegraph_module, "BLOCK_ROWS", block):
         text = scheme_module._json_ints(a)
         assert text == json.dumps(a.tolist(), separators=(",", ":"))
         parsed = scheme_module._parse_ints(text.encode(), a.shape[1:])
@@ -1128,11 +1136,11 @@ def test_plan_columns_render_as_their_stack(users, subfiles, rows, table):
 @given(shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=12),
        tops=st.lists(st.sampled_from([0, 9, 999, 10 ** 6 - 1, 10 ** 12]), min_size=2,
                      max_size=3),
-       block=st.sampled_from([1, 7, scheme_module._RENDER_ROWS]), data=st.data())
+       block=st.sampled_from([1, 7, linegraph_module.BLOCK_ROWS]), data=st.data())
 def test_json_int_columns_match_json_dumps_of_their_stack(shape, tops, block, data):
     columns = [data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, top)))
                for top in tops]
-    with mock.patch.object(scheme_module, "_RENDER_ROWS", block):
+    with mock.patch.object(linegraph_module, "BLOCK_ROWS", block):
         text = b"".join(scheme_module._json_int_blocks(*columns)).decode()
     assert text == json.dumps(np.stack(columns, axis=-1).tolist(), separators=(",", ":"))
 
@@ -1487,6 +1495,26 @@ def test_deserialize_refuses_a_rebuild_larger_than_the_document(fano):
     doc["construction"] = {"k": 40, "m": 1, "t": 1, "q": 2}
     with pytest.raises(SchemaError, match="stored placement has 7 rows"):
         deserialize(json.dumps(doc))
+
+
+def test_deserialize_refuses_a_document_without_root(fano):
+    doc = json.loads(serialize(fano))
+    del doc["root"]
+    with pytest.raises(SchemaError, match=r"^document lacks keys \['root'\]$"):
+        deserialize(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key,rows", [("placement", 7), ("subfiles", 21)])
+def test_deserialize_refuses_a_document_short_of_one_row(fano, key, rows):
+    """One row short of the construction's count: enough rows to pass the
+    bounds that _stored_construction checks first, so the row-count check
+    refuses the document."""
+    doc = json.loads(serialize(fano))
+    del doc[key][-1]
+    message = (f"stored {key} has {rows - 1} rows, the construction "
+               f"{{'k': 3, 'm': 1, 'q': 2, 't': 1}} has {rows}")
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        deserialize(json.dumps(doc, sort_keys=True))
 
 
 @pytest.mark.parametrize("change,why", [
