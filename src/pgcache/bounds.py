@@ -52,11 +52,6 @@ class SystemTriple:
             raise ValueError("need 0 < D <= F")
 
     @property
-    def cached_fraction(self) -> Fraction:
-        return Fraction(self.subpacketization - self.missing_per_user,
-                        self.subpacketization)
-
-    @property
     def uncached_users_exact(self) -> Fraction:
         """K(1 - M/N): users missing each subfile, exact."""
         return Fraction(self.users * self.missing_per_user, self.subpacketization)
@@ -86,9 +81,7 @@ def bound_biregular(st: SystemTriple) -> int:
     the sum of the first K(1-M/N) terms.  Rejects non-bi-regular triples
     rather than rounding them.
     """
-    if st.uncached_users < 1:  # raises when not bi-regular
-        raise ValueError("K(1-M/N) must be at least 1")
-    return sum(biregular_bound_terms(st))
+    return sum(biregular_bound_terms(st))  # uncached_users raises when not bi-regular
 
 
 def biregular_bound_terms(st: SystemTriple) -> list[int]:

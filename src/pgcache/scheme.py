@@ -25,13 +25,18 @@ of clique i's members' demanded subfiles.  Both encode and decode make
 one pass over the plan in cache-sized blocks of cliques, range-checking
 each block's users and subfiles and gathering each member's subfiles
 from the store, seen as N*F rows of L bytes, into a buffer reused
-across blocks.  Decoding XORs a block's packets and its d members'
-subfiles into one residual buffer, so it keeps no (C, L) residual;
-packets in clique order, as encode sends them, are the batch's rows,
-and any other order is taken by clique id.  Member j recovers the
-packet XOR the other members' subfiles, which differs from its own
-subfile by exactly the residual, the packet XOR all d subfiles.  So a
-user decodes its file exactly when every clique that contains it
+across blocks.  Cliques are disjoint, so the blocks are independent:
+one block runner, _each_block, deals them round-robin to a worker per
+CPU (two at most), the calling thread and helper threads whose numpy
+gathers and XORs run without the GIL, each with its own buffers.  The
+output is the same bytes on any number of workers, and a failure is
+raised for the first failing block.  Decoding XORs a block's packets
+and its d members' subfiles into one residual buffer, so it keeps no
+(C, L) residual; packets in clique order, as encode sends them, are
+the batch's rows, and any other order is taken by clique id.  Member j
+recovers the packet XOR the other members' subfiles, which differs from
+its own subfile by exactly the residual, the packet XOR all d subfiles.
+So a user decodes its file exactly when every clique that contains it
 leaves a zero residual; its cached subfiles are exact by construction.
 run_trials holds at most K files, in a cache of slots that a round
 fills in place, jumping ahead in the generator, only with files it lacks.
@@ -61,7 +66,9 @@ import base64
 import itertools
 import json
 import math
+import os
 import re
+import threading
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -263,12 +270,13 @@ def _plan_fits(plan: DeliveryPlan, mat: np.ndarray) -> bool:
     return np.count_nonzero(covered) == plan.users.size == np.count_nonzero(mat)
 
 
-def _first_violation(plan: DeliveryPlan, mat: np.ndarray) -> str | None:
+def _first_violation(plan: DeliveryPlan, mat: np.ndarray) -> str:
     """The first failure of the plan's checks under the (K, F) placement,
     each over the whole plan before the next: entries in range, entries
     that are vertices, no entry twice, every vertex covered, then side
     information member by member.  Each check walks the plan in blocks
-    and reports its first failure in row-major order."""
+    and reports its first failure in row-major order; InvariantError
+    when none fails."""
     k, f = mat.shape
     # The mask in the order it is stored: flat[x * k + u] = mat[u, x], a
     # view when mat is the transpose of a universe's outside mask.
@@ -313,7 +321,10 @@ def _first_violation(plan: DeliveryPlan, mat: np.ndarray) -> str | None:
                 return (f"delivery clique {block.start + i}: user {users[i, j]} does not "
                         f"cache subfile {subs[i, other]} of entry {other}, so it lacks "
                         f"the side information to decode entry {j}")
-    return None
+    # Only a plan that _plan_fits refused comes here, so the two checks
+    # disagree; the plan is not taken as one that delivers.
+    raise InvariantError("delivery_violation: _plan_fits refused the plan, but "
+                         "_first_violation found no failing check")
 
 
 @dataclass
@@ -403,29 +414,76 @@ def _demand_vector(num_files: int, demands) -> np.ndarray:
     return demands
 
 
-def _member_rows(plan: DeliveryPlan, store: FileStore,
-                 demands: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """For each block of cliques, its slice of the plan and the (d, B) int64
-    rows demands[users] * F + subfiles of its members' demanded subfiles in
-    the store read as N*F rows of L bytes, one contiguous row per member.
+# The most workers _each_block takes.  Each holds up to two (B, L)
+# buffers, a (d, B) row index and the transients of filling it, about
+# 0.8 MiB at (6,3,2,2) with L = 64; a third worker could pass the 2 MiB
+# that encode may hold beyond its payloads.
+_MAX_WORKERS = 2
+
+
+def _each_block(plan: DeliveryPlan, store: FileStore, demands: np.ndarray,
+                kernel, buffers: int) -> None:
+    """Call kernel(block, at, scratch) for each block of cliques: its slice
+    of the plan, the (d, B) int64 rows demands[users] * F + subfiles of its
+    members' demanded subfiles in the store read as N*F rows of L bytes,
+    and `buffers` (B, L) uint8 scratch buffers.
 
     Each block's users and subfiles are range-checked while in cache: a
     negative user would wrap to another user's demand, and a subfile past
     F would name a row of the next file.  With the demands already in
     [0, N), every row is then in [0, N*F).
+
+    The blocks are disjoint cliques, so block i goes to worker i mod n,
+    where n is the number of CPUs this process may run on, capped by the
+    block count and by _MAX_WORKERS (os.cpu_count() where the platform
+    has no affinity mask).  The calling thread is worker 0, the
+    others are threads whose gathers and XORs run without the GIL.  Every
+    buffer is made here before any thread starts, so no thread grows a
+    heap of its own.  A worker stops at its first failure; once every
+    thread is joined, the failure of the lowest block is raised, as a
+    walk in block order would raise it.
     """
     f = store.num_subfiles
     offsets = demands * f
-    for block, users, subfiles in plan.blocks():
-        if users.min() < 0:
-            raise ValueError("delivery plan names a negative user")
-        if users.max() >= len(demands):
-            raise ValueError("demand vector shorter than the user count")
-        if subfiles.min() < 0 or subfiles.max() >= f:
-            raise ValueError("delivery plan names a subfile outside the store")
-        at = np.take(offsets, users.T)
-        at += subfiles.T
-        yield block, at
+    rows = min(plan.num_cliques, linegraph.BLOCK_ROWS)
+    blocks = -(-plan.num_cliques // linegraph.BLOCK_ROWS)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    n = max(1, min(cpus, blocks, _MAX_WORKERS))
+    index = [np.empty(plan.group_size * rows, dtype=np.int64) for _ in range(n)]
+    scratch = [np.empty((buffers, rows, store.subfile_len), dtype=np.uint8)
+               for _ in range(n)]
+    failed: list[tuple[int, Exception]] = []
+
+    def work(w: int) -> None:
+        mine = itertools.islice(plan.blocks(), w, None, n)
+        for i, (block, users, subfiles) in zip(itertools.count(w, n), mine):
+            try:
+                if users.min() < 0:
+                    raise ValueError("delivery plan names a negative user")
+                if users.max() >= len(demands):
+                    raise ValueError("demand vector shorter than the user count")
+                if subfiles.min() < 0 or subfiles.max() >= f:
+                    raise ValueError("delivery plan names a subfile outside the store")
+                at = index[w][:users.size].reshape(users.shape[::-1])
+                np.take(offsets, users.T, out=at, mode="clip")
+                at += subfiles.T
+                kernel(block, at, scratch[w][:, :len(users)])
+            except Exception as exc:  # raised by the caller, block order first
+                failed.append((i, exc))
+                return
+
+    helpers = [threading.Thread(target=work, args=(w,)) for w in range(1, n)]
+    try:
+        for helper in helpers:
+            helper.start()
+        work(0)
+    finally:
+        for helper in helpers:
+            if helper.is_alive():  # not a helper that failed to start
+                helper.join()
+    if failed:
+        raise min(failed, key=lambda failure: failure[0])[1]
 
 
 def _store_rows(store: FileStore) -> np.ndarray:
@@ -447,19 +505,20 @@ def encode(plan: DeliveryPlan, store: FileStore, demands) -> Packets:
     read as N*F rows: np.take copies each row in one step, where
     data[file, subfile] with two index arrays goes through numpy's generic
     fancy-index iterator.  Member 0 is gathered straight into the block's
-    payload rows, and every other member into one (B, L) buffer reused
-    across blocks, which is XOR-ed into them.
+    payload rows, and every other member into its worker's (B, L) buffer,
+    reused across blocks, which is XOR-ed into them.  The blocks run on
+    the workers of _each_block; each writes only its own payload rows.
     """
     demands = _demand_vector(store.num_files, demands)
     rows = _store_rows(store)
     payloads = np.empty((plan.num_cliques, store.subfile_len), dtype=np.uint8)
-    member = np.empty((min(plan.num_cliques, linegraph.BLOCK_ROWS), store.subfile_len),
-                      dtype=np.uint8)
-    for block, at in _member_rows(plan, store, demands):
+
+    def xor_members(block: slice, at: np.ndarray, scratch: np.ndarray) -> None:
         acc = _gather(rows, at[0], payloads[block])
-        other = member[:len(acc)]
         for j in range(1, plan.group_size):
-            acc ^= _gather(rows, at[j], other)
+            acc ^= _gather(rows, at[j], scratch[0])
+
+    _each_block(plan, store, demands, xor_members, buffers=1)
     return Packets(ids=np.arange(plan.num_cliques, dtype=np.int32), payloads=payloads)
 
 
@@ -479,8 +538,11 @@ def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> l
     The plan must pass `delivery_violation`.  Then each clique's residual,
     its packet XOR all d members' subfiles, is what every member's
     recovered subfile differs by, so a user is exact when all its cliques
-    leave a zero residual.  Each block's residual is built in one buffer
-    reused across blocks, so no (C, L) residual is kept.  When the ids are
+    leave a zero residual.  Each block's residual is built in its worker's
+    buffer, reused across blocks, so no (C, L) residual is kept; the
+    workers of _each_block mark the members of failing cliques inexact
+    themselves, every write storing False, so they cannot conflict.
+    When the ids are
     0, 1, ..., C-1, as encode sends them, the block's packets are its rows
     of the batch, XOR-ed into its member 0 subfiles.  Any other order takes
     them by clique id, the last packet naming a clique winning, through a
@@ -515,11 +577,9 @@ def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> l
             raise DecodeError(f"no packet for clique {lost[:5].tolist()}")
     rows = _store_rows(store)
     exact = np.ones(len(demands), dtype=bool)
-    residuals = np.empty((min(num, linegraph.BLOCK_ROWS), length), dtype=np.uint8)
-    member = np.empty_like(residuals)
-    for block, at in _member_rows(plan, store, demands):
-        residual = residuals[:at.shape[1]]
-        other = member[:at.shape[1]]
+
+    def check_residuals(block: slice, at: np.ndarray, scratch: np.ndarray) -> None:
+        residual, other = scratch
         if packet_of is None:
             _gather(rows, at[0], residual)
             residual ^= packets.payloads[block]
@@ -531,6 +591,8 @@ def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> l
             residual ^= _gather(rows, at[j], other)
         if residual.any():
             exact[plan.users[block][residual.any(axis=1)]] = False
+
+    _each_block(plan, store, demands, check_residuals, buffers=2)
     return exact.tolist()
 
 

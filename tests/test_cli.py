@@ -529,6 +529,16 @@ def test_bounds_json(capsys):
     assert (doc["biregular_bound"], doc["pda_bound"], doc["cutset_bound"]) == (71, 54, 65)
 
 
+def test_bounds_csv_of_a_triple_that_is_not_biregular(capsys):
+    """The bound that does not apply prints as None, and such a triple
+    alone adds the biregular_note column."""
+    code, out, err = run(capsys, "bounds", "-K", "7", "-F", "3", "-D", "1", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out == ("users,subpacketization,missing_per_user,biregular_bound,pda_bound,"
+                   "cutset_bound,cutset_exact,biregular_note\n"
+                   "7,3,1,None,3,2,21/17,K*D/F = 7/3 is not a positive integer\n")
+
+
 def test_bounds_bad_triple(capsys):
     code, _, err = run(capsys, "bounds", "-K", "5", "-F", "10", "-D", "11")
     assert code == 2

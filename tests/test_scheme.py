@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -419,6 +420,169 @@ def test_decode_takes_packets_out_of_order_by_clique_id(small_schemes, name, blo
         assert [u for u, ok in enumerate(results) if not ok] == sorted(plan.users[clique])
 
 
+def _decode_by_clique(plan: DeliveryPlan, store: FileStore, demands,
+                      packets: Packets) -> list[bool]:
+    """decode walked one clique at a time on one thread: the clique's
+    packet, the last one sent with its id, XOR its members' demanded
+    subfiles; a nonzero residual fails every member."""
+    demands = np.asarray(demands)
+    packet_of = {int(clique): i for i, clique in enumerate(packets.ids)}
+    exact = [True] * len(demands)
+    for clique in range(plan.num_cliques):
+        residual = packets.payloads[packet_of[clique]].copy()
+        for user, subfile in zip(plan.users[clique], plan.subfiles[clique]):
+            residual ^= store.data[demands[user], subfile]
+        if residual.any():
+            for user in plan.users[clique]:
+                exact[user] = False
+    return exact
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    """Let the process run on `count` CPUs, as far as the block runner sees."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("block", [1, 7, "default"])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+def test_block_runner_matches_the_sequential_reference(small_schemes, cpus, block,
+                                                       monkeypatch):
+    """Encode, in-order decode and out-of-order decode on any number of
+    CPUs and blocks equal the one-thread references, damaged packets
+    included; the runner starts one thread fewer than its workers."""
+    _cpus(monkeypatch, cpus)
+    if block != "default":
+        monkeypatch.setattr(linegraph_module, "BLOCK_ROWS", block)
+    started = []
+    real_thread = threading.Thread
+
+    def counted_thread(*args, **kwargs):
+        started.append(1)
+        return real_thread(*args, **kwargs)
+
+    for name, inst in small_schemes.items():
+        plan = inst.delivery
+        num = plan.num_cliques
+        k, f = inst.params.users, inst.params.subpacketization
+        store = FileStore.random(k + 3, f, 5, seed=cpus)
+        demands = next(demand_stream(cpus, k, k + 3))
+        started.clear()
+        with mock.patch.object(threading, "Thread", counted_thread):
+            packets = encode(plan, store, demands)
+        blocks = -(-num // linegraph_module.BLOCK_ROWS)
+        assert len(started) == min(cpus, blocks, scheme_module._MAX_WORKERS) - 1
+        assert np.array_equal(packets.payloads, _xor_by_file_and_subfile(plan, store, demands))
+        damaged = packets.payloads.copy()
+        damaged[[0, num // 3, num - 1], 2] ^= 0x5A
+        order = np.random.default_rng(cpus).permutation(num)
+        for sent in (Packets(packets.ids, damaged),
+                     Packets(packets.ids[order].astype(np.int64), damaged[order])):
+            want = _decode_by_clique(plan, store, demands, sent)
+            assert want.count(False) > 0
+            assert decode(plan, store, demands, sent) == want, name
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+@pytest.mark.parametrize("negative_at,outside_at", [(1, 2), (2, 1), (0, 3), (3, 0)])
+def test_the_earliest_failing_block_is_raised(fano, cpus, negative_at, outside_at,
+                                              monkeypatch):
+    """A plan with a negative user in one block and a subfile past the
+    store in another raises the earlier block's message, whichever
+    worker reaches which block first."""
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(linegraph_module, "BLOCK_ROWS", 7)  # Fano's 28 cliques in 4 blocks
+    users, subfiles = fano.delivery.users.copy(), fano.delivery.subfiles.copy()
+    users[7 * negative_at + 3, 1] = -1
+    subfiles[7 * outside_at + 5, 0] = 21
+    plan = DeliveryPlan(users=users, subfiles=subfiles)
+    store = FileStore.random(7, 21, subfile_len=4, seed=0)
+    packets = Packets(np.arange(28), np.zeros((28, 4), dtype=np.uint8))
+    message = ("delivery plan names a negative user" if negative_at < outside_at
+               else "delivery plan names a subfile outside the store")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        encode(plan, store, [0] * 7)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        decode(plan, store, [0] * 7, packets)
+
+
+def test_block_runner_loses_nothing_under_fast_thread_switching(fano, monkeypatch):
+    """More workers than CPUs, a block per clique and a thread switch
+    every microsecond: decode still fails exactly the members of the
+    damaged cliques, which the workers mark in one shared array, and of
+    many failing blocks the first one's error is raised."""
+    _cpus(monkeypatch, 64)
+    monkeypatch.setattr(scheme_module, "_MAX_WORKERS", 8)
+    monkeypatch.setattr(linegraph_module, "BLOCK_ROWS", 1)
+    store = FileStore.random(7, 21, subfile_len=4, seed=2)
+    demands = [0, 1, 2, 3, 4, 5, 6]
+    packets = encode(fano.delivery, store, demands)
+    bad_plan = DeliveryPlan(users=fano.delivery.users.copy(),
+                            subfiles=fano.delivery.subfiles.copy())
+    bad_plan.subfiles[3:, 0] = 21  # every block from block 3 on
+    rng = np.random.default_rng(2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            damaged = Packets(packets.ids, packets.payloads.copy())
+            damaged.payloads[rng.choice(28, size=2, replace=False), 1] ^= 0x33
+            want = _decode_by_clique(fano.delivery, store, demands, damaged)
+            assert decode(fano.delivery, store, demands, damaged) == want
+            with pytest.raises(ValueError, match="subfile outside the store"):
+                encode(bad_plan, store, demands)
+        bad_plan.users[2, 1] = -1  # block 2, before the first bad subfile
+        with pytest.raises(ValueError, match="negative user"):
+            encode(bad_plan, store, demands)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpu_count", [None, 1, 2])
+def test_block_runner_without_an_affinity_mask(small_schemes, cpu_count, monkeypatch):
+    """Where os has no sched_getaffinity, the runner counts os.cpu_count()
+    CPUs, one when that is unknown, and still matches the references."""
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    monkeypatch.setattr(linegraph_module, "BLOCK_ROWS", 7)
+    started = []
+    real_thread = threading.Thread
+
+    def counted_thread(*args, **kwargs):
+        started.append(1)
+        return real_thread(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", counted_thread)
+    inst = small_schemes["4,1,1,3"]
+    store = FileStore.random(40, 780, 8, seed=3)
+    demands = next(demand_stream(3, 40, 40))
+    packets = encode(inst.delivery, store, demands)
+    assert len(started) == min(cpu_count or 1, scheme_module._MAX_WORKERS) - 1
+    assert np.array_equal(packets.payloads,
+                          _xor_by_file_and_subfile(inst.delivery, store, demands))
+    damaged = Packets(packets.ids, packets.payloads.copy())
+    damaged.payloads[::5, 0] ^= 1
+    want = _decode_by_clique(inst.delivery, store, demands, damaged)
+    assert want.count(False) > 0
+    assert decode(inst.delivery, store, demands, damaged) == want
+
+
+def test_one_cpu_starts_no_thread(small_schemes, monkeypatch):
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(linegraph_module, "BLOCK_ROWS", 7)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("the block runner started a thread on one CPU")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    inst = small_schemes["4,1,1,3"]
+    store = FileStore.random(40, 780, 8, seed=1)
+    demands = next(demand_stream(1, 40, 40))
+    packets = encode(inst.delivery, store, demands)
+    assert np.array_equal(packets.payloads,
+                          _xor_by_file_and_subfile(inst.delivery, store, demands))
+    assert decode(inst.delivery, store, demands, packets) == [True] * 40
+
+
 def test_zero_length_subfiles_decode(fano):
     store = FileStore.random(7, 21, subfile_len=0, seed=0)
     packets = run_round(fano, store, [0] * 7)
@@ -524,6 +688,40 @@ def test_encode_and_decode_peak_near_one_packet_array():
         tracemalloc.stop()
     assert encode_peak <= budget
     assert decode_peak <= 16 * num + 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("cpus", [1, 64])
+def test_decode_peak_holds_when_every_packet_is_damaged(cpus, monkeypatch):
+    """Every clique failing costs decode no more than none failing, up to
+    a block's members per worker: the workers mark failing members as
+    they go and keep nothing per block.  Keeping each block's failing
+    members until the join would add the whole (C, d) user table, about
+    1.4 MiB here."""
+    _cpus(monkeypatch, cpus)
+    inst = build_scheme(ConstructionParams(6, 3, 2, 2))
+    k, f, length = inst.params.users, inst.params.subpacketization, 64
+    store = FileStore.random(k, f, length, seed=0)
+    demands = next(demand_stream(0, k, k))
+    packets = encode(inst.delivery, store, demands)
+    damaged = Packets(packets.ids, packets.payloads.copy())
+    damaged.payloads[:, 0] ^= 1
+    peaks = []
+    for sent, want in ((packets, True), (damaged, False)):
+        tracemalloc.start()
+        try:
+            assert decode(inst.delivery, store, demands, sent) == [want] * k
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    clean, every = peaks
+    assert every <= clean + 256 * 2 ** 10
+
+
+def test_encode_and_decode_peaks_hold_with_every_worker(monkeypatch):
+    """The peak budgets above cover each worker's buffers: the block
+    runner takes as many workers as it ever does on 64 CPUs."""
+    _cpus(monkeypatch, 64)
+    test_encode_and_decode_peak_near_one_packet_array()
 
 
 def _reference_delivery_violation(plan: DeliveryPlan, placement: PlacementMap) -> str | None:
@@ -1542,6 +1740,38 @@ def test_build_scheme_checks_the_delivery_plan(monkeypatch):
     monkeypatch.setattr(scheme_module, "enumerate_transmission_cliques", drop_last_clique)
     with pytest.raises(InvariantError, match=r"build_scheme: vertex \(\d+, \d+\) is in no"):
         build_scheme(FANO)
+
+
+def test_a_plan_the_two_checks_disagree_on_is_refused(fano, monkeypatch):
+    """When the one-pass check refuses a plan that every message check
+    passes, the plan is not taken as one that delivers."""
+    monkeypatch.setattr(scheme_module, "_plan_fits", lambda plan, mat: False)
+    with pytest.raises(InvariantError, match=r"^delivery_violation: _plan_fits refused the "
+                                             r"plan, but _first_violation found no failing "
+                                             r"check$"):
+        delivery_violation(fano.delivery, fano.placement)
+
+
+def test_a_canonical_start_with_m_plus_t_equal_to_k_is_refused(fano):
+    """A document long enough to rebuild whose canonical start names a
+    construction the constructor refuses is not rebuilt from that start;
+    the general path refuses it with the constructor's message."""
+    text = serialize(fano)
+    start = '{"construction":{"k":3,"m":1,"q":2,"t":1},'
+    assert text.startswith(start)
+    text = '{"construction":{"k":3,"m":2,"q":2,"t":1},' + text[len(start):]
+    assert scheme_module._canonical_build(text.encode()) is None
+    message = ("malformed scheme document: m=2, t=1, k=3 caches every subfile at every "
+               "user, an empty delivery problem: need m + t < k")
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        deserialize(text)
+
+
+def test_deserialize_refuses_a_construction_without_k(fano):
+    doc = json.loads(serialize(fano))
+    del doc["construction"]["k"]
+    with pytest.raises(SchemaError, match=r"^malformed scheme document: 'k'$"):
+        deserialize(json.dumps(doc))
 
 
 def test_deserialize_rejects_zero_denominators(fano):
