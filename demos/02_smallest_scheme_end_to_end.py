@@ -28,8 +28,8 @@ print("users (points):         ", uni.num_users)
 print("sum spaces (lines):     ", q_binomial(cp.k - cp.t + 1, cp.m + 1, cp.q))
 print("subfiles (point pairs): ", uni.subpacketization)
 
-print("uncached per user   D = ", cp.user_clique_size)
-print("uncached per subfile c =", cp.subfile_clique_size)
+print("uncached per user   D = ", cp.missing_per_user)
+print("uncached per subfile c =", cp.missing_per_subfile)
 report = verify_line_graph(build_line_graph(uni))
 print("structural conditions pass:", report.ok)
 

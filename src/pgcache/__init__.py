@@ -27,7 +27,6 @@ from .scheme import (
     PlacementMap,
     SchemaError,
     SchemeInstance,
-    SchemeParams,
     build_placement,
     build_scheme,
     decode,
@@ -36,7 +35,6 @@ from .scheme import (
     deserialize,
     document_chunks,
     encode,
-    params_from,
     run_trials,
     serialize,
 )

@@ -250,7 +250,7 @@ class BoundsReport:
 
 
 def bounds_report(st: SystemTriple) -> BoundsReport:
-    if st.is_biregular and st.uncached_users >= 1:
+    if st.is_biregular:
         biregular = bound_biregular(st)
         note = None
     else:

@@ -33,7 +33,6 @@ from .scheme import (
     deserialize,
     document_chunks,
     packet_trace_bytes,
-    params_from,
     run_trials,
 )
 from .subspaces import InvariantError
@@ -63,8 +62,7 @@ def _add_construction_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_params(args) -> int:
-    cp = ConstructionParams(k=args.k, m=args.m, t=args.t, q=args.q)
-    params = params_from(cp)
+    params = ConstructionParams(k=args.k, m=args.m, t=args.t, q=args.q)
     if args.format == "json":
         print(json.dumps({
             "users": params.users,

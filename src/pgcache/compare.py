@@ -34,7 +34,6 @@ from .bounds import (
     bound_biregular,
 )
 from .linegraph import ConstructionParams
-from .scheme import params_from
 from .subspaces import InvariantError, q_binomial
 
 
@@ -129,16 +128,15 @@ def binomial_scheme_params(users: int, cached_fraction: Fraction | int) -> Compa
 
 
 def subspace_scheme_row(cp: ConstructionParams) -> ComparisonRow:
-    """This construction's comparison row, via the closed-form parameters:
-    its gain is the group size d."""
-    params = params_from(cp)
+    """This construction's comparison row, from its closed forms: its
+    gain is the group size d."""
     return ComparisonRow(
         label=f"subspace(k={cp.k}, m={cp.m}, t={cp.t}, q={cp.q})",
-        users=params.users,
-        uncached_fraction=1 - params.cached_fraction,
-        subpacketization=params.subpacketization,
-        gain=params.group_size,
-        rate=params.rate,
+        users=cp.users,
+        uncached_fraction=1 - cp.cached_fraction,
+        subpacketization=cp.subpacketization,
+        gain=cp.group_size,
+        rate=cp.rate,
     )
 
 
@@ -218,7 +216,7 @@ def table1() -> Table:
         st = SystemTriple(k, f, d)
         if entry["cp"] is not None:
             cp = ConstructionParams(*entry["cp"])
-            rf_formula = params_from(cp).transmissions
+            rf_formula = cp.transmissions
             ref = entry["scheme_rf"]
             note = "reference doubles F, D, RF" if ref == 2 * rf_formula else ""
             scheme_cell = f"{rf_formula} (ref {ref})"
@@ -331,17 +329,16 @@ def asymptotic_sweep(q: int, alpha: int, kt_values) -> SweepReport:
         if m < 1:
             raise ValueError(f"k-t = {kt} with alpha = {alpha} leaves m = {m} < 1")
         cp = ConstructionParams(k=kt + 1, m=m, t=1, q=q)
-        params = params_from(cp)
-        users = params.users
-        uncached = 1 - params.cached_fraction
+        users = cp.users
+        uncached = 1 - cp.cached_fraction
         log_band = q ** kt <= users <= q ** (kt + 1)
-        rate_identity = params.rate * (m + 2) == users * uncached
-        f_val = params.subpacketization
+        rate_identity = cp.rate * (m + 2) == users * uncached
+        f_val = cp.subpacketization
         packing = f_val * math.factorial(m + 1) <= users * q ** (alpha * m + (m + 1) ** 2)
         ratio = math.log(f_val, q) / math.log(users, q) ** 2
         rows.append(SweepRow(
             kt=kt, m=m, users=users, uncached_fraction=uncached,
-            rate=params.rate, subpacketization=f_val,
+            rate=cp.rate, subpacketization=f_val,
             log_band_ok=log_band, rate_identity_ok=rate_identity,
             packing_bound_ok=packing, growth_ratio=ratio,
         ))

@@ -46,6 +46,7 @@ import math
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -82,7 +83,13 @@ def _require(ok, step: str, invariant: str) -> None:
 
 @dataclass(frozen=True)
 class ConstructionParams:
-    """Construction knobs: ambient dim k, set size m+1, user dim t, field q.
+    """A construction and its scheme's exact parameters in closed form.
+
+    The knobs are ambient dim k, set size m+1, user dim t and field q.
+    The closed forms take the names of a scheme document's params keys:
+    users K, subpacketization F, missing_per_user D, missing_per_subfile
+    c, group_size d = m+2, cached_fraction M/N = 1 - c/K, rate R = c/d
+    and transmissions R*F = K*D/d, the packets of one round.
 
     The scheme needs alpha = k - m - t >= 1: m + t > k is refused as a
     ValueError and m + t = k, where every user caches every subfile, as a
@@ -123,18 +130,24 @@ class ConstructionParams:
     def field(self) -> GF:
         return make_field(self.q)
 
-    # Closed forms used both for capacity estimates and as invariants.
+    # Closed forms used for capacity estimates, as invariants and as the
+    # scheme's parameters.
 
     @property
-    def num_users(self) -> int:
+    def users(self) -> int:
         return q_binomial(self.k - self.t + 1, 1, self.q)
 
     @property
-    def subfile_clique_size(self) -> int:
+    def num_users(self) -> int:
+        """The same as users; perfbench/workloads.py reads this name."""
+        return self.users
+
+    @property
+    def missing_per_subfile(self) -> int:
         return self.q ** (self.m + 1) * q_binomial(self.alpha, 1, self.q)
 
     @property
-    def user_clique_size(self) -> int:
+    def missing_per_user(self) -> int:
         g = generating_set_counts(self.q, self.m, self.t).subspace_sets
         h = self.q ** (self.m + 1) * q_binomial(self.k - self.t, self.m + 1, self.q)
         return h * g
@@ -146,7 +159,23 @@ class ConstructionParams:
 
     @property
     def vertex_count(self) -> int:
-        return self.num_users * self.user_clique_size
+        return self.users * self.missing_per_user
+
+    @property
+    def group_size(self) -> int:
+        return self.m + 2
+
+    @property
+    def cached_fraction(self) -> Fraction:
+        return 1 - Fraction(self.missing_per_subfile, self.users)
+
+    @property
+    def rate(self) -> Fraction:
+        return Fraction(self.missing_per_subfile, self.group_size)
+
+    @property
+    def transmissions(self) -> int:
+        return self.vertex_count // self.group_size
 
 
 # ----------------------------------------------------------------------
@@ -254,21 +283,17 @@ class Universe:
     def subpacketization(self) -> int:
         return len(self.subfile_array)
 
-    @property
-    def vertex_count(self) -> int:
-        return self.num_users * self.params.user_clique_size
-
     @cached_property
     def user_cliques(self) -> list[np.ndarray]:
         """Per user, the sorted subfile indices it does not cache."""
         subs = np.nonzero(self.outside_mask.T)[1]
-        return list(subs.reshape(self.num_users, self.params.user_clique_size))
+        return list(subs.reshape(self.num_users, self.params.missing_per_user))
 
     @cached_property
     def subfile_cliques(self) -> list[tuple[int, ...]]:
         """Per subfile, the sorted user indices that do not cache it."""
         users = np.nonzero(self.outside_mask)[1]
-        return list(map(tuple, users.reshape(-1, self.params.subfile_clique_size).tolist()))
+        return list(map(tuple, users.reshape(-1, self.params.missing_per_subfile).tolist()))
 
     @cached_property
     def root(self) -> tuple[tuple[int, ...], ...]:
@@ -299,14 +324,14 @@ def build_universe(params: ConstructionParams, max_vertices: int | None = DEFAUL
     if max_vertices is not None and predicted_vertices > max_vertices:
         raise CapacityError(
             f"predicted {predicted_vertices} vertices "
-            f"(K={cp.num_users}, D={cp.user_clique_size}, F={predicted_f}) "
+            f"(K={cp.users}, D={cp.missing_per_user}, F={predicted_f}) "
             f"exceed cap {max_vertices}"
         )
     n = cp.k - cp.t + 1
     pts = _Points(cp.field, n)
     k_users = len(pts.codes)
-    _require(k_users == cp.num_users, "build_universe",
-             f"{k_users} points, closed form K = {cp.num_users}")
+    _require(k_users == cp.users, "build_universe",
+             f"{k_users} points, closed form K = {cp.users}")
 
     # Level 1: single points, each spanning itself and its multiples.
     sets = np.arange(k_users, dtype=np.int64)[:, None]
@@ -339,11 +364,11 @@ def build_line_graph(universe: Universe) -> Universe:
     the closed forms, with c users per subfile clique and D subfiles per
     user clique, and return the universe: its mask is the vertex set."""
     cp = universe.params
-    clique_size = cp.subfile_clique_size
+    clique_size = cp.missing_per_subfile
     per_subfile, per_user = universe.mask_counts
     _require((per_subfile == clique_size).all(), "build_line_graph",
              f"every subfile clique has c = {clique_size} users")
-    expected_d = cp.user_clique_size
+    expected_d = cp.missing_per_user
     _require((per_user == expected_d).all(), "build_line_graph",
              f"every user clique has D = {expected_d} subfiles")
     return universe

@@ -1,7 +1,8 @@
 """Concrete coded-caching schemes from caching line graphs.
 
-A scheme instance consists of exact parameters (users K, subpacketization
-F, per-user missing count D, per-subfile missing count c, delivery group
+A scheme instance consists of its construction, a ConstructionParams
+whose closed forms are the exact parameters (users K, subpacketization F,
+per-user missing count D, per-subfile missing count c, delivery group
 size d, cached fraction M/N, rate R), a K x F placement bit matrix whose
 1 entries mark subfiles NOT cached at a user, and a delivery plan: the
 transmission cliques, one XOR packet per clique.  The placement is a
@@ -72,7 +73,6 @@ import threading
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -102,60 +102,9 @@ class DecodeError(RuntimeError):
     """A user could not reconstruct its demanded file."""
 
 
-# ----------------------------------------------------------------------
-# Parameters
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SchemeParams:
-    """Exact scheme parameters; all identities are enforced at build time."""
-
-    users: int                 # K
-    subpacketization: int      # F
-    missing_per_user: int      # D
-    missing_per_subfile: int   # c
-    group_size: int            # d, users served per transmission
-    cached_fraction: Fraction  # M/N
-    rate: Fraction             # R = c/d
-
-    @property
-    def gain(self) -> Fraction:
-        """Users served per transmission: K(1 - M/N) / R."""
-        return self.users * (1 - self.cached_fraction) / self.rate
-
-    @property
-    def transmissions(self) -> int:
-        """R*F: packets sent for one demand round."""
-        rf = self.rate * self.subpacketization
-        if rf.denominator != 1:
-            raise InvariantError(f"transmissions: R*F = {rf} is not an integer")
-        return rf.numerator
-
-
-def params_from(cp: ConstructionParams) -> SchemeParams:
-    """Closed-form scheme parameters for a construction.
-
-    ConstructionParams has refused m + t = k, so c > 0, and K*D = F*c
-    gives M/N = 1 - D/F and a gain K(1 - M/N)/R of exactly d.
-    """
-    users = cp.num_users
-    c = cp.subfile_clique_size
-    d = cp.m + 2
-    big_f = cp.subpacketization
-    big_d = cp.user_clique_size
-    if users * big_d != big_f * c:
-        raise InvariantError(f"params_from: K*D = {users * big_d} != F*c = {big_f * c}")
-    cached = 1 - Fraction(c, users)
-    rate = Fraction(c, d)
-    return SchemeParams(
-        users=users,
-        subpacketization=big_f,
-        missing_per_user=big_d,
-        missing_per_subfile=c,
-        group_size=d,
-        cached_fraction=cached,
-        rate=rate,
-    )
+def params_from(cp: ConstructionParams) -> ConstructionParams:
+    """Returns cp, which carries the closed forms; perfbench/workloads.py calls this."""
+    return cp
 
 
 # ----------------------------------------------------------------------
@@ -602,25 +551,14 @@ def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> l
 
 @dataclass
 class SchemeInstance:
-    """A fully realized scheme: parameters, the universe it was built
-    from, placement and delivery plan."""
+    """A fully realized scheme: the construction, whose closed forms are
+    its parameters, the universe it was built from, placement and
+    delivery plan."""
 
-    construction: ConstructionParams
-    params: SchemeParams
+    params: ConstructionParams
     universe: Universe
     placement: PlacementMap
     delivery: DeliveryPlan
-
-
-def _scheme(cp: ConstructionParams, universe: Universe, placement: PlacementMap,
-            delivery: DeliveryPlan) -> SchemeInstance:
-    return SchemeInstance(
-        construction=cp,
-        params=params_from(cp),
-        universe=universe,
-        placement=placement,
-        delivery=delivery,
-    )
 
 
 def build_scheme(cp: ConstructionParams,
@@ -632,7 +570,7 @@ def build_scheme(cp: ConstructionParams,
         raise InvariantError(f"verify_line_graph: construction failed validation: "
                              f"{report.violations}")
     placement = build_placement(universe)
-    instance = _scheme(cp, universe, placement, enumerate_transmission_cliques(universe))
+    instance = SchemeInstance(cp, universe, placement, enumerate_transmission_cliques(universe))
     violation = delivery_violation(instance.delivery, placement)
     if violation is not None:
         raise InvariantError(f"build_scheme: {violation}")
@@ -776,26 +714,25 @@ def run_trials(instance: SchemeInstance, trials: int, seed: int,
 
 def _header(instance: SchemeInstance) -> dict:
     """Every document field but the two integer arrays, subfiles and delivery."""
-    cp = instance.construction
+    cp = instance.params
     f = cp.field
-    pr = instance.params
     return {
         "format": FORMAT_VERSION,
         "construction": {"k": cp.k, "m": cp.m, "t": cp.t, "q": cp.q},
         "field": {"p": f.p, "n": f.n, "modulus": list(f.modulus)},
         "params": {
-            "users": pr.users,
-            "subpacketization": pr.subpacketization,
-            "missing_per_user": pr.missing_per_user,
-            "missing_per_subfile": pr.missing_per_subfile,
-            "group_size": pr.group_size,
-            "cached_fraction": [pr.cached_fraction.numerator, pr.cached_fraction.denominator],
-            "rate": [pr.rate.numerator, pr.rate.denominator],
+            "users": cp.users,
+            "subpacketization": cp.subpacketization,
+            "missing_per_user": cp.missing_per_user,
+            "missing_per_subfile": cp.missing_per_subfile,
+            "group_size": cp.group_size,
+            "cached_fraction": [cp.cached_fraction.numerator, cp.cached_fraction.denominator],
+            "rate": [cp.rate.numerator, cp.rate.denominator],
         },
         "root": [list(row) for row in instance.universe.root],
         "users": [[list(row) for row in mat] for mat in instance.universe.user_matrices],
         "placement": [
-            instance.placement.row_base64(u) for u in range(pr.users)
+            instance.placement.row_base64(u) for u in range(cp.users)
         ],
     }
 
@@ -1107,7 +1044,7 @@ def _canonical_build(data) -> SchemeInstance | None:
         cp = ConstructionParams(k=k, m=m, t=t, q=q)
     except ValueError:
         return None
-    if 2 * cp.num_users * t * k > size or 5 * cp.vertex_count > size:
+    if 2 * cp.users * t * k > size or 5 * cp.vertex_count > size:
         return None
     return build_scheme(cp, max_vertices=None)
 
@@ -1182,19 +1119,19 @@ def _parse_document(text: bytes, built: SchemeInstance | None = None) -> SchemeI
         subfiles = _stored_ints(arrays.pop("subfiles"), "subfiles", (cp.m + 1,))
         # Row counts first, so that a document cannot ask for a rebuild
         # far larger than itself.
-        for key, stored, rows in (("placement", len(doc["placement"]), cp.num_users),
+        for key, stored, rows in (("placement", len(doc["placement"]), cp.users),
                                   ("subfiles", len(subfiles), cp.subpacketization)):
             if stored != rows:
                 raise SchemaError(f"stored {key} has {stored} rows, the "
                                   f"construction {doc['construction']} has {rows}")
         pairs = _stored_ints(arrays.pop("delivery"), "delivery", (cp.m + 2, 2))
         delivery = DeliveryPlan(users=pairs[:, :, 0], subfiles=pairs[:, :, 1])
-        if built is not None and built.construction == cp:
+        if built is not None and built.params == cp:
             universe, placement = built.universe, built.placement
         else:
             universe = build_universe(cp, max_vertices=None)
             placement = build_placement(build_line_graph(universe))
-        instance = _scheme(cp, universe, placement, delivery)
+        instance = SchemeInstance(cp, universe, placement, delivery)
         same_subfiles = np.array_equal(subfiles, universe.subfile_array)
     except SchemaError:
         raise

@@ -40,7 +40,6 @@ from pgcache.scheme import (
     build_scheme,
     decode_round,
     demand_stream,
-    params_from,
     run_round,
     FileStore,
 )
@@ -142,7 +141,7 @@ def test_criterion_3_smallest_instance_end_to_end():
             for pair in cover.clique(i):
                 assert pair not in labels
                 labels.add(pair)
-        assert len(labels) == graph.vertex_count
+        assert len(labels) == graph.params.vertex_count
 
         # 200 seeded random demand vectors plus all-equal and all-distinct
         store = FileStore.random(7, 21, subfile_len=32, seed=2024)
@@ -172,7 +171,7 @@ def test_criterion_4_mid_scale_construction():
         cp = ConstructionParams(6, 3, 2, 2)
         uni = build_universe(cp)
         assert uni.num_users == 31
-        assert uni.subpacketization == params_from(cp).subpacketization == 26040
+        assert uni.subpacketization == cp.subpacketization == 26040
 
         graph = build_line_graph(uni)
         assert {len(c) for c in graph.subfile_cliques} == {16}
@@ -180,9 +179,9 @@ def test_criterion_4_mid_scale_construction():
 
         cover = enumerate_transmission_cliques(graph)
         assert cover.group_size == 5
-        assert cover.num_cliques * 5 == graph.vertex_count == 416640
+        assert cover.num_cliques * 5 == graph.params.vertex_count == 416640
         members = cover.users * graph.subpacketization + cover.subfiles
-        assert np.unique(members).size == graph.vertex_count
+        assert np.unique(members).size == graph.params.vertex_count
 
         inst = build_scheme(cp)
         store = FileStore.random(31, 26040, subfile_len=16, seed=7)
@@ -229,9 +228,9 @@ def test_criterion_5_counting_oracles():
         assert len(instances) == 18
         for cp in instances:
             oracle = bf.oracle_universe_counts(cp.q, cp.k, cp.m, cp.t)
-            assert oracle["K"] == cp.num_users, cp
-            assert oracle["c_values"] == {cp.subfile_clique_size}, cp
-            assert set(oracle["d_per_user"]) == {cp.user_clique_size}, cp
+            assert oracle["K"] == cp.users, cp
+            assert oracle["c_values"] == {cp.missing_per_subfile}, cp
+            assert set(oracle["d_per_user"]) == {cp.missing_per_user}, cp
             g = generating_set_counts(cp.q, cp.m, cp.t).subspace_sets
             assert set(oracle["per_span_counts"]) == {g}, cp
             assert oracle["total_subfiles"] == cp.subpacketization, cp
@@ -241,10 +240,8 @@ def test_criterion_6_bound_consistency():
     with criterion(6, "formula R*F dominates every bound; ordering bound dominates"
                       " the bi-regular recursion", 120.0):
         for cp in _criterion5_instances():
-            params = params_from(cp)
-            st = SystemTriple(params.users, params.subpacketization,
-                              params.missing_per_user)
-            rf = params.transmissions
+            st = SystemTriple(cp.users, cp.subpacketization, cp.missing_per_user)
+            rf = cp.transmissions
             assert rf >= bound_biregular(st), cp
             assert rf >= bound_pda(st), cp
             assert rf >= bound_cutset(st), cp
@@ -252,7 +249,7 @@ def test_criterion_6_bound_consistency():
             graph = build_line_graph(build_universe(cp))
             placement = build_placement(graph)
             search = bound_generic_max(placement, exhaustive_limit=8)
-            assert search.exhaustive == (params.users <= 8)
+            assert search.exhaustive == (cp.users <= 8)
             assert search.value >= bound_biregular(st), cp
             assert rf >= search.value, cp
 

@@ -21,7 +21,7 @@ from pgcache.bounds import (
     biregular_bound_terms,
 )
 from pgcache.linegraph import ConstructionParams
-from pgcache.scheme import build_scheme, params_from
+from pgcache.scheme import build_scheme
 
 # Reference lower-bound table: (K, F, D) -> (biregular, pda, cutset-as-printed)
 REFERENCE_ROWS = [
@@ -126,6 +126,12 @@ def test_ordering_bound_edge_cases(fano_placement):
         bound_generic(fano_placement, [0, 0])
 
 
+def test_ordering_refuses_a_placement_that_is_not_left_regular():
+    matrix = np.array([[1, 1, 0], [1, 0, 0]], dtype=bool)
+    with pytest.raises(ValueError, match="placement is not left-regular"):
+        bound_generic(matrix, [0])
+
+
 @pytest.mark.parametrize("user", [7, -1])
 def test_ordering_refuses_users_outside_the_placement(fano_placement, user):
     """The 7 x 21 placement has users 0..6; a negative id would otherwise
@@ -181,7 +187,7 @@ def test_scheme_rf_exceeds_reference_bounds():
                        ((15, 210, 168), ConstructionParams(4, 1, 1, 2)),
                        ((13, 156, 108), ConstructionParams(3, 1, 1, 3))]:
         st = SystemTriple(*triple)
-        rf_doubled = 2 * params_from(cp).transmissions  # reference scale
+        rf_doubled = 2 * cp.transmissions  # reference scale
         assert rf_doubled >= bound_biregular(st)
         assert rf_doubled >= bound_pda(st)
         assert rf_doubled >= bound_cutset(st)

@@ -43,6 +43,50 @@ def test_params_json(capsys):
     assert doc["rate"] == "4/3"
 
 
+# (k, m, t, q): K, F, D, c, d, M/N, R and R*F as `params` prints them.
+_PARAMS_OUTPUTS = {
+    (3, 1, 1, 2): (7, 21, 12, 4, 3, "3/7", "3/7 (0.4286)", "4/3", "4/3 (1.3333)", 28),
+    (6, 3, 2, 2): (31, 26040, 13440, 16, 5, "15/31", "15/31 (0.4839)",
+                   "16/5", "16/5 (3.2000)", 83328),
+    (4, 2, 1, 4): (85, 95200, 71680, 64, 4, "21/85", "21/85 (0.2471)", "16", "16", 1523200),
+    (5, 2, 1, 3): (121, 283140, 252720, 108, 4, "13/121", "13/121 (0.1074)",
+                   "27", "27", 7644780),
+}
+
+
+@pytest.mark.parametrize("kmtq", sorted(_PARAMS_OUTPUTS))
+def test_params_outputs_are_pinned(capsys, kmtq):
+    k_users, f, big_d, c, d, cached, cached_text, rate, rate_text, rf = _PARAMS_OUTPUTS[kmtq]
+    flags = [f"-{name}{value}" for name, value in zip("kmtq", kmtq)]
+    assert run(capsys, "params", *flags) == (0, (
+        f"K (users)               = {k_users}\n"
+        f"F (subpacketization)    = {f}\n"
+        f"D (missing per user)    = {big_d}\n"
+        f"c (missing per subfile) = {c}\n"
+        f"d (group size / gain)   = {d}\n"
+        f"M/N (cached fraction)   = {cached_text}\n"
+        f"R (rate)                = {rate_text}\n"
+        f"R*F (transmissions)     = {rf}\n"), "")
+    assert run(capsys, "params", *flags, "--format", "json") == (0, (
+        "{\n"
+        f'  "users": {k_users},\n'
+        f'  "subpacketization": {f},\n'
+        f'  "missing_per_user": {big_d},\n'
+        f'  "missing_per_subfile": {c},\n'
+        f'  "group_size": {d},\n'
+        f'  "cached_fraction": "{cached}",\n'
+        f'  "rate": "{rate}",\n'
+        f'  "transmissions": {rf}\n'
+        "}\n"), "")
+
+
+def test_construct_report_line_is_pinned(tmp_path, capsys):
+    target = tmp_path / "fano.json"
+    assert run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2",
+               "-o", str(target)) == (
+        0, f"wrote {target}: K=7 F=21 D=12 c=4 d=3 R=4/3 packets=28\n", "")
+
+
 def test_params_rejects_bad_shape(capsys):
     code, _, err = run(capsys, "params", "-k", "2", "-m", "2", "-t", "2", "-q", "2")
     assert code == 2

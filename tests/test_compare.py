@@ -19,7 +19,6 @@ from pgcache.compare import (
     table3,
 )
 from pgcache.linegraph import ConstructionParams
-from pgcache.scheme import params_from
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +149,7 @@ def test_table1_scheme_rows_and_doubling():
     for entry in TABLE1_REFERENCE:
         if entry["cp"] is None:
             continue
-        p = params_from(ConstructionParams(*entry["cp"]))
+        p = ConstructionParams(*entry["cp"])
         k, f, d = entry["triple"]
         assert k == p.users
         assert f == 2 * p.subpacketization

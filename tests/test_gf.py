@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from pgcache.gf import GF, MAX_ORDER, factor_prime_power, field
+from pgcache.gf import GF, MAX_ORDER, _PRIME_TEST_LIMIT, factor_prime_power, field, is_prime
 from pgcache.linegraph import _Points
 
 
@@ -80,6 +80,13 @@ def test_large_orders_factor_quickly():
     with pytest.raises(ValueError, match="too large"):
         factor_prime_power(2 ** 89 - 1)   # prime, above the exact test's limit
     assert time.perf_counter() - start < 1.0
+
+
+def test_is_prime_at_its_limits():
+    assert not is_prime(0) and not is_prime(1)
+    assert is_prime(2) and is_prime(2 ** 61 - 1)
+    with pytest.raises(ValueError, match="too large to test for primality"):
+        is_prime(_PRIME_TEST_LIMIT)
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_64)

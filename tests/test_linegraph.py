@@ -84,9 +84,9 @@ def test_params_validation():
 
 def test_closed_forms_on_fano():
     cp = ConstructionParams(3, 1, 1, 2)
-    assert cp.num_users == 7
-    assert cp.subfile_clique_size == 4
-    assert cp.user_clique_size == 12
+    assert cp.users == 7
+    assert cp.missing_per_subfile == 4
+    assert cp.missing_per_user == 12
     assert cp.subpacketization == 21
     assert cp.vertex_count == 84
 
@@ -160,7 +160,7 @@ def test_fano_line_graph_sizes():
     g = fano_graph()
     assert {len(users) for users in g.subfile_cliques} == {4}
     assert {len(xs) for xs in g.user_cliques} == {12}
-    assert g.vertex_count == 84
+    assert g.params.vertex_count == 84
     # every user misses a subfile iff its space is outside the sum
     spaces = bf.user_spaces(g)
     for x in range(g.subpacketization):
@@ -270,7 +270,7 @@ def test_fano_transmission_cover():
     assert cover.group_size == 3
     # partition: every vertex in exactly one clique
     keys = cover.users * g.subpacketization + cover.subfiles
-    assert np.unique(keys).size == keys.size == g.vertex_count
+    assert np.unique(keys).size == keys.size == g.params.vertex_count
     seen = set()
     for i in range(cover.num_cliques):
         members = cover.clique(i)
@@ -282,7 +282,7 @@ def test_fano_transmission_cover():
         for a in range(3):
             for b in range(a + 1, 3):
                 assert is_compl_square_edge(g, members[a], members[b])
-    assert len(seen) == g.vertex_count
+    assert len(seen) == g.params.vertex_count
 
 
 @pytest.mark.parametrize("drop", [-1, 10])
@@ -301,7 +301,7 @@ def test_cover_counts_on_other_instances():
     for cp in [ConstructionParams(4, 1, 2, 2), ConstructionParams(5, 2, 2, 2)]:
         g = build_line_graph(build_universe(cp))
         cover = enumerate_transmission_cliques(g)
-        assert cover.num_cliques * (cp.m + 2) == g.vertex_count
+        assert cover.num_cliques * (cp.m + 2) == g.params.vertex_count
 
 
 def test_degenerate_m0_instance_works_end_to_end():
@@ -310,11 +310,11 @@ def test_degenerate_m0_instance_works_end_to_end():
         cp = ConstructionParams(3, 0, 1, 2)
     uni = build_universe(cp)
     g = build_line_graph(uni)
-    assert {len(users) for users in g.subfile_cliques} == {cp.num_users - 1}
+    assert {len(users) for users in g.subfile_cliques} == {cp.users - 1}
     assert verify_line_graph(g).ok
     cover = enumerate_transmission_cliques(g)
     assert cover.group_size == 2
-    assert cover.num_cliques * 2 == g.vertex_count
+    assert cover.num_cliques * 2 == g.params.vertex_count
 
 
 # ----------------------------------------------------------------------

@@ -46,7 +46,6 @@ from pgcache.scheme import (
     document_chunks,
     encode,
     packet_trace_bytes,
-    params_from,
     parse_packet_trace,
     run_round,
     run_trials,
@@ -66,42 +65,64 @@ def fano():
 # Parameters
 # ----------------------------------------------------------------------
 
+def _served_per_transmission(p):
+    """K(1 - M/N)/R, the users one transmission serves."""
+    return p.users * (1 - p.cached_fraction) / p.rate
+
+
 def test_fano_params():
-    p = params_from(FANO)
+    p = FANO
     assert (p.users, p.subpacketization, p.missing_per_user,
             p.missing_per_subfile, p.group_size) == (7, 21, 12, 4, 3)
     assert p.cached_fraction == Fraction(3, 7)
     assert p.rate == Fraction(4, 3)
-    assert p.gain == 3
+    assert _served_per_transmission(p) == 3
     assert p.transmissions == 28
 
 
 def test_reference_parameter_rows():
-    p = params_from(ConstructionParams(6, 3, 2, 2))
+    p = ConstructionParams(6, 3, 2, 2)
     assert p.users == 31
     assert 1 - p.cached_fraction == Fraction(16, 31)
-    assert p.gain == 5
+    assert _served_per_transmission(p) == 5
 
-    p = params_from(ConstructionParams(7, 3, 2, 2))
+    p = ConstructionParams(7, 3, 2, 2)
     assert p.users == 63
     assert 1 - p.cached_fraction == Fraction(48, 63)
 
-    p = params_from(ConstructionParams(9, 4, 3, 2))
-    assert (p.users, p.gain) == (127, 6)
+    p = ConstructionParams(9, 4, 3, 2)
+    assert (p.users, _served_per_transmission(p)) == (127, 6)
 
 
 def test_params_identities_hold_broadly():
-    for cp in [ConstructionParams(4, 1, 1, 2), ConstructionParams(5, 2, 2, 2),
-               ConstructionParams(4, 1, 1, 3), ConstructionParams(5, 1, 3, 2)]:
-        p = params_from(cp)
-        assert p.users * p.missing_per_user == p.subpacketization * p.missing_per_subfile
-        assert p.cached_fraction == 1 - Fraction(p.missing_per_user, p.subpacketization)
-        assert p.rate * (cp.m + 2) == p.users * (1 - p.cached_fraction)
+    """The identities between the closed forms on every valid (k, m, t, q)
+    with q <= 5 and k <= 10, and the reduction of t to 1: (k, m, t, q) and
+    (k-t+1, m, 1, q) have the same K, F, D and c."""
+    seen = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # m = 0 warns of cliques of size 2
+        for q in (2, 3, 4, 5):
+            for k in range(2, 11):
+                for t in range(1, k):
+                    for m in range(k - t):
+                        p = ConstructionParams(k, m, t, q)
+                        sizes = (p.users, p.subpacketization, p.missing_per_user,
+                                 p.missing_per_subfile)
+                        big_k, big_f, big_d, c = sizes
+                        assert big_k * big_d == big_f * c, p
+                        assert p.group_size * p.transmissions == p.vertex_count == big_k * big_d, p
+                        assert p.cached_fraction == 1 - Fraction(big_d, big_f), p
+                        assert _served_per_transmission(p) == p.group_size, p
+                        reduced = ConstructionParams(k - t + 1, m, 1, q)
+                        assert (reduced.users, reduced.subpacketization,
+                                reduced.missing_per_user, reduced.missing_per_subfile) == sizes, p
+                        seen += 1
+    assert seen == 660
 
 
 def test_params_reject_empty_delivery():
     with pytest.raises(ValueError):
-        params_from(ConstructionParams(4, 2, 2, 2))  # m + t = k
+        ConstructionParams(4, 2, 2, 2)  # m + t = k
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +140,7 @@ def test_fano_placement_regularity(fano):
 def test_placement_total_ones():
     g = build_line_graph(build_universe(ConstructionParams(4, 1, 2, 2)))
     pl = build_placement(g)
-    assert int(pl.matrix.sum()) == g.vertex_count
+    assert int(pl.matrix.sum()) == g.params.vertex_count
 
 
 def test_one_read_only_table_backs_universe_graph_and_placement():

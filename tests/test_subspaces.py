@@ -99,6 +99,12 @@ def test_generating_counts_worked_values():
     assert g.vector_sets == g.subspace_sets * 3 ** 2
 
 
+@pytest.mark.parametrize("m,t", [(-1, 1), (1, 0)])
+def test_generating_counts_refuse_m_below_0_and_t_below_1(m, t):
+    with pytest.raises(ValueError, match="need m >= 0 and t >= 1"):
+        generating_set_counts(2, m, t)
+
+
 def test_generating_counts_match_oracle():
     cases = [(2, 3, 1, 1), (2, 4, 1, 2), (2, 4, 2, 1), (3, 3, 1, 1), (3, 4, 1, 2)]
     for q, k, m, t in cases:
