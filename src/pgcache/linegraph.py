@@ -385,9 +385,10 @@ class DeliveryPlan:
     Row i of `users`/`subfiles` is clique i: d = m+2 (user, subfile)
     vertices, ordered by user index.  Built plans are int32, half the
     bytes of int64: K and F fit in int32 far past any plan that fits in
-    memory.  A plan of another integer dtype, such as one parsed from a
-    document, is kept as it is; every pass over a plan walks it in
-    blocks of cliques (`blocks`).
+    memory, and stored column by column (order "F"), so that a block's
+    member j is one contiguous run of each array.  A plan of another
+    integer dtype or layout is taken as it is, by the same code; every
+    pass over a plan walks it in blocks of cliques (`blocks`).
     """
 
     users: np.ndarray     # (num_cliques, d), int32 when built
@@ -416,16 +417,17 @@ def enumerate_transmission_cliques(universe: Universe) -> DeliveryPlan:
     """All independent (m+2)-sets of points, as cliques.
 
     Each set Y extends a subfile x by one point outside its span and after
-    its last point, and yields the clique {(u, Y minus u)}; the int32 plan
-    is filled from these extensions block by block.  Y minus its last
-    point, the new one, is x itself.  Every other member's subfile is read
-    from subfile_of, a table indexed by the colex rank sum_i C(x_i, i+1) of
-    an ascending (m+1)-set x (the combinatorial number system), with -1
-    where the set is not a subfile.  The rank of Y minus point j of x is
-    partial[x, j], the rank of x without point j, computed once per
-    subfile, plus C(new, m+1) for the new point, which comes last.  That
-    the cliques are disjoint vertices covering the line graph is a
-    property of the plan, checked by `pgcache.scheme.delivery_violation`.
+    its last point, and yields the clique {(u, Y minus u)}; the int32
+    plan, stored column by column, is filled from these extensions block
+    by block.  Y minus its last point, the new one, is x itself.  Every
+    other member's subfile is read from subfile_of, a table indexed by the
+    colex rank sum_i C(x_i, i+1) of an ascending (m+1)-set x (the
+    combinatorial number system), with -1 where the set is not a subfile.
+    The rank of Y minus point j of x is partial[x, j], the rank of x
+    without point j, computed once per subfile, plus C(new, m+1) for the
+    new point, which comes last.  That the cliques are disjoint vertices
+    covering the line graph is a property of the plan, checked by
+    `pgcache.scheme.delivery_violation`.
     """
     k, d = universe.num_users, universe.params.m + 2
     subfiles = universe.subfile_array
@@ -442,8 +444,8 @@ def enumerate_transmission_cliques(universe: Universe) -> DeliveryPlan:
     subfile_of[partial[:, -1] + comb[d - 1][subfiles[:, -1]]] = np.arange(len(subfiles))
 
     cells = _extensions(subfiles, universe.outside_mask)
-    plan = DeliveryPlan(users=np.empty((len(cells), d), dtype=np.int32),
-                        subfiles=np.empty((len(cells), d), dtype=np.int32))
+    plan = DeliveryPlan(users=np.empty((len(cells), d), dtype=np.int32, order="F"),
+                        subfiles=np.empty((len(cells), d), dtype=np.int32, order="F"))
     for block, users, subs in plan.blocks():
         x, new = np.divmod(cells[block], k)
         users[:, :-1] = np.take(subfiles, x, axis=0)

@@ -23,13 +23,16 @@ that fails is walked again, check by check, for its message.
 The in-memory simulator stores N files of F equal subfiles (numpy uint8
 payloads) and encodes a round as one (C, L) array whose row i is the XOR
 of clique i's members' demanded subfiles.  Both encode and decode make
-one pass over the plan in cache-sized blocks of cliques, range-checking
-each block's users and subfiles and gathering each member's subfiles
-from the store, seen as N*F rows of L bytes, into a buffer reused
-across blocks.  Cliques are disjoint, so the blocks are independent:
-one block runner, _each_block, deals them round-robin to a worker per
-CPU (two at most), the calling thread and helper threads whose numpy
-gathers and XORs run without the GIL, each with its own buffers.  The
+one pass over the plan in cache-sized blocks of cliques, gathering
+each member's subfiles from the store, seen as N*F rows of L bytes,
+into a buffer reused across blocks; the plan's users and subfiles are
+range-checked once per call, before the first block.  Cliques are
+disjoint, so the blocks are independent: one block runner,
+_each_block, splits them into one contiguous run per worker, a worker
+per CPU (two at most), the calling thread and helper threads whose
+numpy gathers and XORs run without the GIL, each with its own
+buffers.  A built or loaded plan is stored column by column, so each
+member column of a block is one contiguous row of the row index.  The
 output is the same bytes on any number of workers, and a failure is
 raised for the first failing block.  Decoding XORs a block's packets
 and its d members' subfiles into one residual buffer, so it keeps no
@@ -186,8 +189,17 @@ def _cells(users: np.ndarray, subfiles: np.ndarray, k: int) -> np.ndarray:
     return subfiles.astype(np.int64) * k + users
 
 
+def _plan_in_range(plan: DeliveryPlan, users: int, subfiles: int) -> bool:
+    """Whether every user of the plan is in [0, users) and every subfile
+    in [0, subfiles), by one max per array: seen as unsigned, a negative
+    entry is past any bound."""
+    return all(a.size == 0 or int(a.view(f"u{a.itemsize}").max()) < bound
+               for a, bound in ((plan.users, users), (plan.subfiles, subfiles)))
+
+
 def _plan_fits(plan: DeliveryPlan, mat: np.ndarray) -> bool:
-    """Whether the plan delivers under the (K, F) placement, in one pass.
+    """Whether the plan delivers under the (K, F) placement, in one pass
+    after one range check of the whole plan (`_plan_in_range`).
 
     words[:, x] holds, as bits, the users that do not cache subfile x, and
     bits[:, u] is user u's bit alone; each row of either holds 64 users.
@@ -199,12 +211,12 @@ def _plan_fits(plan: DeliveryPlan, mat: np.ndarray) -> bool:
     entry or a vertex in no clique shows in its count.
     """
     k, f = mat.shape
+    if not _plan_in_range(plan, k, f):
+        return False
     words = _bit_words(mat.T)
     bits = _bit_words(np.eye(k, dtype=bool))
     covered = np.zeros(f * k, dtype=bool)
     for _, users, subs in plan.blocks():
-        if users.min() < 0 or users.max() >= k or subs.min() < 0 or subs.max() >= f:
-            return False
         # (W, d, B): the block runs along the last axis, so that each step
         # is a long run, not d or W values at a time.
         member = np.take(bits, users.T, axis=1)
@@ -364,9 +376,10 @@ def _demand_vector(num_files: int, demands) -> np.ndarray:
 
 
 # The most workers _each_block takes.  Each holds up to two (B, L)
-# buffers, a (d, B) row index and the transients of filling it, about
-# 0.8 MiB at (6,3,2,2) with L = 64; a third worker could pass the 2 MiB
-# that encode may hold beyond its payloads.
+# buffers, a (d, B) row index and the transient intp copy of its block's
+# users that the index gather makes, about 0.8 MiB at (6,3,2,2) with
+# L = 64; a third worker could pass the 2 MiB that encode may hold beyond
+# its payloads.
 _MAX_WORKERS = 2
 
 
@@ -377,49 +390,62 @@ def _each_block(plan: DeliveryPlan, store: FileStore, demands: np.ndarray,
     members' demanded subfiles in the store read as N*F rows of L bytes,
     and `buffers` (B, L) uint8 scratch buffers.
 
-    Each block's users and subfiles are range-checked while in cache: a
-    negative user would wrap to another user's demand, and a subfile past
-    F would name a row of the next file.  With the demands already in
-    [0, N), every row is then in [0, N*F).
+    The whole plan is range-checked once, before any worker starts
+    (`_plan_in_range`): a negative user would wrap to another user's
+    demand, and a subfile past F would name a row of the next file.  With
+    the demands already in [0, N), every row is then in [0, N*F).  Only a
+    plan that fails is walked block by block, for the message of its
+    first failing block.
 
-    The blocks are disjoint cliques, so block i goes to worker i mod n,
-    where n is the number of CPUs this process may run on, capped by the
-    block count and by _MAX_WORKERS (os.cpu_count() where the platform
-    has no affinity mask).  The calling thread is worker 0, the
-    others are threads whose gathers and XORs run without the GIL.  Every
-    buffer is made here before any thread starts, so no thread grows a
-    heap of its own.  A worker stops at its first failure; once every
-    thread is joined, the failure of the lowest block is raised, as a
-    walk in block order would raise it.
+    The blocks are disjoint cliques, so they are split into n contiguous
+    runs, one per worker, where n is the number of CPUs this process may
+    run on, capped by the block count and by _MAX_WORKERS (os.cpu_count()
+    where the platform has no affinity mask).  The calling thread is
+    worker 0, the others are threads whose gathers and XORs run without
+    the GIL.  Every buffer is made here before any thread starts, so no
+    thread grows a heap of its own.  A worker stops at its first failure;
+    once every thread is joined, the failure of the lowest worker, whose
+    run comes first, is raised, as a walk in block order would raise it.
+
+    The index and the kernels gather with ndarray.take(at, 0, out, "clip"):
+    every index is in range, so nothing is clipped, but with out= and the
+    default mode="raise" numpy gathers into a temporary first, then copies.
+    They call the method, not np.take, whose Python wrapper would hold the
+    GIL between a worker's gathers, the time the other worker waits for it.
     """
     f = store.num_subfiles
+    if not _plan_in_range(plan, len(demands), f):
+        for _, users, subfiles in plan.blocks():
+            if users.min() < 0:
+                raise ValueError("delivery plan names a negative user")
+            if users.max() >= len(demands):
+                raise ValueError("demand vector shorter than the user count")
+            if subfiles.min() < 0 or subfiles.max() >= f:
+                raise ValueError("delivery plan names a subfile outside the store")
     offsets = demands * f
-    rows = min(plan.num_cliques, linegraph.BLOCK_ROWS)
-    blocks = -(-plan.num_cliques // linegraph.BLOCK_ROWS)
+    size = linegraph.BLOCK_ROWS
+    rows = min(plan.num_cliques, size)
+    blocks = -(-plan.num_cliques // size)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     n = max(1, min(cpus, blocks, _MAX_WORKERS))
     index = [np.empty(plan.group_size * rows, dtype=np.int64) for _ in range(n)]
     scratch = [np.empty((buffers, rows, store.subfile_len), dtype=np.uint8)
                for _ in range(n)]
-    failed: list[tuple[int, Exception]] = []
+    failed: list[Exception | None] = [None] * n
+    users, subfiles = plan.users, plan.subfiles
 
     def work(w: int) -> None:
-        mine = itertools.islice(plan.blocks(), w, None, n)
-        for i, (block, users, subfiles) in zip(itertools.count(w, n), mine):
+        for i in range(w * blocks // n, (w + 1) * blocks // n):
+            block = slice(i * size, (i + 1) * size)
+            members = users[block].T
             try:
-                if users.min() < 0:
-                    raise ValueError("delivery plan names a negative user")
-                if users.max() >= len(demands):
-                    raise ValueError("demand vector shorter than the user count")
-                if subfiles.min() < 0 or subfiles.max() >= f:
-                    raise ValueError("delivery plan names a subfile outside the store")
-                at = index[w][:users.size].reshape(users.shape[::-1])
-                np.take(offsets, users.T, out=at, mode="clip")
-                at += subfiles.T
-                kernel(block, at, scratch[w][:, :len(users)])
-            except Exception as exc:  # raised by the caller, block order first
-                failed.append((i, exc))
+                at = index[w][:members.size].reshape(members.shape)
+                offsets.take(members, 0, at, "clip")
+                at += subfiles[block].T
+                kernel(block, at, scratch[w][:, :members.shape[1]])
+            except Exception as exc:  # raised by the caller, lowest worker first
+                failed[w] = exc
                 return
 
     helpers = [threading.Thread(target=work, args=(w,)) for w in range(1, n)]
@@ -431,8 +457,9 @@ def _each_block(plan: DeliveryPlan, store: FileStore, demands: np.ndarray,
         for helper in helpers:
             if helper.is_alive():  # not a helper that failed to start
                 helper.join()
-    if failed:
-        raise min(failed, key=lambda failure: failure[0])[1]
+    for exc in failed:
+        if exc is not None:
+            raise exc
 
 
 def _store_rows(store: FileStore) -> np.ndarray:
@@ -440,18 +467,11 @@ def _store_rows(store: FileStore) -> np.ndarray:
     return store.data.reshape(store.num_files * store.num_subfiles, store.subfile_len)
 
 
-def _gather(rows: np.ndarray, at: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """rows[at] written into `out`.  Every index is already in range, so
-    mode="clip" never clips; it is there because numpy gathers into a
-    temporary first, then copies, when out= comes with mode="raise"."""
-    return np.take(rows, at, axis=0, out=out, mode="clip")
-
-
 def encode(plan: DeliveryPlan, store: FileStore, demands) -> Packets:
     """One packet per clique: XOR over members (u, x) of subfile x of u's demand.
 
     Each block of cliques takes one row gather per member from the store
-    read as N*F rows: np.take copies each row in one step, where
+    read as N*F rows: ndarray.take copies each row in one step, where
     data[file, subfile] with two index arrays goes through numpy's generic
     fancy-index iterator.  Member 0 is gathered straight into the block's
     payload rows, and every other member into its worker's (B, L) buffer,
@@ -463,21 +483,19 @@ def encode(plan: DeliveryPlan, store: FileStore, demands) -> Packets:
     payloads = np.empty((plan.num_cliques, store.subfile_len), dtype=np.uint8)
 
     def xor_members(block: slice, at: np.ndarray, scratch: np.ndarray) -> None:
-        acc = _gather(rows, at[0], payloads[block])
-        for j in range(1, plan.group_size):
-            acc ^= _gather(rows, at[j], scratch[0])
+        acc = rows.take(at[0], 0, payloads[block], "clip")
+        for member in at[1:]:
+            acc ^= rows.take(member, 0, scratch[0], "clip")
 
     _each_block(plan, store, demands, xor_members, buffers=1)
     return Packets(ids=np.arange(plan.num_cliques, dtype=np.int32), payloads=payloads)
 
 
 def _in_order(ids: np.ndarray, num: int) -> bool:
-    """Whether ids is arange(num), compared a block at a time so that no
-    (C,) array is made."""
-    size = linegraph.BLOCK_ROWS
-    return len(ids) == num and all(
-        np.array_equal(ids[lo:lo + size], np.arange(lo, min(lo + size, num)))
-        for lo in range(0, num, size))
+    """Whether ids, whose entries lie in [0, num), is arange(num): num such
+    entries in strictly increasing order can only be 0, 1, ..., num-1.
+    One compare of neighbours, a (C,) bool array and no (C,) index."""
+    return len(ids) == num and bool(np.greater(ids[1:], ids[:-1]).all())
 
 
 def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> list[bool]:
@@ -526,20 +544,20 @@ def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> l
             raise DecodeError(f"no packet for clique {lost[:5].tolist()}")
     rows = _store_rows(store)
     exact = np.ones(len(demands), dtype=bool)
+    payloads, users = packets.payloads, plan.users
 
     def check_residuals(block: slice, at: np.ndarray, scratch: np.ndarray) -> None:
         residual, other = scratch
         if packet_of is None:
-            _gather(rows, at[0], residual)
-            residual ^= packets.payloads[block]
-            first = 1
+            rows.take(at[0], 0, residual, "clip")
+            residual ^= payloads[block]
+            at = at[1:]
         else:
-            _gather(packets.payloads, packet_of[block], residual)
-            first = 0
-        for j in range(first, plan.group_size):
-            residual ^= _gather(rows, at[j], other)
+            payloads.take(packet_of[block], 0, residual, "clip")
+        for member in at:
+            residual ^= rows.take(member, 0, other, "clip")
         if residual.any():
-            exact[plan.users[block][residual.any(axis=1)]] = False
+            exact[users[block][residual.any(axis=1)]] = False
 
     _each_block(plan, store, demands, check_residuals, buffers=2)
     return exact.tolist()
@@ -806,22 +824,24 @@ def _table_rows(columns, prefixes, top) -> Iterator[bytes]:
     """The rows of _json_int_blocks block by block, one 8-byte slot per
     entry: the prefix in the low bytes, the digits from the table in the
     high bytes.  One slot buffer serves every block.  Each column of a
-    block is gathered from the table into one reused contiguous buffer
-    (np.take into the strided slots would go through a temporary) and
-    copied into its slots [..., i].  The gathers clip nothing: every
-    entry lies in 0..top."""
+    block is gathered from the table, as its transpose, into one reused
+    contiguous buffer (np.take into the strided slots would go through a
+    temporary) and copied into its slots [..., i].  The transpose makes
+    each member column of a plan stored column by column one contiguous
+    row of the index, which np.take converts to intp without a strided
+    copy.  The gathers clip nothing: every entry lies in 0..top."""
     table = _digit_words(top)
     template = np.array([int.from_bytes(p, "little") for p in prefixes], dtype="<u8")
     rows, size = len(columns[0]), linegraph.BLOCK_ROWS
     shape = (min(rows, size), *columns[0].shape[1:])
     slot_buffer = np.empty((*shape, len(columns)), dtype="<u8")
-    gather_buffer = np.empty(shape, dtype="<u8")
+    gather_buffer = np.empty(math.prod(shape), dtype="<u8")
     for lo in range(0, rows, size):
         block = slot_buffer[:min(size, rows - lo)]
-        gathered = gather_buffer[:len(block)]
+        gathered = gather_buffer[:block.size // len(columns)].reshape(block.shape[-2::-1])
         for i, c in enumerate(columns):
-            np.take(table, c[lo:lo + size], out=gathered, mode="clip")
-            block[..., i] = gathered
+            np.take(table, c[lo:lo + size].T, out=gathered, mode="clip")
+            block[..., i] = gathered.T
         slots = block.reshape(len(block), -1)
         slots |= template
         yield slots.tobytes().translate(None, b"\0")
@@ -1076,7 +1096,8 @@ def _parse_document(text: bytes, built: SchemeInstance | None = None) -> SchemeI
     from `built` when that is a scheme of the same construction.  Every
     other stored field must equal the rebuilt one, and the stored
     delivery plan must pass `delivery_violation`; only then, with every
-    entry in range, is it narrowed to int32.
+    entry in range, is it narrowed to int32, stored column by column as a
+    built plan is.
     """
     if not text.isascii():
         raise SchemaError("document is not ASCII")
@@ -1148,8 +1169,8 @@ def _parse_document(text: bytes, built: SchemeInstance | None = None) -> SchemeI
     violation = delivery_violation(delivery, instance.placement)
     if violation is not None:
         raise SchemaError(violation)
-    instance.delivery = DeliveryPlan(users=delivery.users.astype(np.int32),
-                                     subfiles=delivery.subfiles.astype(np.int32))
+    instance.delivery = DeliveryPlan(users=delivery.users.astype(np.int32, order="F"),
+                                     subfiles=delivery.subfiles.astype(np.int32, order="F"))
     return instance
 
 

@@ -583,6 +583,17 @@ def test_bounds_csv_of_a_triple_that_is_not_biregular(capsys):
                    "7,3,1,None,3,2,21/17,K*D/F = 7/3 is not a positive integer\n")
 
 
+def test_bounds_text_of_a_triple_that_is_not_biregular(capsys):
+    """The text format prints the bound that does not apply as n/a, with
+    the reason on its own line under it."""
+    code, out, err = run(capsys, "bounds", "-K", "7", "-F", "3", "-D", "1")
+    assert (code, err) == (0, "")
+    assert out == ("biregular bound : R*F >= n/a\n"
+                   "                  (K*D/F = 7/3 is not a positive integer)\n"
+                   "pda bound       : R*F >= 3\n"
+                   "cutset bound    : R*F >= 2 (exact 21/17 (1.2353))\n")
+
+
 def test_bounds_bad_triple(capsys):
     code, _, err = run(capsys, "bounds", "-K", "5", "-F", "10", "-D", "11")
     assert code == 2

@@ -171,6 +171,11 @@ def test_modulus_choices_are_deterministic():
     assert field(4) is field(4)  # cached, so identity is stable
 
 
+def test_repr_names_the_order():
+    assert [repr(field(q)) for q in (2, 4, 9, 49)] == ["GF(2)", "GF(4)", "GF(9)", "GF(49)"]
+    assert repr(GF(3, 2)) == "GF(9)"
+
+
 def test_worked_products():
     assert field(3).mul_array(2, 2) == 1    # 4 mod 3
     assert field(4).mul_array(2, 2) == 3    # x * x = x + 1 under x^2+x+1

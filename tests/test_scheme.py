@@ -1,6 +1,7 @@
 """Scheme parameters, placement, XOR delivery, simulator, serialization."""
 
 import base64
+import dataclasses
 import hashlib
 import json
 import mmap
@@ -526,6 +527,25 @@ def test_the_earliest_failing_block_is_raised(fano, cpus, negative_at, outside_a
         decode(plan, store, [0] * 7, packets)
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 64])
+@pytest.mark.parametrize("failing", [[1, 3], [2, 3], [3], [0, 2]])
+def test_the_earliest_kernel_failure_is_raised(fano, cpus, failing, monkeypatch):
+    """A kernel that raises in some blocks of a plan in range: the runner
+    raises the earliest failing block's error, whichever worker's run
+    holds it."""
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(linegraph_module, "BLOCK_ROWS", 7)  # Fano's 28 cliques in 4 blocks
+    store = FileStore.random(7, 21, subfile_len=4, seed=0)
+
+    def kernel(block: slice, at: np.ndarray, scratch: np.ndarray) -> None:
+        if block.start // 7 in failing:
+            raise RuntimeError(f"block {block.start // 7}")
+
+    with pytest.raises(RuntimeError, match=f"^block {failing[0]}$"):
+        scheme_module._each_block(fano.delivery, store, np.zeros(7, dtype=np.int64),
+                                  kernel, buffers=1)
+
+
 def test_block_runner_loses_nothing_under_fast_thread_switching(fano, monkeypatch):
     """More workers than CPUs, a block per clique and a thread switch
     every microsecond: decode still fails exactly the members of the
@@ -630,6 +650,73 @@ def test_negative_users_are_refused():
         encode(plan, store, [1, 0])
     with pytest.raises(ValueError, match="negative user"):
         decode(plan, store, [1, 0], packets)
+
+
+@pytest.mark.parametrize("later", [False, True])
+def test_a_demand_vector_one_user_short_is_refused(fano, later, monkeypatch):
+    """encode and decode, called directly (run_round refuses the length
+    first), refuse demands for one user too few.  The plan as built names
+    the last user in its first block; reordered so that every clique with
+    the last user comes last, its first such entry is in block 2 of 4,
+    ahead of a negative user and a subfile past the store in block 3."""
+    users, subfiles = fano.delivery.users, fano.delivery.subfiles
+    if later:
+        monkeypatch.setattr(linegraph_module, "BLOCK_ROWS", 7)
+        order = np.argsort((users == 6).any(axis=1), kind="stable")
+        users, subfiles = users[order], subfiles[order]
+        assert np.flatnonzero((users == 6).any(axis=1))[0] // 7 == 2
+        users[24, 0], subfiles[25, 1] = -1, 21
+    plan = DeliveryPlan(users=users, subfiles=subfiles)
+    store = FileStore.random(7, 21, subfile_len=4, seed=0)
+    packets = Packets(np.arange(28), np.zeros((28, 4), dtype=np.uint8))
+    message = "^demand vector shorter than the user count$"
+    with pytest.raises(ValueError, match=message):
+        encode(plan, store, [0] * 6)
+    with pytest.raises(ValueError, match=message):
+        decode(plan, store, [0] * 6, packets)
+
+
+@pytest.mark.parametrize("block", [7, "default"])
+def test_plans_in_either_memory_order_give_the_same_bytes(small_schemes, block,
+                                                          monkeypatch):
+    """Built and loaded plans are stored column by column, so that each
+    member column of a block is a contiguous row; a row-major copy of a
+    plan goes through the same code to the same packets, decodes,
+    delivery_violation results and document bytes."""
+    if block != "default":
+        monkeypatch.setattr(linegraph_module, "BLOCK_ROWS", block)
+    for name, inst in small_schemes.items():
+        plan = inst.delivery
+        loaded = scheme_module._parse_document(serialize(inst).encode()).delivery
+        for built in (plan, loaded):
+            assert built.users.dtype == built.subfiles.dtype == np.int32
+            assert built.users.flags.f_contiguous and built.subfiles.flags.f_contiguous
+        k, f = inst.params.users, inst.params.subpacketization
+        store = FileStore.random(k + 3, f, 5, seed=k)
+        demands = next(demand_stream(k, k, k + 3))
+        seen = {}
+        for order in "CF":
+            copy = DeliveryPlan(users=np.array(plan.users, order=order),
+                                subfiles=np.array(plan.subfiles, order=order))
+            assert copy.users.flags[f"{order}_CONTIGUOUS"]
+            packets = encode(copy, store, demands)
+            damaged = Packets(packets.ids, packets.payloads.copy())
+            damaged.payloads[::3, 1] ^= 1
+            results = [decode(copy, store, demands, sent) for sent in (packets, damaged)]
+            outside = DeliveryPlan(users=copy.users.copy(order="K"), subfiles=copy.subfiles)
+            outside.users[0, 1] = k
+            repeated = DeliveryPlan(users=copy.users.copy(order="K"),
+                                    subfiles=copy.subfiles.copy(order="K"))
+            repeated.users[2, 1], repeated.subfiles[2, 1] = copy.users[0, 1], copy.subfiles[0, 1]
+            violations = [delivery_violation(p, inst.placement)
+                          for p in (copy, outside, repeated)]
+            document = b"".join(document_chunks(dataclasses.replace(inst, delivery=copy)))
+            seen[order] = (packets.payloads.tobytes(), results, violations, document)
+        assert seen["C"] == seen["F"], name
+        _, results, violations, document = seen["F"]
+        assert results[0] == [True] * k and False in results[1]
+        assert violations[0] is None and None not in violations[1:]
+        assert document == serialize(inst).encode()
 
 
 def test_encode_refuses_nested_demands(fano):
