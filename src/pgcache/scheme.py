@@ -826,14 +826,17 @@ def _table_rows(columns, prefixes, top) -> Iterator[bytes]:
     high bytes.  One slot buffer serves every block.  Each column of a
     block is gathered from the table, as its transpose, into one reused
     contiguous buffer (np.take into the strided slots would go through a
-    temporary) and copied into its slots [..., i].  The transpose makes
-    each member column of a plan stored column by column one contiguous
-    row of the index, which np.take converts to intp without a strided
-    copy.  The gathers clip nothing: every entry lies in 0..top."""
+    temporary), then OR-ed with its prefixes into its slots [..., i].
+    The transpose makes each member column of a plan stored column by
+    column one contiguous row of the index, which np.take converts to
+    intp without a strided copy.  The gathers clip nothing: every entry
+    lies in 0..top."""
     table = _digit_words(top)
-    template = np.array([int.from_bytes(p, "little") for p in prefixes], dtype="<u8")
+    inner = columns[0].shape[1:]
+    template = np.array([int.from_bytes(p, "little") for p in prefixes],
+                        dtype="<u8").reshape(*inner, len(columns))
     rows, size = len(columns[0]), linegraph.BLOCK_ROWS
-    shape = (min(rows, size), *columns[0].shape[1:])
+    shape = (min(rows, size), *inner)
     slot_buffer = np.empty((*shape, len(columns)), dtype="<u8")
     gather_buffer = np.empty(math.prod(shape), dtype="<u8")
     for lo in range(0, rows, size):
@@ -841,10 +844,8 @@ def _table_rows(columns, prefixes, top) -> Iterator[bytes]:
         gathered = gather_buffer[:block.size // len(columns)].reshape(block.shape[-2::-1])
         for i, c in enumerate(columns):
             np.take(table, c[lo:lo + size].T, out=gathered, mode="clip")
-            block[..., i] = gathered.T
-        slots = block.reshape(len(block), -1)
-        slots |= template
-        yield slots.tobytes().translate(None, b"\0")
+            np.bitwise_or(gathered, template[..., i].T[..., None], out=block[..., i].T)
+        yield block.tobytes().translate(None, b"\0")
 
 
 def _digit_rows(columns, prefixes, top) -> Iterator[bytes]:
@@ -1024,15 +1025,17 @@ def deserialize(text: str | bytes) -> SchemeInstance:
     writes, is loaded by rebuilding the construction it starts with, so
     build_scheme checks the plan, and comparing it byte for byte with
     that scheme's document_chunks.  Any other text takes the general
-    path of _parse_document, which gives every refusal its message.
+    path of _parse_document, which gives every refusal its message.  A
+    str is encoded to bytes only for that path: a canonical one is
+    compared as text, so loading it copies no whole document.
     """
-    if isinstance(text, str):
-        if not text.isascii():
-            raise SchemaError("document is not ASCII")
-        text = text.encode("ascii")
+    if isinstance(text, str) and not text.isascii():
+        raise SchemaError("document is not ASCII")
     built = _canonical_build(text)
     if built is not None and _is_document_of(built, text):
         return built
+    if isinstance(text, str):
+        text = text.encode("ascii")
     return _parse_document(bytes(text), built)
 
 
@@ -1053,7 +1056,9 @@ def _canonical_build(data) -> SchemeInstance | None:
     K > q and K >= 2^(k-t), bounds on q and k - t come first and keep the
     closed forms cheap.
     """
-    match = _CANONICAL_START.match(bytes(data[:128]))
+    start = data[:128]
+    match = _CANONICAL_START.match(start.encode("ascii") if isinstance(start, str)
+                                   else bytes(start))
     if match is None:
         return None
     k, m, q, t = map(int, match.groups())
@@ -1072,9 +1077,13 @@ def _canonical_build(data) -> SchemeInstance | None:
 def _is_document_of(instance: SchemeInstance, data) -> bool:
     """Whether `data` is byte for byte the canonical document of the
     scheme.  The chunks are compared in order, each with bytes.startswith
-    where `data` is bytes, so a mismatch stops the rendering."""
+    where `data` is bytes, or decoded and with str.startswith where it is
+    an ASCII str, so a mismatch stops the rendering."""
     if isinstance(data, bytes):
         same = data.startswith
+    elif isinstance(data, str):
+        def same(chunk: bytes, at: int) -> bool:
+            return data.startswith(chunk.decode("ascii"), at)
     else:
         def same(chunk: bytes, at: int) -> bool:
             return data[at:at + len(chunk)] == chunk

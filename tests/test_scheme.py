@@ -1707,6 +1707,21 @@ def test_canonical_documents_load_without_parsing(fano, tmp_path):
             assert serialize(deserialize(document)) == text
 
 
+def test_a_canonical_str_document_loads_without_a_bytes_copy():
+    """A canonical document given as str is compared as text, so loading
+    it peaks as loading its bytes does, not one document size higher."""
+    text = serialize(build_scheme(ConstructionParams(5, 2, 1, 2)))
+    peaks = []
+    for document in (text, text.encode("ascii")):
+        tracemalloc.start()
+        try:
+            deserialize(document)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1] + len(text) // 4
+
+
 @pytest.mark.parametrize("case", ["indented", "truncated", "not-a-vertex", "repeated"])
 def test_mapped_documents_load_like_their_bytes(fano, tmp_path, case):
     """An mmap of any other text loads, or is refused, as its bytes are."""
