@@ -30,14 +30,17 @@ table is built once per _Points, that is once per build_universe call.
 Independent point sets are enumerated level by level in numpy.  Every
 set carries a mask of the points outside its span and, below the
 subfile level, the list of its span's vectors.  A point extends a set
-when it lies outside the span and after the set's last point, and
-np.nonzero over that candidate mask lists the next level already in
-lexicographic order.  The subfile level's mask is the one read-only
-(F, K) table of the universe: it is the line graph, whose vertices are
-its set cells, and the placement.  Its row and column counts are taken
-once per universe; build_line_graph checks them against the closed
-forms and verify_line_graph reads them.
-One more level gives the cliques.
+when it lies outside the span and after the set's last point (a row of
+a K x K table, gathered by that point), and np.nonzero over that
+candidate mask lists the next level already in lexicographic order.
+Each extended set copies its parent's rows with ndarray.take and clears
+the points it gains with one flat scatter.  The subfile level's mask
+is the one read-only (F, K) table of the universe: it is the line
+graph, whose vertices are its set cells, and the placement.  Its
+clique sizes are taken once per universe: per subfile as the popcount
+of its row packed into uint64 words, per user as a count over the
+mask.  build_line_graph checks them against the closed forms and
+verify_line_graph reads them.  One more level gives the cliques.
 """
 
 from __future__ import annotations
@@ -242,10 +245,41 @@ def _extensions(sets: np.ndarray, outside: np.ndarray) -> np.ndarray:
     """The flat indexes row * K + point of the (row, point) pairs where the
     point extends sets[row] to a larger independent set: outside its span
     and after its last point.  They come in lexicographic order of the
-    extended sets."""
-    extends = np.arange(outside.shape[1]) > sets[:, -1:]
+    extended sets.  The points after each set's last point are a row of
+    the K x K table after[p, u] = u > p, gathered by that last point."""
+    after = ~np.tri(outside.shape[1], dtype=bool)
+    extends = after.take(sets[:, -1], axis=0)
     extends &= outside
     return np.flatnonzero(extends)
+
+
+def _bit_words(mask: np.ndarray) -> np.ndarray:
+    """An (R, K) bool mask as a (ceil(K / 64), R) table of uint64 words:
+    bit u % 64 of word [u // 64, r] is set where mask[r, u].  Block by
+    block, the rows are copied into a buffer zero-padded to whole words,
+    which one flat packbits turns into the rows' words."""
+    rows, k = mask.shape
+    width = -(-k // 64) * 64
+    packed = np.empty(rows * width // 8, dtype=np.uint8)
+    size = BLOCK_ROWS
+    padded = np.zeros((min(rows, size), width), dtype=bool)
+    for lo in range(0, rows, size):
+        block = padded[:len(mask[lo:lo + size])]
+        block[:, :k] = mask[lo:lo + size]
+        packed[lo * width // 8:(lo + len(block)) * width // 8] = np.packbits(
+            block, axis=None, bitorder="little")
+    return np.ascontiguousarray(packed.view("<u8").reshape(rows, width // 64).T)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """The set bits of each uint64 word, as int64: the bits are summed in
+    pairs, then nibbles, then bytes, and one multiply adds the eight byte
+    counts into the top byte."""
+    u = np.uint64
+    x = words - ((words >> u(1)) & u(0x5555555555555555))
+    x = (x & u(0x3333333333333333)) + ((x >> u(2)) & u(0x3333333333333333))
+    x = (x + (x >> u(4))) & u(0x0F0F0F0F0F0F0F0F)
+    return ((x * u(0x0101010101010101)) >> u(56)).view(np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -269,11 +303,19 @@ class Universe:
     outside_mask: np.ndarray   # (F, K) bool, read-only
 
     @cached_property
+    def subfile_words(self) -> np.ndarray:
+        """The outside mask packed once, as `_bit_words` gives it: column x
+        holds, as bits, the users that do not cache subfile x.  The
+        placement's delivery check reads the same words."""
+        return _bit_words(self.outside_mask)
+
+    @cached_property
     def mask_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """The outside mask's row and column counts: the users of each
-        subfile clique and the subfiles of each user clique."""
-        mask = self.outside_mask
-        return np.count_nonzero(mask, axis=1), np.count_nonzero(mask, axis=0)
+        subfile clique, as the popcount of its subfile words, and the
+        subfiles of each user clique, counted over the mask."""
+        per_subfile = _popcount(self.subfile_words).sum(axis=0)
+        return per_subfile, np.count_nonzero(self.outside_mask, axis=0)
 
     @property
     def num_users(self) -> int:
@@ -338,13 +380,17 @@ def build_universe(params: ConstructionParams, max_vertices: int | None = DEFAUL
     outside = ~np.eye(k_users, dtype=bool)
     vectors = pts.multiples
     for level in range(1, cp.m + 1):
-        rows, new = np.divmod(_extensions(sets, outside), k_users)
-        base = vectors[rows]                 # span vectors of the set being extended
-        sets = np.column_stack((sets[rows], new))
-        outside = outside[rows]
-        # The points gained are those of v + new over the old span's vectors v.
+        cells = _extensions(sets, outside)
+        rows = cells // k_users
+        new = cells - rows * k_users
+        base = vectors.take(rows, axis=0)    # span vectors of the set being extended
+        sets = np.column_stack((sets.take(rows, axis=0), new))
+        outside = outside.take(rows, axis=0)
+        # The points gained are those of v + new over the old span's
+        # vectors v, cleared at their flat indexes row * K + point.
         gained = pts.point_of[pts.add(base, pts.multiples[new, 1:2])]
-        outside[np.arange(len(rows))[:, None], gained] = False
+        gained += np.arange(0, outside.size, k_users)[:, None]
+        outside.reshape(-1)[gained] = False  # a view: take's rows are contiguous
         if level < cp.m:
             vectors = pts.add(base[:, :, None], pts.multiples[new][:, None, :]
                               ).reshape(len(rows), -1)
@@ -447,7 +493,8 @@ def enumerate_transmission_cliques(universe: Universe) -> DeliveryPlan:
     plan = DeliveryPlan(users=np.empty((len(cells), d), dtype=np.int32, order="F"),
                         subfiles=np.empty((len(cells), d), dtype=np.int32, order="F"))
     for block, users, subs in plan.blocks():
-        x, new = np.divmod(cells[block], k)
+        x = cells[block] // k
+        new = cells[block] - x * k
         users[:, :-1] = np.take(subfiles, x, axis=0)
         users[:, -1] = new
         rank = np.take(partial, x, axis=0)
@@ -491,9 +538,10 @@ def verify_line_graph(universe: Universe) -> LineGraphReport:
     vertex has at most one neighbour inside any other user clique; (iii) a
     vertex plus its neighbours outside its own user clique form a clique;
     (iv) the number of subfile cliques matches.  (i) and (iv) come from
-    the mask's column and row counts (`Universe.mask_counts`, which
-    build_line_graph has already taken).  A mask holds no (user, subfile)
-    label twice, so (ii) and (iii) hold by construction.
+    the mask's column counts and the popcounts of its packed rows
+    (`Universe.mask_counts`, which build_line_graph has already taken).
+    A mask holds no (user, subfile) label twice, so (ii) and (iii) hold
+    by construction.
     """
     per_subfile, per_user = universe.mask_counts
     per_user = per_user[per_user > 0]

@@ -9,16 +9,18 @@ transmission cliques, one XOR packet per clique.  The placement is a
 read-only view of the universe's outside mask, which is the line graph.
 
 A clique's d members (u_j, x_j) can all decode its packet only if each
-caches the others' subfiles: placement[u_j, x_j'] == 0 for j != j'.  That
-is a property of the plan, not of a round, so `delivery_violation` checks
-it once, together with the cliques being disjoint vertices that cover the
-line graph, whenever a scheme is built or loaded.  The plan is int32 and
-every pass over it walks it in cache-sized blocks of cliques.  The check
-packs, per subfile, the users that do not cache it as bits of uint64
-words; a clique passes when its users' bits are distinct and subfile x_j's
-word, masked to the clique's users, is member j's bit alone.  A covered
-mask of F*K bytes catches repeated and missing vertices, and only a plan
-that fails is walked again, check by check, for its message.
+caches the others' subfiles: placement[u_j, x_j'] == 0 for j != j'.
+That is a property of the plan, not of a round, so `delivery_violation`
+checks it once, together with the cliques being disjoint vertices that
+cover the line graph, whenever a scheme is built or loaded.  The plan is
+int32 and every pass over it walks it in cache-sized blocks of cliques.
+The check reads, per subfile, the users that do not cache it as bits of
+uint64 words, which the universe packed once (`Universe.subfile_words`)
+and the placement carries; a clique passes when its users' bits are
+distinct and subfile x_j's word, masked to the clique's users, is member
+j's bit alone.  A covered mask of F*K bytes catches repeated and missing
+vertices, and only a plan that fails is walked again, check by check,
+for its message.
 
 The in-memory simulator stores N files of F equal subfiles (numpy uint8
 payloads) and encodes a round as one (C, L) array whose row i is the XOR
@@ -75,7 +77,7 @@ import re
 import threading
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -87,6 +89,7 @@ from .linegraph import (
     DeliveryPlan,
     InvariantError,
     Universe,
+    _bit_words,
     build_line_graph,
     build_universe,
     enumerate_transmission_cliques,
@@ -117,9 +120,21 @@ def params_from(cp: ConstructionParams) -> ConstructionParams:
 @dataclass
 class PlacementMap:
     """K x F bit matrix; entry (k, f) = 1 means user k does NOT cache f.
-    From build_placement it is the transpose of the read-only vertex mask."""
+    From build_placement it is the transpose of the read-only vertex mask,
+    and its words are the universe's subfile words; a map made from a
+    matrix alone packs its own words when the delivery check first reads
+    them."""
 
     matrix: np.ndarray  # bool (uint8 also works), shape (K, F)
+    packed: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def words(self) -> np.ndarray:
+        """The matrix's columns as uint64 words (`_bit_words` of its
+        transpose): words[:, x] holds the users that do not cache x."""
+        if self.packed is None:
+            self.packed = _bit_words(self.matrix.T)
+        return self.packed
 
     @property
     def num_users(self) -> int:
@@ -142,8 +157,10 @@ class PlacementMap:
 def build_placement(universe: Universe) -> PlacementMap:
     """Placement bits straight off the line graph: 1 where a vertex exists,
     i.e. where the user's point lies outside the subfile's span: a view of
-    the outside mask, whose counts build_line_graph checked."""
-    return PlacementMap(matrix=universe.outside_mask.T)
+    the outside mask, whose counts build_line_graph checked, with the
+    universe's subfile words, packed once for those counts, for the
+    delivery check."""
+    return PlacementMap(matrix=universe.outside_mask.T, packed=universe.subfile_words)
 
 
 # ----------------------------------------------------------------------
@@ -156,31 +173,14 @@ def delivery_violation(plan: DeliveryPlan, placement: PlacementMap) -> str | Non
     Every entry must be a vertex (an uncached (user, subfile) pair) and in
     exactly one clique, the cliques must cover every vertex, and each
     member of a clique must cache the other members' subfiles.  One pass
-    over the plan in blocks (`_plan_fits`) tells a plan that delivers;
-    only a plan that does not is walked again, check by check, for the
-    message (`_first_violation`).
+    over the plan in blocks, over the placement's packed words
+    (`_plan_fits`), tells a plan that delivers; only a plan that does not
+    is walked again, check by check, over the matrix, for the message
+    (`_first_violation`).
     """
-    if _plan_fits(plan, placement.matrix):
+    if _plan_fits(plan, placement):
         return None
     return _first_violation(plan, placement.matrix)
-
-
-def _bit_words(mask: np.ndarray) -> np.ndarray:
-    """An (R, K) bool mask as a (ceil(K / 64), R) table of uint64 words:
-    bit u % 64 of word [u // 64, r] is set where mask[r, u].  Block by
-    block, the rows are copied into a buffer zero-padded to whole words,
-    which one flat packbits turns into the rows' words."""
-    rows, k = mask.shape
-    width = -(-k // 64) * 64
-    packed = np.empty(rows * width // 8, dtype=np.uint8)
-    size = linegraph.BLOCK_ROWS
-    padded = np.zeros((min(rows, size), width), dtype=bool)
-    for lo in range(0, rows, size):
-        block = padded[:len(mask[lo:lo + size])]
-        block[:, :k] = mask[lo:lo + size]
-        packed[lo * width // 8:(lo + len(block)) * width // 8] = np.packbits(
-            block, axis=None, bitorder="little")
-    return np.ascontiguousarray(packed.view("<u8").reshape(rows, width // 64).T)
 
 
 def _cells(users: np.ndarray, subfiles: np.ndarray, k: int) -> np.ndarray:
@@ -197,12 +197,14 @@ def _plan_in_range(plan: DeliveryPlan, users: int, subfiles: int) -> bool:
                for a, bound in ((plan.users, users), (plan.subfiles, subfiles)))
 
 
-def _plan_fits(plan: DeliveryPlan, mat: np.ndarray) -> bool:
+def _plan_fits(plan: DeliveryPlan, placement: PlacementMap) -> bool:
     """Whether the plan delivers under the (K, F) placement, in one pass
     after one range check of the whole plan (`_plan_in_range`).
 
-    words[:, x] holds, as bits, the users that do not cache subfile x, and
-    bits[:, u] is user u's bit alone; each row of either holds 64 users.
+    words[:, x], the placement's packed words (from build_placement, the
+    universe's, packed once per universe), holds, as bits, the users that
+    do not cache subfile x, and bits[:, u] is user u's bit alone; each row
+    of either holds 64 users.
     A clique's members are distinct users when no member's bit is already
     in the OR Y of the bits before it.  Then words[:, x_j] & Y is member
     j's bit alone exactly when (u_j, x_j) is a vertex and every other
@@ -210,10 +212,11 @@ def _plan_fits(plan: DeliveryPlan, mat: np.ndarray) -> bool:
     once.  The entries are scattered into a covered mask, so a repeated
     entry or a vertex in no clique shows in its count.
     """
+    mat = placement.matrix
     k, f = mat.shape
     if not _plan_in_range(plan, k, f):
         return False
-    words = _bit_words(mat.T)
+    words = placement.words
     bits = _bit_words(np.eye(k, dtype=bool))
     covered = np.zeros(f * k, dtype=bool)
     for _, users, subs in plan.blocks():

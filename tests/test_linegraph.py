@@ -22,6 +22,7 @@ from bruteforce import (
     vertex_labels,
 )
 import pgcache
+from pgcache import linegraph as linegraph_module
 from pgcache.linegraph import (
     CapacityError,
     ConstructionParams,
@@ -315,6 +316,74 @@ def test_degenerate_m0_instance_works_end_to_end():
     cover = enumerate_transmission_cliques(g)
     assert cover.group_size == 2
     assert cover.num_cliques * 2 == g.params.vertex_count
+
+
+# ----------------------------------------------------------------------
+# Packed subfile words, their popcount and the extension table
+# ----------------------------------------------------------------------
+
+def _universe_quietly(kmtq):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # m = 0
+        return build_universe(ConstructionParams(*kmtq))
+
+
+@pytest.mark.parametrize("kmtq", [(3, 1, 1, 2), (6, 3, 2, 2), (4, 2, 1, 3), (4, 1, 1, 4),
+                                  (4, 0, 1, 3)])
+def test_mask_counts_come_from_the_cached_words(kmtq):
+    """The universe packs its mask once: the cached subfile words are
+    _bit_words of the mask, with two words per subfile past K = 64 as
+    at (4,1,1,4), K = 85, and the mask counts taken from them equal
+    count_nonzero over the mask along both axes."""
+    uni = _universe_quietly(kmtq)
+    mask = uni.outside_mask
+    words = uni.subfile_words
+    assert words.shape == (-(-uni.num_users // 64), uni.subpacketization)
+    assert words is uni.subfile_words
+    assert np.array_equal(words, linegraph_module._bit_words(mask))
+    per_subfile, per_user = uni.mask_counts
+    assert np.array_equal(per_subfile, np.count_nonzero(mask, axis=1))
+    assert np.array_equal(per_user, np.count_nonzero(mask, axis=0))
+
+
+def test_popcount_counts_every_bit():
+    """The SWAR popcount against bin(x).count("1") on 0, all ones, each
+    single bit and random words, in any array shape."""
+    rng = np.random.default_rng(31)
+    values = ([0, 2 ** 64 - 1] + [1 << b for b in range(64)]
+              + rng.integers(0, 2 ** 64, size=500, dtype=np.uint64).tolist())
+    words = np.array(values, dtype=np.uint64)
+    got = linegraph_module._popcount(words)
+    assert got.tolist() == [bin(x).count("1") for x in values]
+    assert np.array_equal(linegraph_module._popcount(words.reshape(-1, 2)),
+                          got.reshape(-1, 2))
+
+
+def _extensions_by_compare(sets, outside):
+    """The extension cells by one broadcast compare of every point with
+    each set's last point."""
+    extends = np.arange(outside.shape[1]) > sets[:, -1:]
+    return np.flatnonzero(extends & outside)
+
+
+@pytest.mark.parametrize("kmtq", [(3, 1, 1, 2), (6, 3, 2, 2), (4, 2, 1, 3), (4, 0, 1, 3)])
+def test_extensions_match_the_broadcast_compare(kmtq, monkeypatch):
+    """_extensions, gathered from the after-the-last-point table, equals
+    the broadcast-compare formula at every level of build_universe and
+    for the cliques."""
+    real = linegraph_module._extensions
+    levels = []
+
+    def checked(sets, outside):
+        got = real(sets, outside)
+        assert np.array_equal(got, _extensions_by_compare(sets, outside))
+        levels.append(sets.shape[1])
+        return got
+
+    monkeypatch.setattr(linegraph_module, "_extensions", checked)
+    uni = _universe_quietly(kmtq)
+    enumerate_transmission_cliques(build_line_graph(uni))
+    assert levels == list(range(1, kmtq[1] + 2))
 
 
 # ----------------------------------------------------------------------

@@ -938,6 +938,24 @@ def test_delivery_violation_matches_the_whole_plan_reference(small_schemes, name
     assert found == _reference_delivery_violation(plan, inst.placement)
 
 
+def test_a_bare_matrix_placement_packs_its_own_words(fano):
+    """A PlacementMap made from a matrix alone packs the words that
+    build_placement takes from the universe, so it passes the built plan
+    and refuses the plan with clique 1 replaced by a copy of clique 0 at
+    its first repeated entry."""
+    placement = PlacementMap(np.array(fano.placement.matrix))
+    assert np.array_equal(placement.words, fano.universe.subfile_words)
+    assert fano.placement.words is fano.universe.subfile_words
+    assert delivery_violation(fano.delivery, placement) is None
+    users, subs = fano.delivery.users.copy(), fano.delivery.subfiles.copy()
+    users[1], subs[1] = users[0], subs[0]
+    plan = DeliveryPlan(users=users, subfiles=subs)
+    found = delivery_violation(plan, placement)
+    assert found == _reference_delivery_violation(plan, placement)
+    assert found == (f"delivery clique 1 entry 0 {[int(users[0, 0]), int(subs[0, 0])]} "
+                     f"repeats an earlier entry")
+
+
 def test_a_clique_that_repeats_its_user_lacks_side_information():
     """Nobody caches anything, and each clique holds both vertices of one
     user: every entry is a vertex, covered once, and each member's subfile
