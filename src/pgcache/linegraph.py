@@ -326,16 +326,16 @@ class Universe:
         return len(self.subfile_array)
 
     @cached_property
-    def user_cliques(self) -> list[np.ndarray]:
-        """Per user, the sorted subfile indices it does not cache."""
+    def user_cliques(self) -> np.ndarray:
+        """(K, D): row u holds the sorted subfile indices user u does not cache."""
         subs = np.nonzero(self.outside_mask.T)[1]
-        return list(subs.reshape(self.num_users, self.params.missing_per_user))
+        return subs.reshape(self.num_users, self.params.missing_per_user)
 
     @cached_property
-    def subfile_cliques(self) -> list[tuple[int, ...]]:
-        """Per subfile, the sorted user indices that do not cache it."""
+    def subfile_cliques(self) -> np.ndarray:
+        """(F, c): row x holds the sorted user indices that do not cache subfile x."""
         users = np.nonzero(self.outside_mask)[1]
-        return list(map(tuple, users.reshape(-1, self.params.missing_per_subfile).tolist()))
+        return users.reshape(self.subpacketization, self.params.missing_per_subfile)
 
     @cached_property
     def root(self) -> tuple[tuple[int, ...], ...]:

@@ -24,11 +24,12 @@ for its message.
 
 The in-memory simulator stores N files of F equal subfiles (numpy uint8
 payloads) and encodes a round as one (C, L) array whose row i is the XOR
-of clique i's members' demanded subfiles.  Both encode and decode make
-one pass over the plan in cache-sized blocks of cliques, gathering
-each member's subfiles from the store, seen as N*F rows of L bytes,
-into a buffer reused across blocks; the plan's users and subfiles are
-range-checked once per call, before the first block.  Cliques are
+of clique i's members' demanded subfiles.  Encode and decode make one
+pass over the plan in cache-sized blocks of cliques (`plan.blocks()`)
+and share one kernel, _xor_members: it XORs a block's members' subfiles,
+gathered from the store seen as N*F rows of L bytes, into the block's
+packet rows, or into a residual buffer into which decode then XORs the
+block's packets.  The plan is range-checked once per call.  Cliques are
 disjoint, so the blocks are independent: one block runner,
 _each_block, splits them into one contiguous run per worker, a worker
 per CPU (two at most), the calling thread and helper threads whose
@@ -36,10 +37,9 @@ numpy gathers and XORs run without the GIL, each with its own
 buffers.  A built or loaded plan is stored column by column, so each
 member column of a block is one contiguous row of the row index.  The
 output is the same bytes on any number of workers, and a failure is
-raised for the first failing block.  Decoding XORs a block's packets
-and its d members' subfiles into one residual buffer, so it keeps no
-(C, L) residual; packets in clique order, as encode sends them, are
-the batch's rows, and any other order is taken by clique id.  Member j
+raised for the first failing block.  Packets in clique order, as encode
+sends them, are the batch's rows; any other order is taken by clique
+id.  Decode keeps no (C, L) residual.  Member j
 recovers the packet XOR the other members' subfiles, which differs from
 its own subfile by exactly the residual, the packet XOR all d subfiles.
 So a user decodes its file exactly when every clique that contains it
@@ -403,7 +403,8 @@ def _each_block(plan: DeliveryPlan, store: FileStore, demands: np.ndarray,
     The blocks are disjoint cliques, so they are split into n contiguous
     runs, one per worker, where n is the number of CPUs this process may
     run on, capped by the block count and by _MAX_WORKERS (os.cpu_count()
-    where the platform has no affinity mask).  The calling thread is
+    where the platform has no affinity mask); each worker takes its run
+    of `plan.blocks()` with itertools.islice.  The calling thread is
     worker 0, the others are threads whose gathers and XORs run without
     the GIL.  Every buffer is made here before any thread starts, so no
     thread grows a heap of its own.  A worker stops at its first failure;
@@ -426,9 +427,8 @@ def _each_block(plan: DeliveryPlan, store: FileStore, demands: np.ndarray,
             if subfiles.min() < 0 or subfiles.max() >= f:
                 raise ValueError("delivery plan names a subfile outside the store")
     offsets = demands * f
-    size = linegraph.BLOCK_ROWS
-    rows = min(plan.num_cliques, size)
-    blocks = -(-plan.num_cliques // size)
+    rows = min(plan.num_cliques, linegraph.BLOCK_ROWS)
+    blocks = -(-plan.num_cliques // linegraph.BLOCK_ROWS)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     n = max(1, min(cpus, blocks, _MAX_WORKERS))
@@ -436,16 +436,15 @@ def _each_block(plan: DeliveryPlan, store: FileStore, demands: np.ndarray,
     scratch = [np.empty((buffers, rows, store.subfile_len), dtype=np.uint8)
                for _ in range(n)]
     failed: list[Exception | None] = [None] * n
-    users, subfiles = plan.users, plan.subfiles
 
     def work(w: int) -> None:
-        for i in range(w * blocks // n, (w + 1) * blocks // n):
-            block = slice(i * size, (i + 1) * size)
-            members = users[block].T
+        run = itertools.islice(plan.blocks(), w * blocks // n, (w + 1) * blocks // n)
+        for block, users, subfiles in run:
+            members = users.T
             try:
                 at = index[w][:members.size].reshape(members.shape)
                 offsets.take(members, 0, at, "clip")
-                at += subfiles[block].T
+                at += subfiles.T
                 kernel(block, at, scratch[w][:, :members.shape[1]])
             except Exception as exc:  # raised by the caller, lowest worker first
                 failed[w] = exc
@@ -465,6 +464,16 @@ def _each_block(plan: DeliveryPlan, store: FileStore, demands: np.ndarray,
             raise exc
 
 
+def _xor_members(rows: np.ndarray, at: np.ndarray, out: np.ndarray,
+                 scratch: np.ndarray) -> None:
+    """out = XOR over j of rows[at[j]], for a block's (d, B) row index:
+    member 0 is gathered into out, each other member into scratch, a (B, L)
+    buffer reused across blocks, and XOR-ed in.  Encode and decode share it."""
+    rows.take(at[0], 0, out, "clip")
+    for member in at[1:]:
+        out ^= rows.take(member, 0, scratch, "clip")
+
+
 def _store_rows(store: FileStore) -> np.ndarray:
     # reshape(-1, L) cannot infer the row count when L = 0.
     return store.data.reshape(store.num_files * store.num_subfiles, store.subfile_len)
@@ -476,19 +485,16 @@ def encode(plan: DeliveryPlan, store: FileStore, demands) -> Packets:
     Each block of cliques takes one row gather per member from the store
     read as N*F rows: ndarray.take copies each row in one step, where
     data[file, subfile] with two index arrays goes through numpy's generic
-    fancy-index iterator.  Member 0 is gathered straight into the block's
-    payload rows, and every other member into its worker's (B, L) buffer,
-    reused across blocks, which is XOR-ed into them.  The blocks run on
-    the workers of _each_block; each writes only its own payload rows.
+    fancy-index iterator.  The member XOR, _xor_members, which decode
+    shares, writes straight into the block's payload rows.  The blocks run
+    on the workers of _each_block; each writes only its own payload rows.
     """
     demands = _demand_vector(store.num_files, demands)
     rows = _store_rows(store)
     payloads = np.empty((plan.num_cliques, store.subfile_len), dtype=np.uint8)
 
     def xor_members(block: slice, at: np.ndarray, scratch: np.ndarray) -> None:
-        acc = rows.take(at[0], 0, payloads[block], "clip")
-        for member in at[1:]:
-            acc ^= rows.take(member, 0, scratch[0], "clip")
+        _xor_members(rows, at, payloads[block], scratch[0])
 
     _each_block(plan, store, demands, xor_members, buffers=1)
     return Packets(ids=np.arange(plan.num_cliques, dtype=np.int32), payloads=payloads)
@@ -509,14 +515,14 @@ def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> l
     its packet XOR all d members' subfiles, is what every member's
     recovered subfile differs by, so a user is exact when all its cliques
     leave a zero residual.  Each block's residual is built in its worker's
-    buffer, reused across blocks, so no (C, L) residual is kept; the
-    workers of _each_block mark the members of failing cliques inexact
-    themselves, every write storing False, so they cannot conflict.
-    When the ids are
-    0, 1, ..., C-1, as encode sends them, the block's packets are its rows
-    of the batch, XOR-ed into its member 0 subfiles.  Any other order takes
-    them by clique id, the last packet naming a clique winning, through a
-    (C,) table of each clique's packet.
+    buffer, reused across blocks, so no (C, L) residual is kept: encode's
+    member XOR, _xor_members, then the block's packets XOR-ed in last.
+    The workers of _each_block mark the members of failing cliques inexact
+    themselves, every write storing False, so they cannot conflict.  When
+    the ids are 0, 1, ..., C-1, as encode sends them, the block's packets
+    are its rows of the batch.  Any other order gathers them by clique id,
+    the last packet naming a clique winning, through a (C,) table of each
+    clique's packet.
     Raises DecodeError when the packet ids are not a flat sequence of
     integers, one per payload, an id names no clique, a clique has no
     packet, or a payload is not bytes of the subfile length.
@@ -551,14 +557,11 @@ def decode(plan: DeliveryPlan, store: FileStore, demands, packets: Packets) -> l
 
     def check_residuals(block: slice, at: np.ndarray, scratch: np.ndarray) -> None:
         residual, other = scratch
+        _xor_members(rows, at, residual, other)
         if packet_of is None:
-            rows.take(at[0], 0, residual, "clip")
             residual ^= payloads[block]
-            at = at[1:]
         else:
-            payloads.take(packet_of[block], 0, residual, "clip")
-        for member in at:
-            residual ^= rows.take(member, 0, other, "clip")
+            residual ^= payloads.take(packet_of[block], 0, other, "clip")
         if residual.any():
             exact[users[block][residual.any(axis=1)]] = False
 
@@ -705,26 +708,19 @@ def run_trials(instance: SchemeInstance, trials: int, seed: int,
     round0 = None
     if keep_round0 and not trials:
         round0 = run_round(instance, cache, slots_for(next(stream)))
-    per_user = [0] * k
-    failures = 0
-    packet_count = instance.delivery.num_cliques
+    per_user = np.zeros(k, dtype=np.int64)
     for demands in itertools.chain(itertools.islice(stream, trials), extra_demands or ()):
         demands = slots_for(demands)
         packets = run_round(instance, cache, demands)
-        if len(packets) != packet_count:
-            raise InvariantError(f"run_trials: {len(packets)} packets, expected {packet_count}")
         if keep_round0 and round0 is None:
             round0 = packets
-        for user, ok in enumerate(decode_round(instance, cache, demands, packets)):
-            if not ok:
-                failures += 1
-                per_user[user] += 1
+        per_user += np.logical_not(decode_round(instance, cache, demands, packets))
     return SimulationReport(
         trials=trials + len(extra_demands or ()),
         users=k,
-        packet_count=packet_count,
-        failures=failures,
-        per_user_failures=per_user,
+        packet_count=instance.delivery.num_cliques,
+        failures=int(per_user.sum()),
+        per_user_failures=per_user.tolist(),
         round0=round0,
     )
 

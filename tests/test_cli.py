@@ -4,14 +4,17 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pgcache import cli
+from pgcache import cli, scheme as scheme_module
 from pgcache.cli import main
 from pgcache.subspaces import InvariantError
 from test_scheme import DOCUMENT_LADDER
@@ -85,6 +88,22 @@ def test_construct_report_line_is_pinned(tmp_path, capsys):
     assert run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2",
                "-o", str(target)) == (
         0, f"wrote {target}: K=7 F=21 D=12 c=4 d=3 R=4/3 packets=28\n", "")
+
+
+@pytest.mark.parametrize("m,want", [("1", 0), ("2", 2)])
+def test_the_module_run_as_a_script_prints_what_main_prints(capsys, m, want):
+    """`python -m pgcache.cli` reaches the module's own exit call: the
+    child's output and exit code are in-process main's, on success and
+    on a refused construction (m + t = k)."""
+    argv = ["params", "-k", "3", "-m", m, "-t", "1", "-q", "2"]
+    code, out, err = run(capsys, *argv)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "pgcache.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert code == want
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 def test_params_rejects_bad_shape(capsys):
@@ -305,6 +324,37 @@ def test_construct_writes_the_ladder_document_and_simulate_loads_it(tmp_path, ca
         code, out, _ = run(capsys, "simulate", str(doc), "--trials", "1", "--seed", "3")
     assert code == 0
     assert "decode success  = " in out and "DECODE FAILURES" not in out
+
+
+def test_simulate_exits_5_on_a_decode_failure(tmp_path, capsys, monkeypatch):
+    """One user failing one round: simulate prints the same report, one
+    user-round short, names the failure count on stderr and exits 5."""
+    doc = tmp_path / "fano.json"
+    run(capsys, "construct", "-k", "3", "-m", "1", "-t", "1", "-q", "2", "-o", str(doc))
+    argv = ["simulate", str(doc), "--trials", "25", "--seed", "9"]
+    code, clean, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    decode_round = scheme_module.decode_round
+    rounds = []
+
+    def one_failure(*args):
+        exact = decode_round(*args)
+        if not rounds:
+            exact[3] = False
+        rounds.append(exact)
+        return exact
+
+    monkeypatch.setattr(scheme_module, "decode_round", one_failure)
+    code, out, err = run(capsys, *argv)
+    assert code == 5
+    assert err == "DECODE FAILURES = 1\n"
+    assert len(rounds) == 25
+    assert out == clean.replace("decode success  = 175/175", "decode success  = 174/175")
+    assert out.splitlines() == ["trials          = 25",
+                                "decode success  = 174/175 user-rounds",
+                                "packets/round   = 28",
+                                "measured R*F    = 28",
+                                "measured R      = 4/3 (1.3333)"]
 
 
 def test_simulate_rejects_an_empty_document(tmp_path, capsys):

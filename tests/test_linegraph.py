@@ -170,6 +170,21 @@ def test_fano_line_graph_sizes():
             assert has_vertex(g, v, x) == (not spaces[v] <= p)
 
 
+@pytest.mark.parametrize("kmtq", [(3, 1, 1, 2), (4, 1, 1, 3), (4, 2, 1, 3)])
+def test_user_and_subfile_cliques_are_the_mask_as_arrays(kmtq):
+    """user_cliques is the (K, D) and subfile_cliques the (F, c) integer
+    array of the outside mask's set positions, row by row."""
+    g = build_line_graph(build_universe(ConstructionParams(*kmtq)))
+    cp = g.params
+    assert g.user_cliques.shape == (cp.users, cp.missing_per_user)
+    assert g.subfile_cliques.shape == (cp.subpacketization, cp.missing_per_subfile)
+    assert g.user_cliques.dtype.kind == g.subfile_cliques.dtype.kind == "i"
+    assert [xs.tolist() for xs in g.user_cliques] == [
+        np.flatnonzero(column).tolist() for column in g.outside_mask.T]
+    assert [users.tolist() for users in g.subfile_cliques] == [
+        np.flatnonzero(row).tolist() for row in g.outside_mask]
+
+
 def test_the_line_graph_is_the_universe():
     uni = build_universe(ConstructionParams(3, 1, 1, 2))
     assert build_line_graph(uni) is uni

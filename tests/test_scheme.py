@@ -460,6 +460,47 @@ def _decode_by_clique(plan: DeliveryPlan, store: FileStore, demands,
     return exact
 
 
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_xor_members_is_the_xor_of_the_indexed_rows(d):
+    """The one member XOR: out becomes the XOR of rows[at[j]] over the d
+    members, whatever out held before."""
+    rng = np.random.default_rng(d)
+    rows = rng.integers(0, 256, size=(40, 6), dtype=np.uint8)
+    at = rng.integers(0, 40, size=(d, 9))
+    out = np.full((9, 6), 0xEE, dtype=np.uint8)
+    scheme_module._xor_members(rows, at, out, np.empty_like(out))
+    assert np.array_equal(out, np.bitwise_xor.reduce(rows[at], axis=0))
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_encode_and_decode_share_one_member_xor(fano, shuffled, monkeypatch):
+    """Encode and decode each run _xor_members once per block, on the same
+    member rows, and its output is the same: the block's packets in
+    encode, and in decode the residual before the packets are XOR-ed in."""
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(linegraph_module, "BLOCK_ROWS", 7)  # Fano's 28 cliques in 4 blocks
+    calls = []
+    xor_members = scheme_module._xor_members
+
+    def spy(rows, at, out, scratch):
+        xor_members(rows, at, out, scratch)
+        calls.append((at.copy(), out.copy()))
+
+    monkeypatch.setattr(scheme_module, "_xor_members", spy)
+    store = FileStore.random(7, 21, subfile_len=4, seed=1)
+    demands = [3, 1, 4, 1, 5, 2, 6]
+    packets = encode(fano.delivery, store, demands)
+    sent, calls[:] = calls[:], []
+    if shuffled:
+        order = np.random.default_rng(1).permutation(28)
+        packets = Packets(packets.ids[order], packets.payloads[order])
+    assert decode(fano.delivery, store, demands, packets) == [True] * 7
+    assert len(sent) == len(calls) == 4
+    for (at, out), (again, residual) in zip(sent, calls):
+        assert np.array_equal(at, again)
+        assert np.array_equal(out, residual)
+
+
 def _cpus(monkeypatch, count: int) -> None:
     """Let the process run on `count` CPUs, as far as the block runner sees."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
@@ -1105,6 +1146,20 @@ def test_run_trials_report(fano):
     assert rep.failures == 0
     assert rep.packet_count == 28
     assert Fraction(rep.packet_count, fano.params.subpacketization) == Fraction(4, 3)
+
+
+def test_run_trials_tallies_each_round_s_failing_users(fano, monkeypatch):
+    """The report counts failing user-rounds: failures in all, and per
+    user, as a list of ints, over random and extra rounds alike."""
+    verdicts = np.random.default_rng(4).random((12, 7)) >= 0.3
+    rounds = iter(verdicts.tolist())
+    monkeypatch.setattr(scheme_module, "decode_round", lambda *args: next(rounds))
+    rep = run_trials(fano, trials=10, seed=3, subfile_len=4,
+                     extra_demands=[[0] * 7, list(range(7))])
+    assert rep.failures == np.count_nonzero(~verdicts) > 0
+    assert rep.per_user_failures == np.count_nonzero(~verdicts, axis=0).tolist()
+    assert {type(n) for n in rep.per_user_failures} == {int}
+    assert not rep.ok
 
 
 def test_splitmix_stream_is_deterministic():
